@@ -2,12 +2,15 @@
 against.
 
 sieve_lhs measures the quantity itself: the sum of |S(a/q)|^2 over the
-reduced fractions of every modulus in a set.  bound_shapes evaluates a
-registry of closed-form shapes (per unit of the coefficient power Z),
-with all absolute constants set to 1, so the report layer presents
-ratios rather than certified inequalities.  The one exception is the
-classical shape N + span^2, which is a true constant-free bound and is
-certified as such in the tests.
+reduced fractions of every modulus in a set.  It never evaluates S: the
+coefficients are folded into residue buckets mod q, Parseval turns the
+bucket norm at each divisor d of q into the sum of |S(a/d)|^2 over all
+a mod d, and Moebius inversion keeps the reduced fractions.
+bound_shapes evaluates a registry of closed-form shapes (per unit of
+the coefficient power Z), with all absolute constants set to 1, so the
+report layer presents ratios rather than certified inequalities.  The
+one exception is the classical shape N + span^2, which is a true
+constant-free bound and is certified as such in the tests.
 
 sieve_bracket evaluates the window-count bracket N*(1+B), where B is a
 maximum of dilate window counts over a rational frequency grid.
@@ -31,8 +34,8 @@ from .counting import WindowQuery, count_window_ap, window_count_profile
 from .errors import (CapacityError, InvalidRegimeError, NotCoprimeError,
                      OutOfRangeError, ShapeDomainError)
 from .moduli import ModuliSet, derive_subset
-from .sequences import CoefficientSequence, eval_at_modulus
-from .arith import divisors, mod_inv
+from .sequences import CoefficientSequence
+from .arith import divisors, factorize, mod_inv
 from .util import fmt17
 
 _REGIME_SLACK = 1e-12
@@ -52,28 +55,66 @@ SHAPE_NAMES = (
 )
 
 
-def _modulus_term(seq: CoefficientSequence, q: int) -> float:
-    vals = eval_at_modulus(seq, q)
-    a = np.arange(1, q + 1, dtype=np.int64)
-    keep = np.gcd(a, q) == 1
-    return float(np.sum(np.abs(vals[keep]) ** 2))
+def _fold(values: np.ndarray, q: int) -> np.ndarray:
+    """Residue-class sums of values[i] over i mod q.
+
+    values[i] holds a_{i+1}, so these are the buckets of n mod q shifted
+    cyclically by one place; every norm taken of a fold is invariant
+    under that shift.  The sequence is reshaped, not copied or indexed.
+    """
+    full = values.size - values.size % q
+    fold = values[:full].reshape(-1, q).sum(0)
+    fold[: values.size - full] += values[full:]
+    return fold
+
+
+def _modulus_term(values: np.ndarray, q: int) -> float:
+    """Sum of |S(a/q)|^2 over a mod q coprime to q.
+
+    Parseval at each divisor d of q gives sum over all a mod d of
+    |S(a/d)|^2 = d * ||fold_d||^2, and Moebius inversion over the reduced
+    fractions keeps the denominators equal to q: the result is the sum
+    over squarefree m | q of mu(m) * (q/m) * ||fold_{q/m}||^2.  Each
+    fold_{q/m} is refolded from the length-q fold.
+    """
+    fold = _fold(values, q)
+    total = 0.0
+    for m, sign in _squarefree_divisors(q):
+        part = fold.reshape(m, q // m).sum(0)
+        x = part.view(np.float64)
+        total += sign * (q // m) * float(np.sum(x * x))
+    return total
+
+
+def _squarefree_divisors(q: int) -> list[tuple[int, int]]:
+    """(m, mu(m)) for every squarefree m dividing q, m = 1 first."""
+    out = [(1, 1)]
+    for p, _ in factorize(q):
+        out += [(m * p, -sign) for m, sign in out]
+    return out
 
 
 def sieve_lhs(seq: CoefficientSequence, s: ModuliSet, threads: int = 1,
               capacity: int = 10**8) -> float:
     """Sum over q in s and reduced a mod q of |S(a/q)|^2.
 
-    Work is split per modulus; partial sums are always reduced in
-    element order, so the result is identical for every thread count.
+    Each modulus costs one pass over the sequence plus O(q * 2^omega(q))
+    for its refolds; no transform is taken.  capacity caps the fold
+    entries held at once, the largest modulus times the number of
+    moduli in flight.  Work is split per modulus; partial sums are
+    always reduced in element order, so the result is identical for
+    every thread count.
     """
     qs = [int(q) for q in s.elements]
-    if sum(qs) > capacity:
-        raise CapacityError(f"{sum(qs)} fraction evaluations exceed capacity {capacity}")
+    entries = max(qs, default=0) * min(threads, len(qs))
+    if entries > capacity:
+        raise CapacityError(f"sieve sum folds need {16 * entries} bytes "
+                            f"({entries} entries), over capacity {capacity} entries")
     if threads > 1 and len(qs) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            terms = list(pool.map(lambda q: _modulus_term(seq, q), qs))
+            terms = list(pool.map(lambda q: _modulus_term(seq.values, q), qs))
     else:
-        terms = [_modulus_term(seq, q) for q in qs]
+        terms = [_modulus_term(seq.values, q) for q in qs]
     total = 0.0
     for term in terms:
         total += term

@@ -54,7 +54,7 @@ def _parse_int_list(text):
         raise ConfigError(f"bad integer list {text!r}") from exc
 
 
-def _load_config_file(path: str) -> dict:
+def _load_config_file(path: str, actions: dict) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -69,8 +69,30 @@ def _load_config_file(path: str) -> dict:
         norm = key.replace("-", "_")
         if norm not in _DEFAULTS:
             raise ConfigError(f"config {path}: unknown key {key!r}")
-        out[norm] = val
+        out[norm] = _coerce(actions[norm], val, f"config {path}: {key}")
     return out
+
+
+def _coerce(action, val, where: str):
+    """A config value converted and checked as its flag's argument would be."""
+    if val is None:
+        if _DEFAULTS[action.dest] is not None:
+            raise ConfigError(f"{where} must not be null")
+        return None
+    kind = action.type
+    if kind is not None:
+        if isinstance(val, bool) or not isinstance(val, (str, int, float)):
+            raise ConfigError(f"{where}={val!r} is not a valid {kind.__name__}")
+        try:
+            out = kind(val)
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"{where}={val!r} is not a valid {kind.__name__}") from exc
+        if kind is int and isinstance(val, float) and out != val:
+            raise ConfigError(f"{where}={val!r} is not a valid int")
+        val = out
+    if action.choices is not None and val not in action.choices:
+        raise ConfigError(f"{where}={val!r} is not one of {', '.join(action.choices)}")
+    return val
 
 
 def parse_args(argv) -> dict:
@@ -122,14 +144,13 @@ def parse_args(argv) -> dict:
 
     cfg = dict(_DEFAULTS)
     if args.config:
-        cfg.update(_load_config_file(args.config))
+        actions = {a.dest: a for a in p._actions}
+        cfg.update(_load_config_file(args.config, actions))
     for key, val in vars(args).items():
         if key != "config" and val is not None:
             cfg[key] = val
     if cfg["cmd"] is None:
         raise ConfigError("no command given (--cmd or config file)")
-    if cfg["cmd"] not in _COMMANDS:
-        raise ConfigError(f"unknown command {cfg['cmd']!r}")
     if cfg["threads"] < 1:
         raise ConfigError("--threads must be >= 1")
     return cfg
@@ -263,6 +284,8 @@ def _cmd_sweep(cfg) -> int:
             for nm in SHAPE_NAMES:
                 row.append(fmt17(rep.ratios[nm]) if nm in rep.ratios else "")
             w.writerow(row)
+            # drop this row's sequence before the next one is built
+            del seq, rep
     _deliver(buf.getvalue().encode(), cfg["out"])
     return 0
 
@@ -298,10 +321,13 @@ def run_experiment(cfg) -> int:
                  cfg["out"])
         return 0
     if cmd == "a-count":
+        try:
+            query = WindowQuery(float(cfg["u"]), int(cfg["k"]), int(cfg["l"]),
+                                int(cfg["t"]))
+        except ValueError as exc:
+            raise ConfigError(f"bad window query: {exc}") from exc
         s = _build_moduli(cfg)
-        st = derive_subset(s, int(cfg["t"]))
-        query = WindowQuery(float(cfg["u"]), int(cfg["k"]), int(cfg["l"]),
-                            int(cfg["t"]))
+        st = derive_subset(s, query.t)
         _deliver((str(count_window_ap(st, query, s.M, s.Q)) + "\n").encode(),
                  cfg["out"])
         return 0

@@ -14,11 +14,13 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
+
 from .arith import divisors
 from .counting import WindowQuery
 from .errors import InvalidDeltaError, NotCoprimeError
 from .moduli import FareyList, ModuliSet, derive_subset
-from .sequences import CoefficientSequence, eval_exp_sum
+from .sequences import CoefficientSequence, eval_at_modulus, eval_exp_sum
 
 
 def naive_sieve_lhs(seq: CoefficientSequence, s: ModuliSet) -> float:
@@ -29,6 +31,17 @@ def naive_sieve_lhs(seq: CoefficientSequence, s: ModuliSet) -> float:
         for a in range(1, q + 1):
             if math.gcd(a, q) == 1:
                 total += abs(eval_exp_sum(seq, a / q)) ** 2
+    return total
+
+
+def dense_sieve_lhs(seq: CoefficientSequence, s: ModuliSet) -> float:
+    """Every S(a/q) from the dense root-table transform, reduced a kept."""
+    total = 0.0
+    for q in s.elements:
+        q = int(q)
+        vals = eval_at_modulus(seq, q)
+        a = np.arange(1, q + 1, dtype=np.int64)
+        total += float(np.sum(np.abs(vals[np.gcd(a, q) == 1]) ** 2))
     return total
 
 

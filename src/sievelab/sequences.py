@@ -6,7 +6,8 @@ evaluation at one real point, with the phase argument reduced mod 1
 before the exponential so large n*alpha does not destroy precision.
 eval_at_modulus computes S(a/q) for all a = 1..q at once by bucketing
 the coefficients into residue classes mod q and applying a length-q
-transform with exact rational phases; sieve sums are built on it.
+transform with exact rational phases; it serves per-fraction values.
+Sieve sums need only norms of the buckets and are formed in bounds.
 """
 
 from __future__ import annotations
@@ -38,11 +39,6 @@ class CoefficientSequence:
             raise ValueError("N must equal len(values) and be >= 1")
         z = float(np.sum(np.abs(v) ** 2))
         object.__setattr__(self, "Z", z)
-
-
-def z_norm(seq: CoefficientSequence) -> float:
-    """sum |a_n|^2, the normalizing weight in every sieve bound."""
-    return seq.Z
 
 
 def make_sequence(kind: str, N: int, *, n0: int | None = None, seed=0,

@@ -28,11 +28,6 @@ def cexp(x):
     return out
 
 
-def frac(x: float) -> float:
-    """Fractional part in [0, 1)."""
-    return x - math.floor(x)
-
-
 def primes_up_to(n: int) -> list[int]:
     """All primes <= n by a byte sieve."""
     if n < 2:

@@ -351,6 +351,48 @@ def classical_bound_trials(trials: int, seed: int) -> CheckResult:
     return res
 
 
+# Moebius-Parseval sieve sums are compared relative to the sum of the
+# absolute divisor terms: near-degenerate sequences (focused at beta =
+# 1/3 over moduli divisible by 3) cancel most of them, so the result
+# itself is no scale for the rounding of its terms.
+_MOEBIUS_RTOL = 1e-12
+
+
+def _moebius_scale(seq: sequences.CoefficientSequence, s: moduli.ModuliSet) -> float:
+    """Sum over q in s and squarefree m | q of (q/m) * ||fold_{q/m}||^2."""
+    return sum((q // m) * float(np.sum(np.abs(bounds._fold(seq.values, q // m)) ** 2))
+               for q in map(int, s.elements) for m, _ in bounds._squarefree_divisors(q))
+
+
+def moebius_checks(lengths, naive_trials: int, seed: int) -> CheckResult:
+    """sieve_lhs against the dense transform at every length given (up
+    to 2^16), over squares, an octave and composite moduli with up to
+    five prime factors; and against the naive loop at desk sizes."""
+    res = CheckResult("bounds-moebius")
+    rng = seeded_rng(seed)
+    sets = (moduli.squares_up_to(16), moduli.squares_in_octave(300),
+            moduli.explicit_moduli([1, 2, 6, 30, 101, 210, 2310]))
+    for n in lengths:
+        seqs = [_random_sequence(rng, n, flavor) for flavor in range(6)]
+        seqs += [sequences.make_sequence("focused", n, beta=b) for b in (1 / 3, 1e-7)]
+        for seq in seqs:
+            for s in sets:
+                fast = bounds.sieve_lhs(seq, s)
+                dense = oracles.dense_sieve_lhs(seq, s)
+                tol = _MOEBIUS_RTOL * _moebius_scale(seq, s)
+                res.expect(abs(fast - dense) <= tol,
+                           f"N={n} {s.kind}: lhs {fast} vs dense {dense}")
+    for i in range(naive_trials):
+        n = int(rng.integers(1, 129))
+        seq = _random_sequence(rng, n, i)
+        s = _random_set(rng, 96, 8)
+        fast = bounds.sieve_lhs(seq, s)
+        slow = oracles.naive_sieve_lhs(seq, s)
+        tol = _MOEBIUS_RTOL * _moebius_scale(seq, s)
+        res.expect(abs(fast - slow) <= tol, f"N={n}: lhs {fast} vs naive {slow}")
+    return res
+
+
 def bracket_checks(instances: int, seed: int) -> CheckResult:
     res = CheckResult("bounds-bracket")
     with warnings.catch_warnings():
@@ -633,6 +675,8 @@ def run_verify(quick: bool = True, seed: int = 0) -> list[CheckResult]:
         dirichlet_trials(10**3 if quick else 10**4, seed + 10),
         square_window_sweep(q0s_win, 8 if quick else 20, 16 if quick else 50),
         classical_bound_trials(40 if quick else 200, seed + 11),
+        moebius_checks((1000, 2**16) if quick else (1, 7, 100, 1000, 2**12, 2**14, 2**16),
+                       20 if quick else 100, seed + 18),
         bracket_checks(6 if quick else 20, seed + 12),
         shape_checks(seed + 13),
         crowding_checks(seed + 14),

@@ -17,6 +17,7 @@ from sievelab.errors import (CapacityError, InvalidRegimeError,
                              NotCoprimeError, OutOfRangeError,
                              ShapeDomainError)
 from sievelab import oracles
+from sievelab.arith import divisors, factorize
 from sievelab.bounds import _grid_z
 from sievelab.util import seeded_rng
 
@@ -68,6 +69,58 @@ def test_lhs_capacity_gate():
     s = explicit_moduli([10**5, 2 * 10**5], span=2 * 10**5)
     with pytest.raises(CapacityError):
         sieve_lhs(seq, s, capacity=10**5)
+
+
+def _ramanujan_sum(q: int, h: int) -> int:
+    """c_q(h) = sum over d | gcd(q, h) of mu(q/d) * d."""
+    total = 0
+    for d in divisors(math.gcd(q, h)):
+        fac = factorize(q // d)
+        if all(e == 1 for _, e in fac):
+            total += (-1) ** len(fac) * d
+    return total
+
+
+def _ramanujan_lhs(values, qs) -> int:
+    """Exact sieve sum of a real integer sequence: sum over q of
+    sum_h c_q(h) R(h), R(h) = sum_n a_{n+h} a_n the autocorrelation."""
+    a = np.asarray(values.real, dtype=np.int64)
+    n = a.size
+    r = np.correlate(a, a, "full").tolist()  # R(h) for h = 1-n .. n-1
+    total = 0
+    for q in qs:
+        c = [_ramanujan_sum(q, h) for h in range(q)]
+        total += sum(c[h % q] * r[h + n - 1] for h in range(1 - n, n))
+    return total
+
+
+@pytest.mark.parametrize("kind, n, moduli", [
+    ("ones", 1, [1, 7, 12, 2310]),
+    ("random_signs", 5, [1, 2, 3, 97, 2310]),
+    ("random_signs", 1000, [2310, 4096]),
+    ("ones", 4096, [k * k for k in range(1, 17)]),
+    ("random_signs", 4096, [k * k for k in range(1, 17)] + [97, 2310]),
+])
+def test_lhs_integer_sequences_are_exact(kind, n, moduli):
+    seq = make_sequence(kind, n, seed=5)
+    exact = _ramanujan_lhs(seq.values, moduli)
+    assert exact < 2**53
+    assert sieve_lhs(seq, explicit_moduli(moduli)) == float(exact)
+
+
+def test_lhs_two_threads_match_one_bit_for_bit():
+    s = explicit_moduli([1, 6, 30, 97, 210, 2310, 4096])
+    for seq in (make_sequence("random_phases", 5000, seed=1),
+                make_sequence("focused", 5000, beta=1 / 3)):
+        assert sieve_lhs(seq, s, threads=1) == sieve_lhs(seq, s, threads=2)
+
+
+def test_lhs_capacity_counts_moduli_in_flight():
+    seq = make_sequence("ones", 4)
+    s = explicit_moduli([100, 200])
+    assert sieve_lhs(seq, s, capacity=200) == sieve_lhs(seq, s)
+    with pytest.raises(CapacityError, match="6400 bytes"):
+        sieve_lhs(seq, s, threads=2, capacity=200)
 
 
 # ------------------------------------------------------------ the bracket

@@ -45,6 +45,33 @@ def test_unreadable_config_is_a_config_error(capsys):
     assert code == 2
 
 
+def test_config_value_of_the_wrong_type_exits_2(capsys, tmp_path):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"cmd": "sieve-sum", "n": "abc"}),
+                       encoding="utf-8")
+    code, out, err = run_cli(capsys, "--config", str(cfgfile))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("config error")
+
+
+def test_config_values_are_coerced_like_their_flags(capsys, tmp_path):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"cmd": "shapes", "threads": "4"}),
+                       encoding="utf-8")
+    code, out, _ = run_cli(capsys, "--config", str(cfgfile))
+    assert code == 0
+    assert parse_args(["--config", str(cfgfile)])["threads"] == 4
+    assert (code, out) == run_cli(capsys, "--cmd", "shapes", "--threads", "4")[:2]
+
+
+def test_invalid_window_query_exits_2(capsys):
+    code, out, err = run_cli(capsys, "--cmd", "a-count", "--k", "4", "--l", "2")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("config error")
+
+
 def test_sieve_sum_prints_exact_zero(capsys, tmp_path):
     mods = tmp_path / "m.txt"
     mods.write_text("2\n", encoding="utf-8")
