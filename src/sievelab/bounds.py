@@ -422,23 +422,27 @@ class BoundReport:
         return rows
 
 
-def build_report(seq: CoefficientSequence, s: ModuliSet, *, eps: float = 0.0,
-                 x=None, s_count=None, q_shape=None, threads: int = 1) -> BoundReport:
+def build_report(seq: CoefficientSequence | None, s: ModuliSet, *, n=None,
+                 eps: float = 0.0, x=None, s_count=None,
+                 threads: int = 1) -> BoundReport:
     """Measure the sieve sum over s and compare against every shape.
 
-    The shape parameter q defaults to the set's root cap for sets built
-    as squares up to a cap, and to the interval span otherwise; override
-    with q_shape when comparing against a different family.  Shapes are
+    The shape parameter q is the set's root cap for sets built as
+    squares up to a cap, and the interval span otherwise.  Shapes are
     formula evaluations at the reported (N, Q), not certified bounds.
+    With seq None nothing is measured: the report holds the shapes at
+    length n, with lhs 0, Z 1 and every ratio 0.
     """
     if s_count is None:
         s_count = s.size
-    if q_shape is None:
-        q_shape = s.param if s.kind == "squares_up_to" else s.Q
+    q_shape = s.param if s.kind == "squares_up_to" else s.Q
     q0 = s.param if s.kind == "squares_in_octave" else None
-    lhs = sieve_lhs(seq, s, threads=threads)
-    shapes = bound_shapes(seq.N, q_shape, s_count=s_count, eps=eps, x=x)
-    ratios = {name: lhs / (val * seq.Z) for name, val in shapes.items()}
-    return BoundReport(N=seq.N, Q=float(q_shape), Q0=q0, Z=seq.Z, lhs=lhs,
+    if seq is None:
+        lhs, z = 0.0, 1.0
+    else:
+        n, lhs, z = seq.N, sieve_lhs(seq, s, threads=threads), seq.Z
+    shapes = bound_shapes(n, q_shape, s_count=s_count, eps=eps, x=x)
+    ratios = {name: lhs / (val * z) for name, val in shapes.items()}
+    return BoundReport(N=n, Q=float(q_shape), Q0=q0, Z=z, lhs=lhs,
                        shapes=shapes, ratios=ratios, epsilon=eps,
                        X=None if x is None else float(x))

@@ -334,3 +334,17 @@ def test_report_octave_sets_record_their_left_edge():
     seq = make_sequence("ones", 16)
     rep = build_report(seq, squares_in_octave(30))
     assert rep.Q0 == 30.0
+
+
+@pytest.mark.parametrize("s", [squares_up_to(3), squares_in_octave(30)],
+                         ids=["squares", "octave"])
+@pytest.mark.parametrize("s_count", [None, 0])
+def test_report_without_a_sequence_holds_the_same_shapes(s, s_count):
+    seq = make_sequence("ones", 64)
+    measured = build_report(seq, s, s_count=s_count, x=1.0)
+    bare = build_report(None, s, n=64, s_count=s_count, x=1.0)
+    assert bare.shapes == measured.shapes
+    assert (bare.N, bare.Q, bare.Q0) == (measured.N, measured.Q, measured.Q0)
+    assert (bare.Z, bare.lhs) == (1.0, 0.0)
+    assert set(bare.ratios) == set(bare.shapes)
+    assert set(bare.ratios.values()) == {0.0}
