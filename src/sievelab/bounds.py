@@ -26,19 +26,19 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .counting import WindowQuery, count_window_ap, window_count_profile
+from .counting import window_count_profile
 from .errors import (CapacityError, InvalidRegimeError, NotCoprimeError,
                      OutOfRangeError, ShapeDomainError)
 from .moduli import ModuliSet, derive_subset
 from .sequences import CoefficientSequence
-from .arith import divisors, factorize, mod_inv
+from .arith import divisors, factorize
 from .util import fmt17
 
 _REGIME_SLACK = 1e-12
+_BRACKET_CHUNK = 1 << 22  # (h, row, z) entries one bracket gather may hold
 
 SHAPE_NAMES = (
     "classical",
@@ -134,12 +134,30 @@ def bound_shapes(n, q, *, s_count=None, eps: float = 0.0, x=None,
     require turns that omission into ShapeDomainError.
 
     All constants are 1 and eps exponents are applied literally, so the
-    values are comparison shapes, not certified bounds.
+    values are comparison shapes, not certified bounds.  Every value is
+    a finite positive float: inputs that take a shape outside the floats
+    (a huge or non-finite eps, say) raise OutOfRangeError.
     """
     n = float(n)
     q = float(q)
     if n <= 0 or q <= 0:
         raise OutOfRangeError("n and q must be positive")
+    where = f"at n={n:g}, q={q:g}, eps={eps:g}"
+    try:
+        shapes = _shape_values(n, q, s_count, eps, x)
+    except OverflowError as exc:
+        raise OutOfRangeError(f"shapes overflow the floats {where}") from exc
+    for name, val in shapes.items():
+        if not 0.0 < val < math.inf:
+            raise OutOfRangeError(f"shape {name} = {val} is not a finite "
+                                  f"positive float {where}")
+    missing = [name for name in require if name not in shapes]
+    if missing:
+        raise ShapeDomainError(f"required shapes unavailable here: {', '.join(missing)}")
+    return shapes
+
+
+def _shape_values(n: float, q: float, s_count, eps: float, x) -> dict[str, float]:
     shapes: dict[str, float] = {}
     shapes["classical"] = n + q * q
     shapes["single_modulus"] = n + q * q
@@ -161,9 +179,6 @@ def bound_shapes(n, q, *, s_count=None, eps: float = 0.0, x=None,
     wolke = _wolke_shape(n, q)
     if wolke is not None:
         shapes["wolke"] = wolke
-    missing = [name for name in require if name not in shapes]
-    if missing:
-        raise ShapeDomainError(f"required shapes unavailable here: {', '.join(missing)}")
     return shapes
 
 
@@ -177,53 +192,69 @@ def _wolke_shape(n: float, q: float):
     return q * q * math.log(math.log(q)) / ((1.0 - d) * math.log(q))
 
 
-def _reduced_residues(k: int) -> list[int]:
-    return [l for l in range(k) if math.gcd(l, k) == 1]
+def _reduced_residues(k: int) -> np.ndarray:
+    return np.flatnonzero(np.gcd(np.arange(k), k) == 1)
 
 
-def _signed_residue_counts(m_max: int, k: int, reds: list[int]) -> np.ndarray:
-    """How many m with 0 < |m| <= m_max fall in each reduced class mod k."""
-    out = np.zeros(len(reds), dtype=np.int64)
-    if m_max < 1:
-        return out
-    for i, l in enumerate(reds):
-        pos = (m_max - l) // k + 1 if 1 <= l <= m_max else (m_max // k if l == 0 else 0)
-        lneg = (k - l) % k
-        neg = (m_max - lneg) // k + 1 if 1 <= lneg <= m_max else (m_max // k if lneg == 0 else 0)
-        out[i] = pos + neg
-    return out
+def _signed_class_counts(m_max: np.ndarray, k: int) -> np.ndarray:
+    """(k, len(m_max)) array: how many m with 0 < |m| <= m_max[j] fall in
+    each class l mod k, for every l.
+
+    The positive m = l (mod k) up to M number (M - f)//k + 1, with f the
+    least positive member of the class (l, or k for l = 0); the negative
+    ones are the positive members of class -l.
+    """
+    first = (np.arange(k) - 1) % k + 1
+    pos = (np.asarray(m_max, dtype=np.int64)[None, :] - first[:, None]) // k + 1
+    return pos + pos[(-np.arange(k)) % k]
+
+
+def _class_windows(st: ModuliSet, k: int, u_vec, lo: float, hi: float):
+    """(classes, profiles) of the nonempty classes mod k coprime to k in
+    the dilate st: window counts over u_vec, one row per class."""
+    cls = st.elements % k
+    keep = np.gcd(cls, k) == 1
+    return window_count_profile(st.elements[keep], u_vec, lo, hi, labels=cls[keep])
 
 
 def _bracket_eval(s: ModuliSet, n: int, r: int, zs: np.ndarray,
                   subsets: dict[int, ModuliSet]) -> int:
-    """Max over z in zs and reduced h mod r of the bracket's window sum."""
+    """Max over z in zs and reduced h mod r of the bracket's window sum.
+
+    For each divisor t of r, with k = r/t, the sum adds the window count
+    prof[h*m mod k] of the t-dilate's class h*m over the frequencies m
+    coprime to k with 0 < |m| <= m_max(z).  By class l = h*m that is the
+    sum of prof[l] * counts[h^-1 * l], with counts[m] the number of such
+    frequencies in residue m (closed form) and the profiles of the
+    nonempty classes taken in one grouped pass.  Since h runs over a
+    group, writing h for h^-1 leaves the maximum over h unchanged, so
+    the gather goes through the index matrix h*l mod k.  It is chunked
+    over h so that its (h, class, z) entries stay bounded.
+    """
     if zs.size == 0:
         return 0
     span = s.Q
-    per_t = []
+    terms = []
     for t in divisors(r):
         st = subsets.get(t)
         if st is None:
             st = subsets[t] = derive_subset(s, t)
         k = r // t
-        lo, hi = s.M / t, (s.M + span) / t
-        reds = _reduced_residues(k)
-        u_vec = 2.0 * span / (t * zs * n)
-        prof = np.empty((len(reds), zs.size), dtype=np.int64)
-        for i, l in enumerate(reds):
-            c = st.elements[st.elements % k == l]
-            prof[i] = window_count_profile(c, u_vec, lo, hi)
-        m_max = np.floor(6.0 * r * zs * span / t).astype(np.int64)
-        counts = np.empty((len(reds), zs.size), dtype=np.int64)
-        for iz in range(zs.size):
-            counts[:, iz] = _signed_residue_counts(int(m_max[iz]), k, reds)
-        per_t.append((k, reds, {l: i for i, l in enumerate(reds)}, prof, counts))
+        ls, prof = _class_windows(st, k, 2.0 * span / (t * zs * n), s.M / t,
+                                  (s.M + span) / t)
+        if ls.size:
+            counts = _signed_class_counts(np.floor(6.0 * r * zs * span / t).astype(np.int64), k)
+            terms.append((k, ls, prof, counts))
+    if not terms:
+        return 0
+    hs = _reduced_residues(r)
+    step = max(1, _BRACKET_CHUNK // max(prof.size for _, _, prof, _ in terms))
     best = 0
-    for h in _reduced_residues(r):
-        tot = np.zeros(zs.size, dtype=np.int64)
-        for k, reds, pos, prof, counts in per_t:
-            perm = [pos[(h * l) % k] for l in reds]
-            tot += np.sum(counts * prof[perm], axis=0)
+    for start in range(0, hs.size, step):
+        h = hs[start : start + step, None]
+        tot = np.zeros((h.shape[0], zs.size), dtype=np.int64)
+        for k, ls, prof, counts in terms:
+            tot += (counts[(h * ls) % k] * prof).sum(axis=1)
         best = max(best, int(tot.max()))
     return best
 
@@ -233,10 +264,10 @@ def _grid_z(r: int, n: int, points: int) -> np.ndarray:
     z_hi = 1.0 / (r * math.sqrt(n))
     g = max(2, points)
     ratio = z_hi / z_lo
-    # Fraction exponents make coarse grids exact subsets of refinements:
-    # j/(g-1) and (65*j)/(65*(g-1)) are the same rational, hence the
-    # same float, hence bit-identical z values.
-    return np.array([z_lo * ratio ** float(Fraction(j, g - 1)) for j in range(g)])
+    # int/int true division is correctly rounded, so j/(g-1) and
+    # (65*j)/(65*(g-1)) are the same float and coarse grids are exact
+    # subsets of their refinements: bit-identical z values.
+    return np.array([z_lo * ratio ** (j / (g - 1)) for j in range(g)])
 
 
 def _exact_z(s: ModuliSet, n: int, r: int, subsets: dict[int, ModuliSet]) -> np.ndarray:
@@ -342,18 +373,13 @@ def farey_crowding_shape(s: ModuliSet, b: int, r: int, z: float,
     total = 2.0
     for t in divisors(r):
         k = r // t
-        st = derive_subset(s, t)
-        bbar = mod_inv(b % k if k > 1 else 0, k)
         u = 2.0 * delta * span / (t * z)
         m_max = int(math.floor(6.0 * r * z * span / t))
-        reds = _reduced_residues(k)
-        counts = _signed_residue_counts(m_max, k, reds)
-        for i, l in enumerate(reds):
-            if counts[i] == 0:
-                continue
-            cls = (-bbar * l) % k
-            a = count_window_ap(st, WindowQuery(u, k, cls, t), s.M, s.Q)
-            total += float(counts[i]) * a
+        counts = _signed_class_counts(np.array([m_max]), k)[:, 0]
+        # frequency l meets the window of class -b^-1 * l, so class c
+        # meets the frequencies l = -b * c (mod k)
+        ls, window = _class_windows(derive_subset(s, t), k, [u], s.M / t, (s.M + span) / t)
+        total += float((counts[(-(b % k) * ls) % k] * window[:, 0]).sum())
     return total
 
 
@@ -437,11 +463,13 @@ def build_report(seq: CoefficientSequence | None, s: ModuliSet, *, n=None,
         s_count = s.size
     q_shape = s.param if s.kind == "squares_up_to" else s.Q
     q0 = s.param if s.kind == "squares_in_octave" else None
+    if seq is not None:
+        n = seq.N
+    shapes = bound_shapes(n, q_shape, s_count=s_count, eps=eps, x=x)
     if seq is None:
         lhs, z = 0.0, 1.0
     else:
-        n, lhs, z = seq.N, sieve_lhs(seq, s, threads=threads), seq.Z
-    shapes = bound_shapes(n, q_shape, s_count=s_count, eps=eps, x=x)
+        lhs, z = sieve_lhs(seq, s, threads=threads), seq.Z
     ratios = {name: lhs / (val * z) for name, val in shapes.items()}
     return BoundReport(N=n, Q=float(q_shape), Q0=q0, Z=z, lhs=lhs,
                        shapes=shapes, ratios=ratios, epsilon=eps,

@@ -21,7 +21,8 @@ from typing import NamedTuple
 from .bounds import (SHAPE_NAMES, BoundReport, build_report, sieve_bracket,
                      sieve_lhs)
 from .counting import WindowQuery, count_window_ap, k_delta
-from .errors import ConfigError, SequenceFileError, SieveLabError
+from .errors import (ConfigError, OutOfRangeError, SequenceFileError,
+                     SieveLabError)
 from .harmonic import gauss_sum
 from .moduli import (ModuliSet, build_moduli_set, derive_subset,
                      enumerate_farey)
@@ -250,10 +251,22 @@ def _deliver(text: str, out: str | None) -> None:
 
 def _report(cfg, s: ModuliSet, n: int, kind=None) -> BoundReport:
     """The shapes over s at length n, beside the sieve sum of the kind
-    sequence unless --no-lhs is set."""
-    seq = None if cfg["no_lhs"] else _build_sequence(cfg, kind, n)
-    return build_report(seq, s, n=n, eps=cfg["eps"], x=cfg["x"],
-                        s_count=cfg["s_count"], threads=cfg["threads"])
+    sequence unless --no-lhs is set.  A file: sequence has its own
+    length, which replaces n whether or not it is measured; under
+    --no-lhs that is the kind given, or the only --seq kind."""
+    if cfg["no_lhs"]:
+        seq = None
+        if kind is None and len(cfg["seq"]) == 1:
+            kind = cfg["seq"][0]
+        if kind is not None and kind.startswith("file:"):
+            n = _build_sequence(cfg, kind).N
+    else:
+        seq = _build_sequence(cfg, kind, n)
+    try:
+        return build_report(seq, s, n=n, eps=cfg["eps"], x=cfg["x"],
+                            s_count=cfg["s_count"], threads=cfg["threads"])
+    except OutOfRangeError as exc:
+        raise ConfigError(f"bad shape parameters: {exc}") from exc
 
 
 def _sweep(cfg) -> str:
@@ -279,9 +292,9 @@ def _sweep(cfg) -> str:
             + [f"ratio_{nm}" for nm in SHAPE_NAMES]]
     for n, q in zip(grid_n, grid_q):
         s = _build_moduli(cfg, q=q)
-        for kind in cfg["seq"] if measured else ("",):
+        for kind in cfg["seq"] if measured else (None,):
             rep = _report(cfg, s, n, kind)
-            rows.append([str(n), str(q), kind, str(cfg["seed"])]
+            rows.append([str(rep.N), str(q), kind or "", str(cfg["seed"])]
                         + ([fmt17(rep.Z), fmt17(rep.lhs)] if measured else ["", ""])
                         + _cells(rep.shapes)
                         + _cells(rep.ratios if measured else {}))

@@ -8,8 +8,12 @@ half-open window (y, y+u] with y in [lo, hi]?  The count, as a function
 of y, only steps up where a window's left edge sits at q - u for an
 element q, so the exact maximum is attained on the finite candidate set
 {clamp(q - u, lo, hi)} together with lo (and hi, which is harmless).
-Counts at element-anchored candidates are evaluated through exact
-integer differences so that q - u + u == q never misfires in floats.
+Counts at element-anchored candidates are exact without any float
+slack: for an integer difference d, d < u exactly when d < ceil(u), so
+the window (q_i - u, q_i] holds the elements above q_i - ceil(u), one
+searchsorted on the sorted elements.  Counts at lo and hi are
+searchsorted counts as well, so a profile costs O(n log n) per u and
+never builds an n x n matrix.
 """
 
 from __future__ import annotations
@@ -84,10 +88,6 @@ def dirichlet_approx(alpha: float, tau: float) -> RationalApprox:
     return RationalApprox(b=p, r=q, z=z, tau=float(tau))
 
 
-def _class_elements(s: ModuliSet, k: int, l: int) -> np.ndarray:
-    return s.elements[s.elements % k == l % k]
-
-
 def count_window_ap(s_t: ModuliSet, query: WindowQuery, M: float, Q: float) -> int:
     """Max elements of s_t = l (mod k) in a window (y, y+u], y in the range.
 
@@ -95,52 +95,66 @@ def count_window_ap(s_t: ModuliSet, query: WindowQuery, M: float, Q: float) -> i
     query scales them to [M/t, (M+Q)/t].  Exact by candidate evaluation.
     """
     t = query.t
-    lo, hi = M / t, (M + Q) / t
-    u = query.u
-    c = _class_elements(s_t, query.k, query.l)
-    if c.size == 0 or u <= 0:
-        return 0
-    best = _count_at(c, lo, u)
-    best = max(best, _count_at(c, hi, u))
-    # candidates anchored at elements: window (q_i - u, q_i], via integer diffs
-    d = c[:, None] - c[None, :]
-    counts = np.sum((d >= 0) & (d < u), axis=1)
-    anchored = (c - u >= lo) & (c - u <= hi)
-    if np.any(anchored):
-        best = max(best, int(counts[anchored].max()))
-    return int(best)
+    c = s_t.elements[s_t.elements % query.k == query.l % query.k]
+    return int(window_count_profile(c, [query.u], M / t, (M + Q) / t)[0])
 
 
-def _count_at(c: np.ndarray, y: float, u: float) -> int:
-    return int(np.sum((c > y) & (c <= y + u)))
+def window_count_profile(c: np.ndarray, u_vec, lo: float, hi: float,
+                         labels=None):
+    """count_window_ap for integer element arrays over a vector of u.
 
-
-def window_count_profile(c: np.ndarray, u_vec: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """count_window_ap for one class-element array over a vector of u.
-
-    Same candidate policy and comparison semantics as count_window_ap,
-    batched over u for the bracket maximization.  Returns int array.
+    Without labels, c is one class and the result holds one count per
+    u.  With labels (one per element), c is split into the groups of
+    equal label and the result is (groups, rows): the distinct labels in
+    ascending order and one row of counts per label, all from one sorted
+    pass.  The elements are keyed by (group, value) so that one
+    searchsorted serves every group, and np.maximum.reduceat takes each
+    group's maximum.
     """
     u_vec = np.asarray(u_vec, dtype=np.float64)
-    out = np.zeros(u_vec.size, dtype=np.int64)
+    c = np.asarray(c, dtype=np.int64)
+    single = labels is None
+    if single:
+        groups, rank = None, 0
+    else:
+        groups, rank = np.unique(np.asarray(labels, dtype=np.int64), return_inverse=True)
+        rank = rank.reshape(-1)
     if c.size == 0:
-        return out
-    d = (c[:, None] - c[None, :]).astype(np.float64)
-    # evaluate in chunks to bound the (U, n, n) working set
-    chunk = max(1, (1 << 22) // max(1, c.size * c.size))
-    cf = c.astype(np.float64)
+        none = np.zeros((u_vec.size,) if single else (0, u_vec.size), dtype=np.int64)
+        return none if single else (groups, none)
+    # key = group * stride + (c - c_min): a key shifted down by at most
+    # span + 1 still lies above every key of the group before
+    c_min, span = int(c.min()), int(c.max()) - int(c.min())
+    stride = 2 * span + 2
+    key = np.sort(rank * stride + (c - c_min))
+    cf = (key % stride + c_min).astype(np.float64)
+    base = np.arange(int(key[-1]) // stride + 1) * stride
+    starts = np.searchsorted(key, base)
+    upto_self = np.searchsorted(key, key, side="right")
+    ends = np.array([lo, hi])
+    below = np.searchsorted(key, base + _edge_offset(ends, c_min, span)[:, None],
+                            side="right")
+    out = np.empty((base.size, u_vec.size), dtype=np.int64)
+    chunk = max(1, (1 << 18) // c.size)
     for start in range(0, u_vec.size, chunk):
-        u = u_vec[start : start + chunk]
-        win = (d[None, :, :] >= 0) & (d[None, :, :] < u[:, None, None])
-        counts = win.sum(axis=2)
-        anchored = (cf[None, :] - u[:, None] >= lo) & (cf[None, :] - u[:, None] <= hi)
-        counts = np.where(anchored, counts, 0)
-        best = counts.max(axis=1)
-        at_lo = ((cf[None, :] > lo) & (cf[None, :] <= lo + u[:, None])).sum(axis=1)
-        at_hi = ((cf[None, :] > hi) & (cf[None, :] <= hi + u[:, None])).sum(axis=1)
-        best = np.maximum(best, np.maximum(at_lo, at_hi))
-        out[start : start + chunk] = np.where(u > 0, best, 0)
-    return out
+        u = u_vec[start : start + chunk, None]
+        # windows (c_i - u, c_i] hold the c_j > c_i - ceil(u) of the group
+        width = np.ceil(np.fmax(np.fmin(u, span + 1.0), 0.0)).astype(np.int64)
+        counts = upto_self - np.searchsorted(key, key - width, side="right")
+        anchored = (cf - u >= lo) & (cf - u <= hi)
+        best = np.maximum.reduceat(np.where(anchored, counts, 0), starts, axis=1)
+        # windows (y, y+u] at y = lo and y = hi hold the c > y, c <= y + u
+        top = np.searchsorted(key, base + _edge_offset(ends + u, c_min, span)[..., None],
+                              side="right")
+        best = np.maximum(best, (top - below).max(axis=1))
+        out[:, start : start + chunk] = np.where(u > 0, best, 0).T
+    return out[0] if single else (groups, out)
+
+
+def _edge_offset(y, c_min: int, span: int) -> np.ndarray:
+    """floor(y) - c_min clipped to [-1, span]: for an integer c, the float
+    test c <= y holds exactly when c - c_min <= this offset."""
+    return np.fmax(np.fmin(np.floor(y) - c_min, float(span)), -1.0).astype(np.int64)
 
 
 def k_delta(farey: FareyList, delta: float) -> int:

@@ -17,6 +17,7 @@ import math
 import numpy as np
 
 from .arith import divisors
+from .bounds import _grid_z
 from .counting import WindowQuery
 from .errors import InvalidDeltaError, NotCoprimeError
 from .moduli import FareyList, ModuliSet, derive_subset
@@ -181,4 +182,40 @@ def bracket_oracle(s: ModuliSet, n: int) -> tuple[float, float]:
                         tot += count_window_oracle(
                             st, WindowQuery(u, k, (h * m) % k, t), s.M, s.Q)
                 best = max(best, tot)
+    return float(best), float(n) * (1.0 + float(best))
+
+
+def grid_bracket_oracle(s: ModuliSet, n: int, z_grid: int) -> tuple[float, float]:
+    """Grid-mode bracket maximum by the direct loop over h.
+
+    The z values are sieve_bracket's grid; at each one every frequency m
+    is counted into its class mod k by a plain loop, each class's window
+    count comes from count_window_oracle, and every reduced h sums count
+    times window over the classes h*m.  A reference for grid mode at
+    sizes the exhaustive bracket_oracle cannot reach.
+    """
+    span = s.Q
+    best = 0
+    for r in range(1, math.isqrt(n) + 1):
+        hs = [h for h in range(r) if math.gcd(h, r) == 1]
+        for z in _grid_z(r, n, z_grid):
+            tots = [0] * len(hs)
+            for t in divisors(r):
+                st = derive_subset(s, t)
+                k = r // t
+                u = 2.0 * span / (t * z * n)
+                m_max = int(math.floor(6.0 * r * z * span / t))
+                counts = {}
+                for m in range(-m_max, m_max + 1):
+                    if m != 0 and math.gcd(m, k) == 1:
+                        counts[m % k] = counts.get(m % k, 0) + 1
+                windows = {}
+                for i, h in enumerate(hs):
+                    for l, c in counts.items():
+                        cls = (h * l) % k
+                        if cls not in windows:
+                            windows[cls] = count_window_oracle(
+                                st, WindowQuery(u, k, cls, t), s.M, s.Q)
+                        tots[i] += c * windows[cls]
+            best = max(best, max(tots))
     return float(best), float(n) * (1.0 + float(best))

@@ -318,9 +318,11 @@ def square_window_sweep(q0_list, t_max: int, k_max: int) -> CheckResult:
                     ls = range(k)
                 else:
                     ls = range(0, k, max(1, k // 12))
+                groups, rows = counting.window_count_profile(st.elements, us, lo, hi,
+                                                             labels=st.elements % k)
+                profs = dict(zip(groups.tolist(), rows))
                 for l in ls:
-                    cls = st.elements[st.elements % k == l % k]
-                    prof = counting.window_count_profile(cls, us, lo, hi)
+                    prof = profs.get(l, np.zeros(us.size, dtype=np.int64))
                     delta_t = moduli.square_class_count(t, k, l)
                     for u, a in zip(us, prof):
                         ll = math.sqrt((q0 / t + u) / g) - math.sqrt(q0 / (t * g))
@@ -425,6 +427,31 @@ def bracket_checks(instances: int, seed: int) -> CheckResult:
     bex, _ = bounds.sieve_bracket(one, 4, mode="exact")
     bor, _ = oracles.bracket_oracle(one, 4)
     res.expect(bex == bor, "desk-scale bracket vs oracle")
+    return res
+
+
+def bracket_grid_checks(instances: int, seed: int) -> CheckResult:
+    """Grid-mode B equals the direct per-h oracle, exactly, at N and set
+    sizes beyond the exhaustive oracle's reach, on octave, prime and
+    random dense and sparse explicit sets."""
+    res = CheckResult("bounds-bracket-grid")
+    cases = [(moduli.squares_in_octave(200), 1024, 16),
+             (moduli.squares_in_octave(1000), 4096, 8),
+             (moduli.primes_up_to_set(300), 4096, 4)]
+    rng = seeded_rng(seed)
+    for i in range(instances):
+        span = int(rng.integers(30, 120))
+        dense = i % 2 == 0
+        m_off = 0 if dense else int(rng.integers(0, 60))
+        count = int(rng.integers(span // 2, span)) if dense else int(rng.integers(2, 16))
+        el = rng.choice(np.arange(m_off + 1, m_off + span + 1), size=count, replace=False)
+        cases.append((moduli.explicit_moduli(el, M=float(m_off), span=float(span)),
+                      int(rng.choice([400, 1024, 2500])), int(rng.integers(2, 9))))
+    for s, n, z_grid in cases:
+        fast = bounds.sieve_bracket(s, n, z_grid=z_grid)
+        slow = oracles.grid_bracket_oracle(s, n, z_grid)
+        res.expect(fast == slow, f"{s.kind} size {s.size} N={n} z_grid={z_grid}: "
+                                 f"B {fast[0]} vs oracle {slow[0]}")
     return res
 
 
@@ -678,6 +705,7 @@ def run_verify(quick: bool = True, seed: int = 0) -> list[CheckResult]:
         moebius_checks((1000, 2**16) if quick else (1, 7, 100, 1000, 2**12, 2**14, 2**16),
                        20 if quick else 100, seed + 18),
         bracket_checks(6 if quick else 20, seed + 12),
+        bracket_grid_checks(6 if quick else 40, seed + 19),
         shape_checks(seed + 13),
         crowding_checks(seed + 14),
         gauss_bound_sweep(128 if quick else 512, seed + 15),

@@ -3,22 +3,25 @@
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sievelab import (SHAPE_NAMES, BoundReport, bound_shapes, build_report,
-                      crowding_shape_estimates, explicit_moduli,
-                      farey_crowding_shape, make_sequence, sieve_bracket,
-                      sieve_lhs, squares_in_octave, squares_up_to)
+from sievelab import (SHAPE_NAMES, BoundReport, WindowQuery, bound_shapes,
+                      build_report, crowding_shape_estimates, derive_subset,
+                      explicit_moduli, farey_crowding_shape, make_sequence,
+                      primes_up_to_set, sieve_bracket, sieve_lhs,
+                      squares_in_octave, squares_up_to)
 from sievelab.errors import (CapacityError, InvalidRegimeError,
                              NotCoprimeError, OutOfRangeError,
                              ShapeDomainError)
 from sievelab import oracles
-from sievelab.arith import divisors, factorize
-from sievelab.bounds import _grid_z
+from sievelab.arith import divisors, factorize, mod_inv
+from sievelab import bounds as bounds_mod
+from sievelab.bounds import _grid_z, _signed_class_counts
 from sievelab.util import seeded_rng
 
 
@@ -214,6 +217,29 @@ def test_crowding_single_element_probe():
     assert farey_crowding_shape(one, 1, 1, 0.25, 1 / 16) == 4.0
 
 
+@pytest.mark.parametrize("b, r", [(5, 12), (7, 12), (11, 30), (1, 30), (3, 8)])
+def test_crowding_shape_equals_loop_over_frequencies(b, r):
+    # uneven classes and windows narrower than a class, so both the
+    # class each frequency meets and the window width matter
+    rng = seeded_rng(r * 100 + b)
+    el = rng.choice(np.arange(1001, 3001), size=300, replace=False)
+    s = explicit_moduli(el, M=1000.0, span=2000.0)
+    delta = 1e-6
+    z = 0.9 * math.sqrt(delta) / r
+    want = 2.0
+    for t in divisors(r):
+        k = r // t
+        st_ = derive_subset(s, t)
+        u = 2.0 * delta * s.Q / (t * z)
+        m_max = int(math.floor(6.0 * r * z * s.Q / t))
+        bbar = mod_inv(b % k, k)
+        for m in range(-m_max, m_max + 1):
+            if m != 0 and math.gcd(m, k) == 1:
+                q = WindowQuery(u, k, (-bbar * m) % k, t)
+                want += oracles.count_window_oracle(st_, q, s.M, s.Q)
+    assert farey_crowding_shape(s, b, r, z, delta) == want
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.floats(0.01, 0.5), st.data())
 def test_estimate_merge_facts(delta, data):
@@ -348,3 +374,59 @@ def test_report_without_a_sequence_holds_the_same_shapes(s, s_count):
     assert (bare.Z, bare.lhs) == (1.0, 0.0)
     assert set(bare.ratios) == set(bare.shapes)
     assert set(bare.ratios.values()) == {0.0}
+
+
+def test_grid_z_equals_the_fraction_form():
+    n, r = 4096, 7
+    z_lo, z_hi = 1.0 / n, 1.0 / (r * math.sqrt(n))
+    for g in range(2, 257):
+        want = [z_lo * (z_hi / z_lo) ** float(Fraction(j, g - 1)) for j in range(g)]
+        assert _grid_z(r, n, g).tolist() == want
+    # float(Fraction(j, d)) is the reduced numerator over the reduced
+    # denominator in int true division; both quotients are correctly
+    # rounded values of one rational, so j / d must equal it
+    for g in range(2, 4097):
+        d, j = g - 1, np.arange(g)
+        common = np.gcd(j, d)
+        assert np.array_equal(j / d, (j // common) / (d // common))
+        assert j[-1] / d == float(Fraction(int(j[-1]), d))
+
+
+def test_signed_class_counts_equal_a_loop_over_m():
+    for k in range(1, 31):
+        m_max = np.arange(0, 75)
+        got = _signed_class_counts(m_max, k)
+        assert got.shape == (k, m_max.size)
+        for col, mm in enumerate(m_max.tolist()):
+            want = [0] * k
+            for m in range(-mm, mm + 1):
+                if m != 0:
+                    want[m % k] += 1
+            assert got[:, col].tolist() == want
+
+
+@pytest.mark.parametrize("s, n, z_grid", [
+    (squares_in_octave(1000), 4096, 8),
+    (primes_up_to_set(300), 4096, 3),
+    # dense: most classes mod small k are nonempty
+    (explicit_moduli([2, 3, 5, 6, 7, 9, 10, 11, 13, 14, 15, 17, 18, 19, 21, 22, 23,
+                      25, 26, 27, 29, 30, 31, 33, 34, 35, 37, 38, 39], span=40.0),
+     2500, 4),
+], ids=["octave", "primes", "dense"])
+def test_grid_bracket_equals_per_h_oracle(s, n, z_grid):
+    want = oracles.grid_bracket_oracle(s, n, z_grid)
+    assert sieve_bracket(s, n, z_grid=z_grid) == want
+    assert sieve_bracket(s, n, z_grid=z_grid, threads=2) == want
+
+
+def test_bracket_h_chunks_do_not_change_b(monkeypatch):
+    s = primes_up_to_set(300)
+    whole = sieve_bracket(s, 4096, z_grid=8)
+    monkeypatch.setattr(bounds_mod, "_BRACKET_CHUNK", 1)
+    assert sieve_bracket(s, 4096, z_grid=8) == whole
+
+
+def test_shapes_refuse_values_outside_the_floats():
+    for eps in (1e300, -1e300, math.inf, math.nan):
+        with pytest.raises(OutOfRangeError):
+            bound_shapes(1024, 8, eps=eps)

@@ -469,3 +469,34 @@ def test_cli_never_raises_on_arbitrary_configs_and_flags(fuzz_paths, data):
     assert err.getvalue().count("\n") == (code != 0)
     if code == 2:
         assert err.getvalue().startswith("config error")
+
+
+@pytest.mark.parametrize("eps", ["1e300", "-1e300", "inf", "nan"])
+@pytest.mark.parametrize("no_lhs", [[], ["--no-lhs"]], ids=["measured", "no-lhs"])
+def test_shapes_outside_the_floats_exit_2(capsys, eps, no_lhs):
+    code, out, err = run_cli(capsys, "--cmd", "shapes", f"--eps={eps}", *no_lhs)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("config error")
+
+
+def test_file_sequence_sets_n_on_every_report_path(capsys, tmp_path):
+    seq = tmp_path / "seq3.txt"
+    seq.write_text("1 0\n2 0\n0 1\n", encoding="utf-8")
+    common = ["--moduli", "squares", "--seq", f"file:{seq}"]
+    code, measured, _ = run_cli(capsys, "--cmd", "shapes", "--n", "64", "--q", "2",
+                                *common)
+    assert code == 0
+    code, skeleton, _ = run_cli(capsys, "--cmd", "shapes", "--no-lhs", "--n", "64",
+                                "--q", "2", *common)
+    assert code == 0
+    values = _shape_values_of_report(measured)
+    assert values["classical"] == "7"  # N + Q^2 at the file's N = 3
+    assert values == _shape_values_of_report(skeleton)
+    for extra in ([], ["--no-lhs"]):
+        code, sweep, _ = run_cli(capsys, "--cmd", "sweep", "--grid-n", "64",
+                                 "--grid-q", "2", *common, *extra)
+        assert code == 0
+        assert values == _shape_values_of_sweep(sweep)
+        head, row = (ln.split(",") for ln in sweep.splitlines())
+        assert dict(zip(head, row))["n"] == "3"

@@ -4,16 +4,21 @@ randomized inputs plus a few hand-checkable cases.
 """
 
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sievelab import (WindowQuery, count_window_ap, derive_subset,
                       dirichlet_approx, enumerate_farey, explicit_moduli,
-                      k_delta, p_alpha, p_alpha_circular, pi_count)
+                      k_delta, p_alpha, p_alpha_circular, pi_count,
+                      primes_up_to_set)
+from sievelab.counting import window_count_profile
 from sievelab.errors import InvalidDeltaError
 from sievelab import oracles
+from sievelab.util import seeded_rng
 
 
 def _set_from(elements, span):
@@ -203,3 +208,67 @@ def test_window_query_validation():
         WindowQuery(-1.0, 1, 0)
     with pytest.raises(ValueError):
         WindowQuery(1.0, 2, 0, 0)
+
+
+# ------------------------------------------------ window counts by ceil(u)
+
+@pytest.mark.parametrize("case", ["integer", "below-one", "zero", "past-span",
+                                  "offset"])
+def test_window_counts_equal_oracle_at_the_edges_of_u(case):
+    rng = seeded_rng(404)
+    for trial in range(40):
+        span = int(rng.integers(2, 90))
+        m_off = int(rng.integers(1, 200)) if case == "offset" else 0
+        count = int(rng.integers(1, min(span, 30) + 1))
+        el = rng.choice(np.arange(m_off + 1, m_off + span + 1), count, replace=False)
+        s = explicit_moduli(el, M=float(m_off), span=float(span))
+        t = int(rng.integers(1, 4))
+        st_ = derive_subset(s, t)
+        lo, hi = s.M / t, (s.M + s.Q) / t
+        us = {"integer": np.arange(0, span + 3, dtype=float),
+              "below-one": rng.random(8) + 1e-12,
+              "zero": np.zeros(2),
+              "past-span": span * (1.0 + rng.random(6) * 4.0),
+              "offset": np.concatenate([rng.random(10) * 1.2 * span,
+                                        np.arange(0, span // t + 2, dtype=float)]),
+              }[case]
+        k = int(rng.integers(1, 9))
+        classes = [l for l in range(k) if math.gcd(l, k) == 1]
+        labels = st_.elements % k
+        keep = np.isin(labels, classes)
+        groups, grouped = window_count_profile(st_.elements[keep], us, lo, hi,
+                                               labels=labels[keep])
+        present = sorted(set(labels[keep].tolist()))
+        assert groups.tolist() == present
+        assert grouped.shape == (len(present), us.size)
+        for l in classes:
+            queries = [WindowQuery(float(u), k, l, t) for u in us]
+            want = [oracles.count_window_oracle(st_, q, s.M, s.Q) for q in queries]
+            cls = st_.elements[st_.elements % k == l]
+            assert window_count_profile(cls, us, lo, hi).tolist() == want
+            assert [count_window_ap(st_, q, s.M, s.Q) for q in queries] == want
+            if l in present:
+                assert grouped[present.index(l)].tolist() == want
+
+
+def test_window_count_profile_of_nothing_is_zero():
+    us = np.array([0.0, 1.0, 5.0])
+    assert window_count_profile(np.array([], dtype=np.int64), us, 0.0, 4.0).tolist() \
+        == [0, 0, 0]
+    groups, none = window_count_profile(np.array([], dtype=np.int64), us, 0.0, 4.0,
+                                        labels=np.array([], dtype=np.int64))
+    assert groups.size == 0 and none.shape == (0, 3)
+
+
+def test_count_window_ap_builds_no_square_matrix():
+    s = primes_up_to_set(50000)
+    assert s.size == 5133
+    query = WindowQuery(500.0, 1, 0, 1)
+    tracemalloc.start()
+    try:
+        count = count_window_ap(s, query, s.M, s.Q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 95
+    assert peak < 2 * 2**20  # a 5133^2 difference matrix would take 200 MB
