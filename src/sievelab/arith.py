@@ -2,21 +2,16 @@
 quadratic congruence g*x^2 = l (mod k).
 
 Everything here works on Python ints and is exact.  The quadratic solver
-has two routes: a per-prime-power solver (exhaustive scan for tiny prime
-powers, square-root lifting otherwise) glued by CRT, and a plain O(k)
-scan kept as a reference implementation for cross-checking.
+takes every prime power of k through square-root lifting and glues the
+roots by CRT; a plain O(k) scan is kept as a reference implementation
+for cross-checking.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import NotInvertibleError
-
-# Prime powers at or below this size are solved by direct scan.
-_SCAN_LIMIT = 64
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -115,9 +110,8 @@ def quad_cong_roots(g: int, l: int, k: int) -> tuple[int, list[int]]:
     """Count and list the roots of g*x^2 = l (mod k), k >= 1.
 
     Returns (count, sorted list of roots in [0, k)).  Solved per prime
-    power of k and recombined by CRT.  Prime powers <= 64 are scanned
-    exhaustively, larger ones use square-root lifting with valuation
-    bookkeeping for non-unit g or l.
+    power of k by square-root lifting, with valuation bookkeeping for
+    non-unit g or l, and recombined by CRT.
     """
     if k < 1:
         raise ValueError("modulus must be positive")
@@ -125,11 +119,10 @@ def quad_cong_roots(g: int, l: int, k: int) -> tuple[int, list[int]]:
         return 1, [0]
     per_factor = []
     for p, e in factorize(k):
-        pe = p**e
-        roots = _scan_roots(g, l, pe) if pe <= _SCAN_LIMIT else _roots_prime_power(g, l, p, e)
+        roots = _roots_prime_power(g, l, p, e)
         if not roots:
             return 0, []
-        per_factor.append((pe, roots))
+        per_factor.append((p**e, roots))
     acc_mod = 1
     sols = [0]
     for pe, roots in per_factor:
@@ -152,12 +145,6 @@ def quad_cong_roots_scan(g: int, l: int, k: int) -> tuple[int, list[int]]:
     else:
         roots = [x for x in range(k) if (g * x * x - l) % k == 0]
     return len(roots), roots
-
-
-def _scan_roots(g: int, l: int, pe: int) -> list[int]:
-    g %= pe
-    l %= pe
-    return [x for x in range(pe) if (g * x * x - l) % pe == 0]
 
 
 def _roots_prime_power(g: int, l: int, p: int, e: int) -> list[int]:

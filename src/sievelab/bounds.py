@@ -13,11 +13,13 @@ one exception is the classical shape N + span^2, which is a true
 constant-free bound and is certified as such in the tests.
 
 sieve_bracket evaluates the window-count bracket N*(1+B), where B is a
-maximum of dilate window counts over a rational frequency grid.
-farey_crowding_shape bounds how many fractions with moduli in the set
-crowd a neighborhood of a rational point b/r, again through window
-counts; crowding_shape_estimates gives closed-form estimates for the
-same count in several routes.
+maximum over frequencies h and points z of one dilate window sum: the
+window counts of each dilate's classes, weighted by how many
+frequencies fall in each class.  Its exact mode finds the breakpoints
+in z from the element differences that k divides.
+farey_crowding_shape, which bounds how many fractions with moduli in
+the set crowd a rational point b/r, is the same sum at h = -b and one z;
+crowding_shape_estimates gives closed-form estimates for that count.
 """
 
 from __future__ import annotations
@@ -209,54 +211,59 @@ def _signed_class_counts(m_max: np.ndarray, k: int) -> np.ndarray:
     return pos + pos[(-np.arange(k)) % k]
 
 
-def _class_windows(st: ModuliSet, k: int, u_vec, lo: float, hi: float):
-    """(classes, profiles) of the nonempty classes mod k coprime to k in
-    the dilate st: window counts over u_vec, one row per class."""
-    cls = st.elements % k
-    keep = np.gcd(cls, k) == 1
-    return window_count_profile(st.elements[keep], u_vec, lo, hi, labels=cls[keep])
+def _dilate_terms(s: ModuliSet, dilates: dict[int, ModuliSet], r: int,
+                  zs: np.ndarray, width) -> list:
+    """(k, classes, profiles, counts) for each divisor t of r, k = r/t,
+    whose t-dilate has a nonempty class mod k coprime to k.
 
-
-def _bracket_eval(s: ModuliSet, n: int, r: int, zs: np.ndarray,
-                  subsets: dict[int, ModuliSet]) -> int:
-    """Max over z in zs and reduced h mod r of the bracket's window sum.
-
-    For each divisor t of r, with k = r/t, the sum adds the window count
-    prof[h*m mod k] of the t-dilate's class h*m over the frequencies m
-    coprime to k with 0 < |m| <= m_max(z).  By class l = h*m that is the
-    sum of prof[l] * counts[h^-1 * l], with counts[m] the number of such
-    frequencies in residue m (closed form) and the profiles of the
-    nonempty classes taken in one grouped pass.  Since h runs over a
-    group, writing h for h^-1 leaves the maximum over h unchanged, so
-    the gather goes through the index matrix h*l mod k.  It is chunked
-    over h so that its (h, class, z) entries stay bounded.
+    Each such class gets one row of window counts over the widths
+    width(t) (a function, so that each caller keeps its own float
+    expression), all from one grouped pass; counts[m] holds how many
+    frequencies 0 < |m'| <= 6*r*z*span/t lie in residue m, one column
+    per z in zs (closed form).
     """
-    if zs.size == 0:
-        return 0
     span = s.Q
     terms = []
     for t in divisors(r):
-        st = subsets.get(t)
-        if st is None:
-            st = subsets[t] = derive_subset(s, t)
+        el = dilates[t].elements
         k = r // t
-        ls, prof = _class_windows(st, k, 2.0 * span / (t * zs * n), s.M / t,
-                                  (s.M + span) / t)
+        cls = el % k
+        keep = np.gcd(cls, k) == 1
+        ls, prof = window_count_profile(el[keep], width(t), s.M / t, (s.M + span) / t,
+                                        labels=cls[keep])
         if ls.size:
             counts = _signed_class_counts(np.floor(6.0 * r * zs * span / t).astype(np.int64), k)
             terms.append((k, ls, prof, counts))
+    return terms
+
+
+def _window_sum(terms: list, h: np.ndarray):
+    """Dilate window sums at the frequencies h (a column), one row per h
+    and one column per z: the sum over the terms of prof[l] *
+    counts[h*l mod k].  0 when there are no terms."""
+    return sum((counts[(h * ls) % k] * prof).sum(axis=1) for k, ls, prof, counts in terms)
+
+
+def _bracket_eval(s: ModuliSet, n: int, r: int, zs: np.ndarray,
+                  dilates: dict[int, ModuliSet]) -> int:
+    """Max over z in zs and reduced h mod r of the bracket's window sum.
+
+    For each divisor t of r, with k = r/t, the sum adds the window count
+    (width 2*span/(t*z*N)) of the t-dilate's class h*m mod k over the
+    frequencies m coprime to k with 0 < |m| <= m_max(z).  By class
+    l = h*m that is the sum of prof[l] * counts[h^-1 * l]; since h runs
+    over a group, writing h for h^-1 leaves the maximum unchanged, so
+    _window_sum gathers through h*l mod k, in chunks over h that keep
+    its (h, class, z) entries bounded.
+    """
+    span = s.Q
+    terms = _dilate_terms(s, dilates, r, zs, lambda t: 2.0 * span / (t * zs * n))
     if not terms:
         return 0
     hs = _reduced_residues(r)
     step = max(1, _BRACKET_CHUNK // max(prof.size for _, _, prof, _ in terms))
-    best = 0
-    for start in range(0, hs.size, step):
-        h = hs[start : start + step, None]
-        tot = np.zeros((h.shape[0], zs.size), dtype=np.int64)
-        for k, ls, prof, counts in terms:
-            tot += (counts[(h * ls) % k] * prof).sum(axis=1)
-        best = max(best, int(tot.max()))
-    return best
+    return max(int(_window_sum(terms, hs[start : start + step, None]).max())
+               for start in range(0, hs.size, step))
 
 
 def _grid_z(r: int, n: int, points: int) -> np.ndarray:
@@ -270,40 +277,40 @@ def _grid_z(r: int, n: int, points: int) -> np.ndarray:
     return np.array([z_lo * ratio ** (j / (g - 1)) for j in range(g)])
 
 
-def _exact_z(s: ModuliSet, n: int, r: int, subsets: dict[int, ModuliSet]) -> np.ndarray:
+def _exact_z(s: ModuliSet, n: int, r: int, dilates: dict[int, ModuliSet]) -> np.ndarray:
     """Breakpoints of the bracket objective in z, plus midpoints.
 
     The objective is piecewise constant in z: window counts change only
-    where the width 2*span/(t*z*n) crosses an element difference or an
-    element's gap to the lower endpoint, and the m-range changes only
-    where 6*r*z*span/t crosses an integer.  Evaluating at every
-    breakpoint and between each adjacent pair covers every value the
-    objective takes, so the result is the exact maximum.
+    where the width 2*span/(t*z*n) crosses a difference of two elements
+    in one class mod k or an element's gap to the lower endpoint, and
+    the m-range changes only where 6*r*z*span/t crosses an integer.  Two
+    elements coprime to k share a class exactly when k divides their
+    difference, so the widths are the differences c[i:] - c[:-i] that k
+    divides, marked over [0, span] with no n x n array.  Evaluating at
+    every breakpoint and between each adjacent pair covers every value
+    the objective takes, so the result is the exact maximum.
     """
     span = s.Q
     z_lo = 1.0 / n
     z_hi = 1.0 / (r * math.sqrt(n))
-    pts = {z_lo, z_hi}
+    pts = []
     for t in divisors(r):
-        st = subsets.get(t)
-        if st is None:
-            st = subsets[t] = derive_subset(s, t)
         k = r // t
-        lo = s.M / t
+        c = dilates[t].elements
+        c = c[np.gcd(c, k) == 1]
         jmax = int(math.floor(6.0 * r * z_hi * span / t))
-        for j in range(1, jmax + 1):
-            z = j * t / (6.0 * r * span)
-            if z_lo < z < z_hi:
-                pts.add(z)
-        for l in _reduced_residues(k):
-            c = st.elements[st.elements % k == l]
-            widths = {float(w) for w in (c[:, None] - c[None, :]).ravel() if w > 0}
-            widths.update(float(ci) - lo for ci in c if float(ci) > lo)
-            for w in widths:
-                z = 2.0 * span / (t * n * w)
-                if z_lo < z < z_hi:
-                    pts.add(z)
-    zs = np.array(sorted(pts))
+        pts.append(np.arange(1, jmax + 1) * t / (6.0 * r * span))
+        if c.size == 0:
+            continue
+        mark = np.zeros(int(c[-1] - c[0]) + 1, dtype=bool)
+        for i in range(1, c.size):
+            d = c[i:] - c[:-i]
+            mark[d[d % k == 0]] = True
+        cf = c.astype(np.float64)
+        widths = np.concatenate([np.flatnonzero(mark), cf[cf > s.M / t] - s.M / t])
+        pts.append(2.0 * span / (t * n * widths))
+    z = np.concatenate(pts)
+    zs = np.unique(np.concatenate([[z_lo, z_hi], z[(z_lo < z) & (z < z_hi)]]))
     mids = 0.5 * (zs[1:] + zs[:-1])
     return np.unique(np.concatenate([zs, mids]))
 
@@ -326,19 +333,16 @@ def sieve_bracket(s: ModuliSet, n: int, z_grid: int = 64, mode: str = "grid",
         raise OutOfRangeError("bracket needs N >= 4")
     if mode not in ("grid", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
-    subsets: dict[int, ModuliSet] = {}
     rs = range(1, math.isqrt(n) + 1)
+    # the divisors of every r are 1..sqrt(N): build each dilate once, up
+    # front, so that the workers only read them
+    dilates = {t: derive_subset(s, t) for t in rs}
 
     def one(r: int) -> int:
-        zs = _grid_z(r, n, z_grid) if mode == "grid" else _exact_z(s, n, r, subsets)
-        return _bracket_eval(s, n, r, zs, subsets)
+        zs = _grid_z(r, n, z_grid) if mode == "grid" else _exact_z(s, n, r, dilates)
+        return _bracket_eval(s, n, r, zs, dilates)
 
-    if threads > 1 and mode == "grid":
-        # warm the shared dilate cache up front; workers then only read it
-        for r in rs:
-            for t in divisors(r):
-                if t not in subsets:
-                    subsets[t] = derive_subset(s, t)
+    if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             vals = list(pool.map(one, rs))
     else:
@@ -361,26 +365,21 @@ def farey_crowding_shape(s: ModuliSet, b: int, r: int, z: float,
     """Window-count bound for fractions a/q, q in s, crowding b/r + z.
 
     Requires gcd(b, r) = 1, delta in (0, 1/2] and z in [delta,
-    sqrt(delta)/r].  The value is 2 plus, for each divisor t of r, the
-    window counts of the t-dilate in the classes -inverse(b)*m mod r/t
-    over the nonzero frequencies m coprime to r/t with |m| bounded by
-    6*r*z*span/t; window width 2*delta*span/(t*z).
+    sqrt(delta)/r].  The value is 2 plus the bracket's window sum at the
+    one point z, width 2*delta*span/(t*z), and the one frequency
+    h = -b mod r: for each divisor t of r, with k = r/t, the t-dilate's
+    window counts in the classes -b^-1 * m mod k over the frequencies m
+    coprime to k with 0 < |m| <= 6*r*z*span/t.  Class c meets the
+    frequencies m = -b*c (mod k), which is h*c mod k as k divides r.
     """
     if math.gcd(b, r) != 1:
         raise NotCoprimeError(f"b={b} shares a factor with r={r}")
     _check_regime(r, z, delta)
     span = s.Q
-    total = 2.0
-    for t in divisors(r):
-        k = r // t
-        u = 2.0 * delta * span / (t * z)
-        m_max = int(math.floor(6.0 * r * z * span / t))
-        counts = _signed_class_counts(np.array([m_max]), k)[:, 0]
-        # frequency l meets the window of class -b^-1 * l, so class c
-        # meets the frequencies l = -b * c (mod k)
-        ls, window = _class_windows(derive_subset(s, t), k, [u], s.M / t, (s.M + span) / t)
-        total += float((counts[(-(b % k) * ls) % k] * window[:, 0]).sum())
-    return total
+    zs = np.array([z])
+    dilates = {t: derive_subset(s, t) for t in divisors(r)}
+    terms = _dilate_terms(s, dilates, r, zs, lambda t: 2.0 * delta * span / (t * zs))
+    return 2.0 + float(np.sum(_window_sum(terms, np.array([[(-b) % r]]))))
 
 
 def crowding_shape_estimates(r: int, z: float, delta: float, q0: float,

@@ -21,8 +21,8 @@ from typing import NamedTuple
 from .bounds import (SHAPE_NAMES, BoundReport, build_report, sieve_bracket,
                      sieve_lhs)
 from .counting import WindowQuery, count_window_ap, k_delta
-from .errors import (ConfigError, OutOfRangeError, SequenceFileError,
-                     SieveLabError)
+from .errors import (ConfigError, InvalidDeltaError, NotCoprimeError,
+                     OutOfRangeError, SequenceFileError, SieveLabError)
 from .harmonic import gauss_sum
 from .moduli import (ModuliSet, build_moduli_set, derive_subset,
                      enumerate_farey)
@@ -330,7 +330,11 @@ def run_experiment(cfg) -> int:
         text = fmt17(sieve_lhs(_build_sequence(cfg), _build_moduli(cfg),
                                threads=cfg["threads"])) + "\n"
     elif cmd == "k-delta":
-        text = f"{k_delta(enumerate_farey(_build_moduli(cfg)), cfg['delta'])}\n"
+        farey = enumerate_farey(_build_moduli(cfg))
+        try:
+            text = f"{k_delta(farey, cfg['delta'])}\n"
+        except InvalidDeltaError as exc:
+            raise ConfigError(f"bad delta: {exc}") from exc
     elif cmd == "a-count":
         try:
             query = WindowQuery(cfg["u"], cfg["k"], cfg["l"], cfg["t"])
@@ -347,7 +351,10 @@ def run_experiment(cfg) -> int:
         else:
             text = f"{len(fl)}\n"
     elif cmd == "gauss":
-        g = gauss_sum(cfg["k"], cfg["l"], cfg["c"])
+        try:
+            g = gauss_sum(cfg["k"], cfg["l"], cfg["c"])
+        except NotCoprimeError as exc:
+            raise ConfigError(f"bad gauss sum: {exc}") from exc
         text = f"{fmt17(g.real)} {fmt17(g.imag)} {fmt17(abs(g))}\n"
     elif cmd == "bracket":
         b, shape = sieve_bracket(_build_moduli(cfg), cfg["n"], z_grid=cfg["z_grid"],

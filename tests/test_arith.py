@@ -98,6 +98,16 @@ def test_quad_roots_match_exhaustive_scan(k, g, l):
     assert all((g * x * x - l) % k == 0 for x in roots)
 
 
+def test_quad_roots_match_exhaustive_scan_on_small_prime_powers():
+    # every (g, l) mod p^e <= 64, where degenerate valuations are densest
+    for pe in range(2, 65):
+        if len(arith.factorize(pe)) == 1:
+            for g in range(pe):
+                for l in range(pe):
+                    assert arith.quad_cong_roots(g, l, pe) == \
+                        arith.quad_cong_roots_scan(g, l, pe)
+
+
 def test_quad_roots_count_cap_for_coprime_inputs():
     for k in (1, 2, 4, 8, 9, 16, 12, 36, 210, 4096, 3 * 5 * 7 * 11):
         cap = 2 ** (arith.omega(k) + 1)

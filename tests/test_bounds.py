@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -179,6 +180,58 @@ def test_bracket_thread_determinism():
     s = squares_in_octave(40)
     assert sieve_bracket(s, 36, z_grid=256, threads=1) == \
         sieve_bracket(s, 36, z_grid=256, threads=4)
+    # exact mode runs on the same pool
+    assert sieve_bracket(s, 36, mode="exact", threads=1) == \
+        sieve_bracket(s, 36, mode="exact", threads=4)
+
+
+@pytest.mark.parametrize("s, n", [
+    (squares_in_octave(1000), 1024),
+    (primes_up_to_set(300), 1024),
+    (explicit_moduli([3, 7, 8, 12, 19, 20, 27, 31], span=32.0), 576),
+], ids=["octave", "primes", "explicit"])
+def test_exact_bracket_dominates_a_fine_grid_at_mid_sizes(s, n):
+    exact = sieve_bracket(s, n, mode="exact")
+    assert sieve_bracket(s, n, mode="exact", threads=2) == exact
+    assert sieve_bracket(s, n, z_grid=4096)[0] <= exact[0]
+
+
+@pytest.mark.parametrize("s, n", [
+    (squares_in_octave(100), 256),
+    (primes_up_to_set(200), 256),
+    (explicit_moduli([3, 7, 8, 12, 19, 20, 27, 31], M=2.0, span=30.0), 576),
+], ids=["octave", "primes", "explicit"])
+def test_exact_breakpoints_equal_a_loop_over_class_pairs(s, n):
+    span = s.Q
+    dilates = {t: derive_subset(s, t) for t in range(1, math.isqrt(n) + 1)}
+    for r in range(1, math.isqrt(n) + 1):
+        z_lo, z_hi = 1.0 / n, 1.0 / (r * math.sqrt(n))
+        pts = {z_lo, z_hi}
+        for t in divisors(r):
+            k = r // t
+            jmax = int(math.floor(6.0 * r * z_hi * span / t))
+            zs = [j * t / (6.0 * r * span) for j in range(1, jmax + 1)]
+            el = [int(q) for q in dilates[t].elements if math.gcd(int(q), k) == 1]
+            widths = {float(a - b) for a in el for b in el if a > b and a % k == b % k}
+            widths |= {float(a) - s.M / t for a in el if float(a) > s.M / t}
+            zs += [2.0 * span / (t * n * w) for w in widths]
+            pts |= {z for z in zs if z_lo < z < z_hi}
+        zs = sorted(pts)
+        want = np.unique(zs + [0.5 * (a + b) for a, b in zip(zs, zs[1:])])
+        assert np.array_equal(bounds_mod._exact_z(s, n, r, dilates), want)
+
+
+def test_exact_breakpoints_allocate_no_pair_matrix():
+    s = primes_up_to_set(50000)
+    dilates = {t: derive_subset(s, t) for t in range(1, 5)}
+    tracemalloc.start()
+    try:
+        zs = bounds_mod._exact_z(s, 16, 2, dilates)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert zs.size > 0 and np.all(np.diff(zs) > 0)
+    assert peak < 20 * 2**20  # the 5133^2 differences of one class take 200 MB
 
 
 # ------------------------------------------------------- crowding shapes

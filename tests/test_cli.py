@@ -318,6 +318,11 @@ def test_no_lhs_sweep_leaves_measured_cells_blank(capsys):
     pytest.param({"cmd": "shapes", "moduli": ["squares"]}, [],
                  id="config-str-array"),
     pytest.param({"cmd": "shapes", "s_count": -2}, [], id="config-s-count"),
+    pytest.param(None, ["--cmd", "k-delta", "--delta", "0"], id="k-delta-zero"),
+    pytest.param(None, ["--cmd", "k-delta", "--delta", "0.7"], id="k-delta-wide"),
+    pytest.param(None, ["--cmd", "k-delta", "--delta", "nan"], id="k-delta-nan"),
+    pytest.param(None, ["--cmd", "gauss", "--k", "2", "--c", "4"],
+                 id="gauss-not-coprime"),
 ])
 def test_bad_inputs_exit_2_with_one_line(capsys, tmp_path, config, argv):
     if config is not None:
