@@ -16,7 +16,7 @@ from .bounds import (SHAPE_NAMES, BoundReport, bound_shapes, build_report,
 from .counting import (RationalApprox, WindowQuery, count_window_ap,
                        dirichlet_approx, k_delta, p_alpha, p_alpha_circular,
                        pi_count)
-from .errors import (CapacityError, ConfigError, InvalidDeltaError,
+from .errors import (CapacityError, ConfigError, InputError, InvalidDeltaError,
                      InvalidRegimeError, NotCoprimeError, NotInvertibleError,
                      OutOfRangeError, QuadratureError, SequenceFileError,
                      ShapeDomainError, SieveLabError)
@@ -33,7 +33,8 @@ from .verify import CheckResult, run_verify
 
 __all__ = [
     "SHAPE_NAMES", "BoundReport", "CapacityError", "CheckResult",
-    "CoefficientSequence", "ConfigError", "FareyList", "InvalidDeltaError",
+    "CoefficientSequence", "ConfigError", "FareyList", "InputError",
+    "InvalidDeltaError",
     "InvalidRegimeError", "ModuliSet", "NotCoprimeError", "NotInvertibleError",
     "OutOfRangeError", "QuadratureError", "RationalApprox",
     "SequenceFileError", "ShapeDomainError", "SieveLabError", "WindowQuery",

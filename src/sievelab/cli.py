@@ -15,14 +15,12 @@ import io
 import json
 import math
 import sys
-from functools import partial
 from typing import NamedTuple
 
 from .bounds import (SHAPE_NAMES, BoundReport, build_report, sieve_bracket,
                      sieve_lhs)
-from .counting import WindowQuery, count_window_ap, k_delta
-from .errors import (ConfigError, InvalidDeltaError, NotCoprimeError,
-                     OutOfRangeError, SequenceFileError, SieveLabError)
+from .counting import WindowQuery, check_delta, count_window_ap, k_delta
+from .errors import ConfigError, InputError, SieveLabError
 from .harmonic import gauss_sum
 from .moduli import (ModuliSet, build_moduli_set, derive_subset,
                      enumerate_farey)
@@ -72,7 +70,7 @@ OPTIONS = (
     Option("seq", [str], ("ones",), None,
            "sequence kind, comma list for sweep, or file:PATH"),
     Option("n", int, 1024, 1, "sequence length N"),
-    Option("seed", int, 0, None, "master RNG seed"),
+    Option("seed", int, 0, 0, "master RNG seed"),
     Option("n0", int, None, None, "position for the delta sequence"),
     Option("beta", float, None, None, "focus point for the focused kind"),
     Option("moduli", str, "squares", None, "squares | octave | primes | file:PATH"),
@@ -82,7 +80,7 @@ OPTIONS = (
     Option("eps", float, 0.0, None, "epsilon exponent in shapes"),
     Option("x", float, None, None, "well-distribution parameter"),
     Option("s_count", int, None, 0, "override the moduli count used in shapes"),
-    Option("z_grid", int, 64, None, "geometric grid size for the bracket"),
+    Option("z_grid", int, 64, 2, "geometric grid size for the bracket"),
     Option("mode", str, "grid", ("grid", "exact"), "bracket maximization mode"),
     Option("grid_n", [int], None, 1, "comma list of N for sweep"),
     Option("grid_q", [int], None, None,
@@ -174,15 +172,17 @@ def parse_args(argv) -> dict:
                            help=opt.help)
         else:
             choices = opt.check if isinstance(opt.check, tuple) else None
-            p.add_argument(opt.flag, type=partial(opt.coerce, where=opt.flag),
-                           choices=choices, help=opt.help)
+            p.add_argument(opt.flag, choices=choices, help=opt.help)
     args = vars(p.parse_args(argv))
+    # converted here, not as argparse types: argparse would swallow the
+    # ConfigError, a ValueError, into its own message
+    flags = {opt.name: opt.coerce(args[opt.name], opt.flag) for opt in OPTIONS
+             if args[opt.name] is not None}
 
     cfg = {opt.name: opt.default for opt in OPTIONS}
-    config = args.pop("config")
-    if config:
-        cfg.update(_load_config_file(config))
-    cfg.update((key, val) for key, val in args.items() if val is not None)
+    if args["config"]:
+        cfg.update(_load_config_file(args["config"]))
+    cfg.update(flags)
     if cfg["cmd"] is None:
         raise ConfigError("no command given (--cmd or config file)")
     return cfg
@@ -194,35 +194,24 @@ def _build_sequence(cfg, kind=None, n=None):
             raise ConfigError("this command needs a single sequence kind")
         kind = cfg["seq"][0]
     n = cfg["n"] if n is None else n
-    try:
-        if kind.startswith("file:"):
-            return make_sequence("from_file", n, path=kind[5:])
-        return make_sequence(kind, n, n0=cfg["n0"], seed=cfg["seed"],
-                             beta=cfg["beta"])
-    except SequenceFileError:
-        raise
-    except (ValueError, SieveLabError) as exc:
-        raise ConfigError(f"cannot build sequence: {exc}") from exc
+    if kind.startswith("file:"):
+        return make_sequence("from_file", n, path=kind[5:])
+    return make_sequence(kind, n, n0=cfg["n0"], seed=cfg["seed"], beta=cfg["beta"])
 
 
 def _build_moduli(cfg, q=None) -> ModuliSet:
     kind = cfg["moduli"]
-    try:
-        if kind.startswith("file:"):
-            return build_moduli_set("file", path=kind[5:], M=cfg["m"])
-        kind = _MODULI_ALIASES.get(kind, kind)
-        if kind == "squares_in_octave":
-            q0 = cfg["q0"] if q is None else q
-            if q0 is None:
-                raise ConfigError("octave moduli need --q0")
-            return build_moduli_set(kind, q0=q0)
-        if kind in ("squares_up_to", "primes_up_to"):
-            return build_moduli_set(kind, q=cfg["q"] if q is None else q)
-        raise ConfigError(f"unknown moduli kind {cfg['moduli']!r}")
-    except ConfigError:
-        raise
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"cannot build moduli set: {exc}") from exc
+    if kind.startswith("file:"):
+        return build_moduli_set("file", path=kind[5:], M=cfg["m"])
+    kind = _MODULI_ALIASES.get(kind, kind)
+    if kind == "squares_in_octave":
+        q0 = cfg["q0"] if q is None else q
+        if q0 is None:
+            raise ConfigError("octave moduli need --q0")
+        return build_moduli_set(kind, q0=q0)
+    if kind in ("squares_up_to", "primes_up_to"):
+        return build_moduli_set(kind, q=cfg["q"] if q is None else q)
+    raise ConfigError(f"unknown moduli kind {cfg['moduli']!r}")
 
 
 def emit_report(report: BoundReport, fmt: str) -> bytes:
@@ -240,11 +229,8 @@ def _csv(rows) -> str:
 
 def _deliver(text: str, out: str | None) -> None:
     if out:
-        try:
-            with open(out, "wb") as fh:
-                fh.write(text.encode())
-        except OSError as exc:
-            raise SequenceFileError(f"cannot write {out}: {exc}") from exc
+        with open(out, "wb") as fh:
+            fh.write(text.encode())
     else:
         sys.stdout.write(text)
 
@@ -262,11 +248,8 @@ def _report(cfg, s: ModuliSet, n: int, kind=None) -> BoundReport:
             n = _build_sequence(cfg, kind).N
     else:
         seq = _build_sequence(cfg, kind, n)
-    try:
-        return build_report(seq, s, n=n, eps=cfg["eps"], x=cfg["x"],
-                            s_count=cfg["s_count"], threads=cfg["threads"])
-    except OutOfRangeError as exc:
-        raise ConfigError(f"bad shape parameters: {exc}") from exc
+    return build_report(seq, s, n=n, eps=cfg["eps"], x=cfg["x"],
+                        s_count=cfg["s_count"], threads=cfg["threads"])
 
 
 def _sweep(cfg) -> str:
@@ -280,7 +263,11 @@ def _sweep(cfg) -> str:
         if len(grid_q) != len(grid_n):
             raise ConfigError("--grid-q must match --grid-n or broadcast")
     elif cfg["q_exp"] is not None:
-        grid_q = [math.floor(n ** cfg["q_exp"]) for n in grid_n]
+        q_exp = cfg["q_exp"]
+        # N**q_exp must be a float; 1023 leaves room for rounding of the log
+        if not (math.isfinite(q_exp) and q_exp * math.log2(max(grid_n)) < 1023):
+            raise ConfigError(f"--q-exp={q_exp} takes N**q_exp outside the floats")
+        grid_q = [math.floor(n ** q_exp) for n in grid_n]
     else:
         raise ConfigError("sweep needs --grid-q or --q-exp")
     if not cfg["seq"]:
@@ -330,16 +317,10 @@ def run_experiment(cfg) -> int:
         text = fmt17(sieve_lhs(_build_sequence(cfg), _build_moduli(cfg),
                                threads=cfg["threads"])) + "\n"
     elif cmd == "k-delta":
-        farey = enumerate_farey(_build_moduli(cfg))
-        try:
-            text = f"{k_delta(farey, cfg['delta'])}\n"
-        except InvalidDeltaError as exc:
-            raise ConfigError(f"bad delta: {exc}") from exc
+        check_delta(cfg["delta"])
+        text = f"{k_delta(enumerate_farey(_build_moduli(cfg)), cfg['delta'])}\n"
     elif cmd == "a-count":
-        try:
-            query = WindowQuery(cfg["u"], cfg["k"], cfg["l"], cfg["t"])
-        except ValueError as exc:
-            raise ConfigError(f"bad window query: {exc}") from exc
+        query = WindowQuery(cfg["u"], cfg["k"], cfg["l"], cfg["t"])
         s = _build_moduli(cfg)
         text = f"{count_window_ap(derive_subset(s, query.t), query, s.M, s.Q)}\n"
     elif cmd == "farey":
@@ -351,10 +332,7 @@ def run_experiment(cfg) -> int:
         else:
             text = f"{len(fl)}\n"
     elif cmd == "gauss":
-        try:
-            g = gauss_sum(cfg["k"], cfg["l"], cfg["c"])
-        except NotCoprimeError as exc:
-            raise ConfigError(f"bad gauss sum: {exc}") from exc
+        g = gauss_sum(cfg["k"], cfg["l"], cfg["c"])
         text = f"{fmt17(g.real)} {fmt17(g.imag)} {fmt17(abs(g))}\n"
     elif cmd == "bracket":
         b, shape = sieve_bracket(_build_moduli(cfg), cfg["n"], z_grid=cfg["z_grid"],
@@ -373,7 +351,7 @@ def main(argv=None) -> int:
     try:
         cfg = parse_args(sys.argv[1:] if argv is None else argv)
         return run_experiment(cfg)
-    except ConfigError as exc:
+    except InputError as exc:
         return _fail("config error", exc, 2)
     except SieveLabError as exc:
         return _fail("error", exc, 1)

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidDeltaError
+from .errors import InvalidDeltaError, NotCoprimeError, OutOfRangeError
 from .moduli import FareyList, ModuliSet
 
 
@@ -49,11 +49,11 @@ class WindowQuery:
 
     def __post_init__(self):
         if self.k < 1 or self.t < 1:
-            raise ValueError("need k >= 1 and t >= 1")
-        if self.u < 0:
-            raise ValueError("window length must be nonnegative")
+            raise OutOfRangeError("need k >= 1 and t >= 1")
+        if not self.u >= 0:
+            raise OutOfRangeError(f"window length u={self.u} must be nonnegative")
         if math.gcd(self.k, self.l) != 1:
-            raise ValueError(f"residue class l={self.l} not coprime to k={self.k}")
+            raise NotCoprimeError(f"residue class l={self.l} not coprime to k={self.k}")
 
 
 def dirichlet_approx(alpha: float, tau: float) -> RationalApprox:
@@ -157,16 +157,21 @@ def _edge_offset(y, c_min: int, span: int) -> np.ndarray:
     return np.fmax(np.fmin(np.floor(y) - c_min, float(span)), -1.0).astype(np.int64)
 
 
+def check_delta(delta: float) -> None:
+    """Raise InvalidDeltaError unless 0 < delta <= 1/2, as k_delta needs."""
+    if not 0 < delta <= 0.5:
+        raise InvalidDeltaError(f"delta={delta} outside (0, 1/2]")
+
+
 def k_delta(farey: FareyList, delta: float) -> int:
     """Largest number of Farey values within circular distance delta of
     any single point of the circle (so a closed window of width 2*delta).
 
-    Requires 0 < delta <= 1/2.  An optimal window can be slid until its
-    left edge touches a value, so left edges range over the values with
-    the list doubled once for wraparound.
+    Requires 0 < delta <= 1/2 (check_delta).  An optimal window can be
+    slid until its left edge touches a value, so left edges range over
+    the values with the list doubled once for wraparound.
     """
-    if not 0 < delta <= 0.5:
-        raise InvalidDeltaError(f"delta={delta} outside (0, 1/2]")
+    check_delta(delta)
     v = farey.values
     n = v.size
     if n == 0:

@@ -17,11 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import factorize, quad_cong_roots
-from .errors import CapacityError, EmptyModuliWarning, SequenceFileError
+from .arith import euler_phi, factorize, quad_cong_roots
+from .errors import (CapacityError, EmptyModuliWarning, OutOfRangeError,
+                     SequenceFileError)
 from .util import primes_up_to
 
 _REL_SLACK = 1e-9  # containment checks allow this much relative float slack
+_INT64_MAX = int(np.iinfo(np.int64).max)  # every modulus is an int64
 
 
 @dataclass(frozen=True)
@@ -44,15 +46,15 @@ class ModuliSet:
         el.setflags(write=False)
         object.__setattr__(self, "elements", el)
         if self.M < 0 or self.Q <= 0:
-            raise ValueError("need M >= 0 and span Q > 0")
+            raise OutOfRangeError("need M >= 0 and span Q > 0")
         if el.size:
             if np.any(np.diff(el) <= 0):
-                raise ValueError("moduli must be strictly increasing")
+                raise OutOfRangeError("moduli must be strictly increasing")
             if el[0] <= 0:
-                raise ValueError("moduli must be positive")
+                raise OutOfRangeError("moduli must be positive")
             slack = _REL_SLACK * max(1.0, self.M + self.Q)
             if el[0] <= self.M - slack or el[-1] > self.M + self.Q + slack:
-                raise ValueError("moduli fall outside (M, M+Q]")
+                raise OutOfRangeError("moduli fall outside (M, M+Q]")
 
     @property
     def size(self) -> int:
@@ -70,16 +72,16 @@ def _warn_if_empty(s: ModuliSet) -> ModuliSet:
 
 def squares_up_to(qmax: int) -> ModuliSet:
     """{q^2 : 1 <= q <= qmax} in (0, qmax^2]."""
-    if qmax < 1:
-        raise ValueError("need qmax >= 1")
+    if not 1 <= qmax <= math.isqrt(_INT64_MAX):
+        raise OutOfRangeError(f"need 1 <= qmax <= {math.isqrt(_INT64_MAX)}")
     el = np.arange(1, qmax + 1, dtype=np.int64) ** 2
     return ModuliSet(el, 0.0, float(qmax) ** 2, "squares_up_to", float(qmax))
 
 
 def squares_in_octave(q0: float) -> ModuliSet:
     """The squares inside (Q0, 2*Q0]."""
-    if q0 <= 0:
-        raise ValueError("need Q0 > 0")
+    if not 0 < q0 <= _INT64_MAX / 2:
+        raise OutOfRangeError(f"need 0 < Q0 <= {_INT64_MAX / 2:g}")
     lo = math.isqrt(int(math.floor(q0)))
     qs = []
     c = max(1, lo)
@@ -93,8 +95,8 @@ def squares_in_octave(q0: float) -> ModuliSet:
 
 def primes_up_to_set(q: int) -> ModuliSet:
     """The primes inside (0, q]."""
-    if q < 1:
-        raise ValueError("need q >= 1")
+    if not 1 <= q <= _INT64_MAX:
+        raise OutOfRangeError(f"need 1 <= q <= {_INT64_MAX}")
     ps = primes_up_to(q)
     return _warn_if_empty(ModuliSet(np.array(ps, dtype=np.int64), 0.0, float(q),
                                     "primes_up_to", float(q)))
@@ -211,19 +213,18 @@ class FareyList:
 def enumerate_farey(s: ModuliSet, capacity: int = 10**8) -> FareyList:
     """All fractions a/q, 1 <= a <= q, gcd(a, q) = 1, q in S, sorted by value.
 
-    The list has sum phi(q) entries; a CapacityError fires before any
-    allocation would exceed `capacity` entries.
+    The list has sum phi(q) entries; a CapacityError fires before anything
+    is allocated when that sum exceeds `capacity`.
     """
+    total = sum(euler_phi(int(q)) for q in s.elements)
+    if total > capacity:
+        raise CapacityError(f"farey enumeration needs {total} fractions, "
+                            f"over capacity {capacity}")
     nums, dens = [], []
-    total = 0
     for q in s.elements:
         q = int(q)
         a = np.arange(1, q + 1, dtype=np.int64)
-        mask = np.gcd(a, q) == 1
-        a = a[mask]
-        total += a.size
-        if total > capacity:
-            raise CapacityError(f"farey enumeration exceeds capacity {capacity}")
+        a = a[np.gcd(a, q) == 1]
         nums.append(a)
         dens.append(np.full(a.size, q, dtype=np.int64))
     if not nums:

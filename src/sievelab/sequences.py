@@ -21,6 +21,7 @@ from .errors import OutOfRangeError, SequenceFileError
 from .util import cexp, seeded_rng
 
 _KINDS = ("ones", "delta", "random_signs", "random_phases", "focused", "from_file")
+_MAX_N = int(np.iinfo(np.intp).max) // 16  # the most complex128 values one array holds
 
 
 @dataclass(frozen=True)
@@ -53,11 +54,11 @@ def make_sequence(kind: str, N: int, *, n0: int | None = None, seed=0,
     from_file       text file, line n holds "re im"
     """
     if kind not in _KINDS:
-        raise ValueError(f"unknown sequence kind {kind!r}")
+        raise OutOfRangeError(f"unknown sequence kind {kind!r}")
     if kind == "from_file":
         return sequence_from_file(path)
-    if N < 1:
-        raise OutOfRangeError("sequence length must be >= 1")
+    if not 1 <= N <= _MAX_N:
+        raise OutOfRangeError(f"sequence length must be in 1..{_MAX_N}")
     if kind == "ones":
         v = np.ones(N, dtype=np.complex128)
     elif kind == "delta":

@@ -4,15 +4,22 @@ import contextlib
 import io
 import json
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sievelab import SHAPE_NAMES, BoundReport
+from sievelab import SHAPE_NAMES, BoundReport, cli
 from sievelab.cli import OPTIONS, emit_report, main, parse_args
-from sievelab.errors import ConfigError
+from sievelab.errors import (CapacityError, ConfigError, InputError,
+                             InvalidDeltaError, InvalidRegimeError,
+                             NotCoprimeError, NotInvertibleError,
+                             OutOfRangeError, QuadratureError,
+                             SequenceFileError, ShapeDomainError)
 from sievelab.verify import CheckResult
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def run_cli(capsys, *argv):
@@ -323,6 +330,34 @@ def test_no_lhs_sweep_leaves_measured_cells_blank(capsys):
     pytest.param(None, ["--cmd", "k-delta", "--delta", "nan"], id="k-delta-nan"),
     pytest.param(None, ["--cmd", "gauss", "--k", "2", "--c", "4"],
                  id="gauss-not-coprime"),
+    pytest.param(None, ["--cmd", "shapes", "--seq",
+                        f"file:{FIXTURES / 'malformed_seq.txt'}"],
+                 id="seq-file-malformed"),
+    pytest.param(None, ["--cmd", "shapes", "--seq", "file:/absent/seq.txt"],
+                 id="seq-file-missing"),
+    pytest.param(None, ["--cmd", "shapes", "--moduli",
+                        f"file:{FIXTURES / 'decreasing_moduli.txt'}"],
+                 id="moduli-file-decreasing"),
+    pytest.param(None, ["--cmd", "bracket", "--n", "3"], id="bracket-n-3"),
+    pytest.param(None, ["--cmd", "sweep", "--grid-n", "64", "--q-exp", "nan"],
+                 id="q-exp-nan"),
+    pytest.param(None, ["--cmd", "sweep", "--grid-n", "64", "--q-exp", "inf"],
+                 id="q-exp-inf"),
+    pytest.param(None, ["--cmd", "sweep", "--grid-n", "64", "--q-exp", "1e300"],
+                 id="q-exp-overflow"),
+    pytest.param(None, ["--cmd", "sweep", "--grid-n", "64", "--q-exp", "100"],
+                 id="q-exp-past-int64"),
+    pytest.param(None, ["--cmd", "bracket", "--n", "64", "--z-grid", "1"],
+                 id="z-grid-1"),
+    pytest.param(None, ["--cmd", "sieve-sum", "--seq", "random_signs",
+                        "--seed", "-1"], id="seed-negative"),
+    pytest.param(None, ["--cmd", "shapes", "--moduli", "octave", "--q0", "nan"],
+                 id="q0-nan"),
+    pytest.param(None, ["--cmd", "shapes", "--moduli", "octave", "--q0", "inf"],
+                 id="q0-inf"),
+    pytest.param(None, ["--cmd", "shapes", "--q", str(2**70)], id="q-past-int64"),
+    pytest.param(None, ["--cmd", "sieve-sum", "--n", str(2**62)], id="n-past-arrays"),
+    pytest.param(None, ["--cmd", "a-count", "--u", "nan"], id="a-count-u-nan"),
 ])
 def test_bad_inputs_exit_2_with_one_line(capsys, tmp_path, config, argv):
     if config is not None:
@@ -505,3 +540,35 @@ def test_file_sequence_sets_n_on_every_report_path(capsys, tmp_path):
         assert values == _shape_values_of_sweep(sweep)
         head, row = (ln.split(",") for ln in sweep.splitlines())
         assert dict(zip(head, row))["n"] == "3"
+
+
+def test_unwritable_out_is_an_io_error(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "--cmd", "shapes", "--out",
+                             str(tmp_path / "absent" / "x.csv"))
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("io error")
+
+
+def test_k_delta_refuses_delta_before_enumerating(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("enumerate_farey called before the delta check")
+
+    monkeypatch.setattr(cli, "enumerate_farey", fail)
+    code, out, err = run_cli(capsys, "--cmd", "k-delta", "--delta", "0")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("config error")
+
+
+@pytest.mark.parametrize("cls", [ConfigError, OutOfRangeError, InvalidDeltaError,
+                                 NotCoprimeError, InvalidRegimeError,
+                                 ShapeDomainError, SequenceFileError,
+                                 NotInvertibleError])
+def test_input_errors_are_value_errors(cls):
+    assert issubclass(cls, InputError) and issubclass(cls, ValueError)
+
+
+@pytest.mark.parametrize("cls", [CapacityError, QuadratureError])
+def test_runtime_errors_are_not_input_errors(cls):
+    assert not issubclass(cls, (InputError, ValueError))

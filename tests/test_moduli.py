@@ -1,6 +1,7 @@
 """Moduli set builders, dilation, square residue profiles, Farey lists."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from sievelab import (derive_subset, enumerate_farey, explicit_moduli,
                       moduli_from_file, primes_up_to_set, square_class_count,
                       square_divisor_profile, squares_in_octave, squares_up_to)
-from sievelab.errors import CapacityError, EmptyModuliWarning, SequenceFileError
+from sievelab.errors import (CapacityError, EmptyModuliWarning, OutOfRangeError,
+                             SequenceFileError)
 from sievelab.moduli import build_moduli_set
 
 
@@ -156,3 +158,22 @@ def test_farey_values_match_fraction_data():
     assert fl.denominators.tolist() == [5] * 4
     assert enumerate_farey(explicit_moduli([1])).values.tolist() == [1.0]
     assert enumerate_farey(explicit_moduli([4])).values.tolist() == [0.25, 0.75]
+
+
+def test_farey_capacity_refused_before_allocating():
+    # sum of phi(q^2) = q * phi(q) over q <= 2000, refused before any fraction
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="needs 1622607695 fractions"):
+        enumerate_farey(squares_up_to(2000))
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("build", [
+    lambda: squares_up_to(2**70),
+    lambda: squares_in_octave(math.nan),
+    lambda: squares_in_octave(math.inf),
+    lambda: primes_up_to_set(2**63),
+], ids=["squares", "octave-nan", "octave-inf", "primes"])
+def test_moduli_past_int64_are_refused(build):
+    with pytest.raises(OutOfRangeError):
+        build()
