@@ -23,8 +23,8 @@ from .errors import (CapacityError, ConfigError, InputError, InvalidDeltaError,
 from .harmonic import (gauss_sum, gauss_sum_row, linear_phase_integral,
                        oscillatory_integral, phi_hat_value, phi_value,
                        poisson_residual)
-from .moduli import (FareyList, ModuliSet, build_moduli_set, derive_subset,
-                     enumerate_farey, explicit_moduli, moduli_from_file,
+from .moduli import (FareyList, FareySlabs, ModuliSet, build_moduli_set,
+                     derive_subset, enumerate_farey, explicit_moduli, moduli_from_file,
                      primes_up_to_set, square_class_count,
                      square_divisor_profile, squares_in_octave, squares_up_to)
 from .sequences import (CoefficientSequence, eval_at_modulus, eval_exp_sum,
@@ -33,7 +33,8 @@ from .verify import CheckResult, run_verify
 
 __all__ = [
     "SHAPE_NAMES", "BoundReport", "CapacityError", "CheckResult",
-    "CoefficientSequence", "ConfigError", "FareyList", "InputError",
+    "CoefficientSequence", "ConfigError", "FareyList", "FareySlabs",
+    "InputError",
     "InvalidDeltaError",
     "InvalidRegimeError", "ModuliSet", "NotCoprimeError", "NotInvertibleError",
     "OutOfRangeError", "QuadratureError", "RationalApprox",

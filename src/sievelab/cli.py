@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -22,8 +23,7 @@ from .bounds import (SHAPE_NAMES, BoundReport, build_report, sieve_bracket,
 from .counting import WindowQuery, check_delta, count_window_ap, k_delta
 from .errors import ConfigError, InputError, SieveLabError
 from .harmonic import gauss_sum
-from .moduli import (ModuliSet, build_moduli_set, derive_subset,
-                     enumerate_farey)
+from .moduli import FareySlabs, ModuliSet, build_moduli_set, derive_subset
 from .sequences import make_sequence
 from .util import fmt17
 from .verify import run_verify
@@ -227,12 +227,16 @@ def _csv(rows) -> str:
     return buf.getvalue()
 
 
-def _deliver(text: str, out: str | None) -> None:
+def _deliver(text, out: str | None) -> None:
+    """Write text, a string or an iterable of strings, to out or stdout."""
+    chunks = [text] if isinstance(text, str) else text
     if out:
         with open(out, "wb") as fh:
-            fh.write(text.encode())
+            for chunk in chunks:
+                fh.write(chunk.encode())
     else:
-        sys.stdout.write(text)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
 
 
 def _report(cfg, s: ModuliSet, n: int, kind=None) -> BoundReport:
@@ -318,19 +322,20 @@ def run_experiment(cfg) -> int:
                                threads=cfg["threads"])) + "\n"
     elif cmd == "k-delta":
         check_delta(cfg["delta"])
-        text = f"{k_delta(enumerate_farey(_build_moduli(cfg)), cfg['delta'])}\n"
+        text = f"{k_delta(FareySlabs(_build_moduli(cfg)), cfg['delta'])}\n"
     elif cmd == "a-count":
         query = WindowQuery(cfg["u"], cfg["k"], cfg["l"], cfg["t"])
         s = _build_moduli(cfg)
         text = f"{count_window_ap(derive_subset(s, query.t), query, s.M, s.Q)}\n"
     elif cmd == "farey":
-        fl = enumerate_farey(_build_moduli(cfg))
+        slabs = FareySlabs(_build_moduli(cfg))
         if cfg["out"]:
-            text = _csv([["num", "den", "value"]]
-                        + [[str(int(a)), str(int(q)), fmt17(v)] for a, q, v
-                           in zip(fl.numerators, fl.denominators, fl.values)])
+            text = itertools.chain(
+                ["num,den,value\n"],
+                (_csv(zip(fl.numerators.tolist(), fl.denominators.tolist(),
+                          map(fmt17, fl.values.tolist()))) for fl in slabs))
         else:
-            text = f"{len(fl)}\n"
+            text = f"{len(slabs)}\n"
     elif cmd == "gauss":
         g = gauss_sum(cfg["k"], cfg["l"], cfg["c"])
         text = f"{fmt17(g.real)} {fmt17(g.imag)} {fmt17(abs(g))}\n"

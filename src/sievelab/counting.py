@@ -19,13 +19,17 @@ never builds an n x n matrix.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import InvalidDeltaError, NotCoprimeError, OutOfRangeError
-from .moduli import FareyList, ModuliSet
+from .moduli import _INT64_MAX, FareyList, FareySlabs, ModuliSet
+
+
+_KDELTA_AHEAD = 64  # slabs k_delta's right cursor keeps for the left, at most
 
 
 @dataclass(frozen=True)
@@ -48,8 +52,8 @@ class WindowQuery:
     t: int = 1
 
     def __post_init__(self):
-        if self.k < 1 or self.t < 1:
-            raise OutOfRangeError("need k >= 1 and t >= 1")
+        if not (1 <= self.k <= _INT64_MAX and 1 <= self.t <= _INT64_MAX):
+            raise OutOfRangeError(f"need 1 <= k, t <= {_INT64_MAX}")
         if not self.u >= 0:
             raise OutOfRangeError(f"window length u={self.u} must be nonnegative")
         if math.gcd(self.k, self.l) != 1:
@@ -163,22 +167,65 @@ def check_delta(delta: float) -> None:
         raise InvalidDeltaError(f"delta={delta} outside (0, 1/2]")
 
 
-def k_delta(farey: FareyList, delta: float) -> int:
+def k_delta(farey: FareyList | FareySlabs, delta: float) -> int:
     """Largest number of Farey values within circular distance delta of
     any single point of the circle (so a closed window of width 2*delta).
 
     Requires 0 < delta <= 1/2 (check_delta).  An optimal window can be
     slid until its left edge touches a value, so left edges range over
-    the values with the list doubled once for wraparound.
+    the values v, and the window at v holds the values of ext, the list
+    followed by the list + 1.0, that are <= v + 2*delta.
+
+    farey is a FareySlabs or a FareyList (one slab).  The left edges go
+    through the slabs in order.  A right cursor walks the slabs of ext
+    and holds only those that straddle the current window edges; the
+    slabs wholly below the edges are counted by rank, never built.  The
+    left cursor takes its slab from the right cursor when that built it
+    (up to _KDELTA_AHEAD slabs ahead), so for windows narrower than that
+    only the wrap head is built twice.
     """
     check_delta(delta)
-    v = farey.values
-    n = v.size
+    n = len(farey)
     if n == 0:
         return 0
-    ext = np.concatenate([v, v + 1.0])
-    right = np.searchsorted(ext, v + 2.0 * delta, side="right")
-    best = int((right - np.arange(n)).max())
+    nslab = len(farey.edges) - 1
+    # ext slab j is slab j % nslab, shifted by 1.0 from j = nslab on
+    lower = np.concatenate([farey.edges[:-1], farey.edges[:-1] + 1.0])
+    upper = np.concatenate([farey.edges[1:], farey.edges[1:] + 1.0])
+
+    def rank(j):
+        return farey.rank(j) if j <= nslab else n + farey.rank(j - nslab)
+
+    window = deque()  # (j, values): built ext slabs that reach past the edges
+    kept = {}  # values of slabs ahead of the left cursor, by index
+    below = j1 = 0  # ext values before the window; next ext slab to take
+    best = left = 0
+    for b in range(nslab):
+        v = kept.pop(b, None)
+        if v is None:
+            v = farey.slab(b).values
+        if v.size == 0:
+            continue
+        edge = v + 2.0 * delta
+        while window and (window[0][1].size == 0 or window[0][1][-1] <= edge[0]):
+            below += window.popleft()[1].size
+        if not window:
+            j = j1
+            while j < 2 * nslab and upper[j] <= edge[0]:
+                j += 1
+            below += rank(j) - rank(j1)
+            j1 = j
+        while j1 < 2 * nslab and lower[j1] <= edge[-1]:
+            src = j1 % nslab
+            x = v if src == b else farey.slab(src).values
+            if b < j1 < nslab and len(kept) < _KDELTA_AHEAD:
+                kept[j1] = x
+            window.append((j1, x if j1 < nslab else x + 1.0))
+            j1 += 1
+        near = np.concatenate([x for _, x in window]) if window else v[:0]
+        right = below + np.searchsorted(near, edge, side="right")
+        best = max(best, int((right - np.arange(left, left + v.size)).max()))
+        left += v.size
     return min(best, n)
 
 

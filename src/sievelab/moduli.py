@@ -17,13 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import euler_phi, factorize, quad_cong_roots
+from .arith import factorize, quad_cong_roots
 from .errors import (CapacityError, EmptyModuliWarning, OutOfRangeError,
                      SequenceFileError)
 from .util import primes_up_to
 
 _REL_SLACK = 1e-9  # containment checks allow this much relative float slack
 _INT64_MAX = int(np.iinfo(np.int64).max)  # every modulus is an int64
+_FAREY_Q_LIMIT = 1 << 26  # below it, distinct reduced fractions have distinct floats
+_FAREY_SLAB = 1 << 14  # fractions one Farey slab holds, about
 
 
 @dataclass(frozen=True)
@@ -125,6 +127,8 @@ def moduli_from_file(path: str, M: float | None = None, span: float | None = Non
                     vals.append(int(line))
                 except ValueError as exc:
                     raise SequenceFileError(f"{path}:{ln}: not an integer") from exc
+                if abs(vals[-1]) > _INT64_MAX:
+                    raise OutOfRangeError(f"{path}:{ln}: modulus past int64")
     except OSError as exc:
         raise SequenceFileError(f"cannot read {path}: {exc}") from exc
     if any(b <= a for a, b in zip(vals, vals[1:])):
@@ -209,29 +213,113 @@ class FareyList:
     def __len__(self) -> int:
         return int(self.values.size)
 
+    # The slab interface of FareySlabs, with the whole list as one slab.
+    @property
+    def edges(self) -> np.ndarray:
+        return self.values[[0, -1]]
+
+    def rank(self, b: int) -> int:
+        return b * len(self)
+
+    def slab(self, b: int) -> FareyList:
+        return self
+
+
+class FareySlabs:
+    """The fractions a/q, 1 <= a <= q, gcd(a, q) = 1, q in S, cut by value
+    into slabs that are built one at a time.
+
+    Slab b of B holds the a/q in (b/B, (b+1)/B], that is the integers a
+    in (floor(b*q/B), floor((b+1)*q/B)], sorted by value; B is sum phi(q)
+    over _FAREY_SLAB, rounded up.  Iterating yields the slabs in order,
+    each a FareyList, and their concatenation is the whole sorted list.
+    The float value of slab b's fractions lies in [edges[b], edges[b+1]]
+    (division rounds monotonically), and rank(b), the number of fractions
+    in the slabs before b, is a Moebius sum over the divisors of q's
+    radical, so no slab is built to count it.
+
+    Sorting by the value alone is exact because distinct reduced
+    fractions have distinct floats: a/q and a'/q' differ by at least
+    1/(q*q'), more than the float spacing near 1 (2^-53) when
+    q*q' < 2^52.  Every q must therefore lie below 2^26; larger moduli
+    are refused with OutOfRangeError before anything is enumerated.
+    """
+
+    def __init__(self, s: ModuliSet):
+        q = s.elements
+        if q.size and q[-1] >= _FAREY_Q_LIMIT:
+            raise OutOfRangeError(f"farey moduli must lie below 2^26, got {int(q[-1])}")
+        primes = [[p for p, _ in factorize(int(x))] for x in q]
+        # one row (q index, prime p | q) per prime, struck from the slabs
+        self._strike_at = np.repeat(np.arange(q.size), [len(ps) for ps in primes])
+        self._strike_p = np.array([p for ps in primes for p in ps], dtype=np.int64)
+        # one row (q index, d, mu(d)) per squarefree divisor d of q
+        at, d, mu = [], [], []
+        for i, ps in enumerate(primes):
+            divs = [(1, 1)]
+            for p in ps:
+                divs += [(dd * p, -m) for dd, m in divs]
+            at += [i] * len(divs)
+            d += [dd for dd, _ in divs]
+            mu += [m for _, m in divs]
+        self._mob_q = q[np.array(at, dtype=np.int64)]
+        self._mob_d = np.array(d, dtype=np.int64)
+        self._mob_mu = np.array(mu, dtype=np.int64)
+        self._q = q
+        self._total = int(np.sum(self._mob_mu * (self._mob_q // self._mob_d)))
+        self._b = max(1, -(-self._total // _FAREY_SLAB))
+        self.edges = np.arange(self._b + 1) / self._b
+
+    def __len__(self) -> int:
+        return self._total
+
+    def __iter__(self):
+        for b in range(self._b):
+            yield self.slab(b)
+
+    def rank(self, b: int) -> int:
+        """Number of fractions in the slabs before b, that is with value
+        <= b/B, by Moebius over q's primes."""
+        return int(np.sum(self._mob_mu * ((b * self._mob_q) // (self._b * self._mob_d))))
+
+    def slab(self, b: int) -> FareyList:
+        """The fractions of slab b, sorted by value."""
+        q = self._q
+        lo = (b * q) // self._b  # a > lo
+        hi = ((b + 1) * q) // self._b  # a <= hi
+        run, off = _runs(hi - lo)
+        a = lo[run] + 1 + off
+        keep = np.ones(a.size, dtype=bool)
+        # strike the multiples of each prime p | q inside (lo, hi]
+        at, p = self._strike_at, self._strike_p
+        first = (lo[at] // p + 1) * p
+        srun, soff = _runs((hi[at] - first) // p + 1)
+        start = np.cumsum(hi - lo) - (hi - lo)
+        keep[(start[at] + first - lo[at] - 1)[srun] + p[srun] * soff] = False
+        a, den = a[keep], q[run[keep]]
+        v = a / den
+        order = np.argsort(v)
+        return FareyList(a[order], den[order], v[order])
+
+
+def _runs(count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For consecutive runs of the given lengths, each position's run
+    index and its offset inside the run."""
+    run = np.repeat(np.arange(count.size), count)
+    return run, np.arange(run.size) - (np.cumsum(count) - count)[run]
+
 
 def enumerate_farey(s: ModuliSet, capacity: int = 10**8) -> FareyList:
     """All fractions a/q, 1 <= a <= q, gcd(a, q) = 1, q in S, sorted by value.
 
-    The list has sum phi(q) entries; a CapacityError fires before anything
-    is allocated when that sum exceeds `capacity`.
+    The concatenated FareySlabs of s.  The list has sum phi(q) entries; a
+    CapacityError fires before anything is allocated when that sum
+    exceeds `capacity`.
     """
-    total = sum(euler_phi(int(q)) for q in s.elements)
-    if total > capacity:
-        raise CapacityError(f"farey enumeration needs {total} fractions, "
+    slabs = FareySlabs(s)
+    if len(slabs) > capacity:
+        raise CapacityError(f"farey enumeration needs {len(slabs)} fractions, "
                             f"over capacity {capacity}")
-    nums, dens = [], []
-    for q in s.elements:
-        q = int(q)
-        a = np.arange(1, q + 1, dtype=np.int64)
-        a = a[np.gcd(a, q) == 1]
-        nums.append(a)
-        dens.append(np.full(a.size, q, dtype=np.int64))
-    if not nums:
-        return FareyList(np.array([], dtype=np.int64), np.array([], dtype=np.int64),
-                         np.array([], dtype=np.float64))
-    a = np.concatenate(nums)
-    q = np.concatenate(dens)
-    v = a / q
-    order = np.lexsort((q, v))
-    return FareyList(a[order], q[order], v[order])
+    parts = list(slabs)
+    return FareyList(*(np.concatenate([getattr(fl, name) for fl in parts])
+                       for name in ("numerators", "denominators", "values")))

@@ -1,6 +1,7 @@
 """Command-line behavior: flag/config merging, outputs, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import warnings
@@ -130,6 +131,20 @@ def test_farey_table_written_to_file(capsys, tmp_path):
     assert lines[0] == "num,den,value"
     assert lines[1] == "1,5,0.20000000000000001"
     assert len(lines) == 5
+
+
+def test_farey_table_bytes_at_size(capsys, tmp_path):
+    # squares up to 208: 1,830,773 rows, the sha256 of the table as the
+    # whole-list enumeration wrote it
+    dest = tmp_path / "farey.csv"
+    code, out, _ = run_cli(capsys, "--cmd", "farey", "--moduli", "squares",
+                           "--q", "208", "--out", str(dest))
+    assert code == 0 and out == ""
+    assert hashlib.sha256(dest.read_bytes()).hexdigest() == \
+        "a4ef445bc29c05c78bc02259771ea6654533f1f28f79a5a1996462fe5a062a59"
+    code, out, _ = run_cli(capsys, "--cmd", "farey", "--moduli", "squares",
+                           "--q", "1000")
+    assert (code, out) == (0, "202870719\n")  # sum of q * phi(q), none enumerated
 
 
 def test_bracket_command_empty_set(capsys, tmp_path):
@@ -358,6 +373,15 @@ def test_no_lhs_sweep_leaves_measured_cells_blank(capsys):
     pytest.param(None, ["--cmd", "shapes", "--q", str(2**70)], id="q-past-int64"),
     pytest.param(None, ["--cmd", "sieve-sum", "--n", str(2**62)], id="n-past-arrays"),
     pytest.param(None, ["--cmd", "a-count", "--u", "nan"], id="a-count-u-nan"),
+    pytest.param(None, ["--cmd", "shapes", "--moduli",
+                        f"file:{FIXTURES / 'moduli_past_int64.txt'}"],
+                 id="moduli-file-past-int64"),
+    pytest.param(None, ["--cmd", "a-count", "--k", str(2**70), "--l", "1"],
+                 id="a-count-k-past-int64"),
+    pytest.param(None, ["--cmd", "a-count", "--t", str(2**70)],
+                 id="a-count-t-past-int64"),
+    pytest.param(None, ["--cmd", "k-delta", "--q", "8192"], id="k-delta-q-2-26"),
+    pytest.param(None, ["--cmd", "farey", "--q", "8192"], id="farey-q-2-26"),
 ])
 def test_bad_inputs_exit_2_with_one_line(capsys, tmp_path, config, argv):
     if config is not None:
@@ -552,9 +576,9 @@ def test_unwritable_out_is_an_io_error(capsys, tmp_path):
 
 def test_k_delta_refuses_delta_before_enumerating(capsys, monkeypatch):
     def fail(*args, **kwargs):
-        raise AssertionError("enumerate_farey called before the delta check")
+        raise AssertionError("FareySlabs built before the delta check")
 
-    monkeypatch.setattr(cli, "enumerate_farey", fail)
+    monkeypatch.setattr(cli, "FareySlabs", fail)
     code, out, err = run_cli(capsys, "--cmd", "k-delta", "--delta", "0")
     assert code == 2
     assert out == ""

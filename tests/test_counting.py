@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 
 from sievelab import (WindowQuery, count_window_ap, derive_subset,
                       dirichlet_approx, enumerate_farey, explicit_moduli,
-                      k_delta, p_alpha, p_alpha_circular, pi_count,
-                      primes_up_to_set)
+                      k_delta, moduli, p_alpha, p_alpha_circular, pi_count,
+                      primes_up_to_set, squares_up_to)
 from sievelab.counting import window_count_profile
-from sievelab.errors import InvalidDeltaError
+from sievelab.errors import EmptyModuliWarning, InvalidDeltaError
+from sievelab.moduli import FareySlabs
 from sievelab import oracles
 from sievelab.util import seeded_rng
 
@@ -107,6 +108,48 @@ def test_crowding_wraps_around_the_circle():
     fl = enumerate_farey(explicit_moduli([1, 8]))
     # 1/8 and 1/1 are 1/8 apart on the circle
     assert k_delta(fl, 1 / 15) == 2
+
+
+@pytest.fixture(scope="module")
+def farey_squares_208():
+    return enumerate_farey(squares_up_to(208))  # 1,830,773 fractions
+
+
+@pytest.mark.parametrize("delta, want", [(1e-4, 424), (1e-2, 36669),
+                                         (0.25, 915453), (0.5, 1830773)])
+def test_crowding_does_not_depend_on_the_slab_size(monkeypatch, farey_squares_208,
+                                                   delta, want):
+    # want is the count of the whole-list evaluation that preceded the slabs
+    big = squares_up_to(208)
+    assert k_delta(farey_squares_208, delta) == want
+    for size in (2**12, 2**16):
+        monkeypatch.setattr(moduli, "_FAREY_SLAB", size)
+        assert k_delta(FareySlabs(big), delta) == want
+    rng = seeded_rng(11)
+    for _ in range(10):
+        s = explicit_moduli(set(rng.integers(1, 100, size=int(rng.integers(1, 40))).tolist()))
+        monkeypatch.undo()
+        whole = k_delta(enumerate_farey(s), delta)
+        for size in (1, 97, 2**16):
+            monkeypatch.setattr(moduli, "_FAREY_SLAB", size)
+            assert k_delta(FareySlabs(s), delta) == whole
+
+
+def test_crowding_memory_is_bounded_by_the_slab():
+    # the whole list of squares up to 208 alone takes 44 MB
+    tracemalloc.start()
+    try:
+        assert k_delta(FareySlabs(squares_up_to(208)), 0.5) == 1830773
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
+
+
+def test_crowding_of_an_empty_set_is_zero():
+    with pytest.warns(EmptyModuliWarning):
+        empty = explicit_moduli([])
+    assert k_delta(FareySlabs(empty), 0.1) == k_delta(enumerate_farey(empty), 0.1) == 0
 
 
 @settings(max_examples=120, deadline=None)

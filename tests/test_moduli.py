@@ -1,19 +1,25 @@
 """Moduli set builders, dilation, square residue profiles, Farey lists."""
 
+import hashlib
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sievelab import moduli
 from sievelab import (derive_subset, enumerate_farey, explicit_moduli,
                       moduli_from_file, primes_up_to_set, square_class_count,
                       square_divisor_profile, squares_in_octave, squares_up_to)
 from sievelab.errors import (CapacityError, EmptyModuliWarning, OutOfRangeError,
                              SequenceFileError)
-from sievelab.moduli import build_moduli_set
+from sievelab.moduli import FareySlabs, build_moduli_set
+from sievelab.util import seeded_rng
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def test_squares_up_to_layout():
@@ -168,12 +174,62 @@ def test_farey_capacity_refused_before_allocating():
     assert time.perf_counter() - start < 1.0
 
 
+def _random_moduli_sets(cap):
+    """Ten seeded random sets of 1 to 39 moduli below cap."""
+    rng = seeded_rng(7)
+    return [explicit_moduli(set(rng.integers(1, cap, size=int(rng.integers(1, 40))).tolist()))
+            for _ in range(10)]
+
+
+def test_farey_lists_match_the_pinned_digest():
+    # sha256 of every list's numerators, denominators and values, as
+    # the gcd-filter and lexsort enumeration built them
+    h = hashlib.sha256()
+    for s in [squares_up_to(208)] + _random_moduli_sets(3000):
+        fl = enumerate_farey(s)
+        for arr in (fl.numerators, fl.denominators, fl.values):
+            h.update(arr.tobytes())
+    assert h.hexdigest() == \
+        "42ee6ac5e587711f5605c927b6effc599018ff37389ddfb03ded5cfe729ad9a2"
+
+
+@pytest.mark.parametrize("size", [1, 97])
+def test_small_slabs_concatenate_to_the_list_and_rank_them(monkeypatch, size):
+    for s in _random_moduli_sets(100):
+        whole = enumerate_farey(s)
+        monkeypatch.setattr(moduli, "_FAREY_SLAB", size)
+        slabs = FareySlabs(s)
+        parts = list(slabs)
+        monkeypatch.undo()
+        assert len(parts) == len(slabs.edges) - 1
+        assert [slabs.rank(b) for b in range(len(parts) + 1)] == \
+            np.cumsum([0] + [len(fl) for fl in parts]).tolist()
+        assert slabs.rank(len(parts)) == len(slabs) == len(whole)
+        for name in ("numerators", "denominators", "values"):
+            got = np.concatenate([getattr(fl, name) for fl in parts])
+            assert np.array_equal(got, getattr(whole, name))
+        for b, fl in enumerate(parts):
+            assert np.all((fl.values >= slabs.edges[b]) & (fl.values <= slabs.edges[b + 1]))
+
+
+@pytest.mark.parametrize("el", [[4, 2**26], [2**26 + 15]])
+def test_farey_moduli_past_2_26_are_refused(el):
+    # distinct fractions keep distinct floats only while q * q' < 2^52
+    with pytest.raises(OutOfRangeError, match="below 2\\^26"):
+        FareySlabs(explicit_moduli(el))
+    with pytest.raises(OutOfRangeError):
+        enumerate_farey(explicit_moduli(el))
+    # 2^26 - 1 = 3 * 2731 * 8191 is the largest modulus taken
+    assert len(FareySlabs(explicit_moduli([2**26 - 1]))) == 2 * 2730 * 8190
+
+
 @pytest.mark.parametrize("build", [
     lambda: squares_up_to(2**70),
     lambda: squares_in_octave(math.nan),
     lambda: squares_in_octave(math.inf),
     lambda: primes_up_to_set(2**63),
-], ids=["squares", "octave-nan", "octave-inf", "primes"])
+    lambda: moduli_from_file(str(FIXTURES / "moduli_past_int64.txt")),
+], ids=["squares", "octave-nan", "octave-inf", "primes", "file"])
 def test_moduli_past_int64_are_refused(build):
     with pytest.raises(OutOfRangeError):
         build()
