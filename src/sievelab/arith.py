@@ -1,15 +1,13 @@
-"""Exact integer arithmetic: factorization, modular inverses, and the
-quadratic congruence g*x^2 = l (mod k).
+"""Exact integer arithmetic: factorization, the Moebius table of
+squarefree divisors, modular inverses, and the quadratic congruence
+g*x^2 = l (mod k).
 
 Everything here works on Python ints and is exact.  The quadratic solver
 takes every prime power of k through square-root lifting and glues the
-roots by CRT; a plain O(k) scan is kept as a reference implementation
-for cross-checking.
+roots by CRT.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .errors import NotInvertibleError
 
@@ -76,6 +74,18 @@ def divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
+def squarefree_divisors(n: int) -> list[tuple[int, int]]:
+    """(d, mu(d)) for every squarefree d dividing n >= 1, d = 1 first.
+
+    Each prime p of n doubles the list: the entries so far, then each
+    times p with the sign of mu flipped.
+    """
+    out = [(1, 1)]
+    for p, _ in factorize(n):
+        out += [(d * p, -mu) for d, mu in out]
+    return out
+
+
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Extended gcd: returns (g, x, y) with a*x + b*y = g = gcd(a, b)."""
     x0, x1, y0, y1 = 1, 0, 0, 1
@@ -130,21 +140,6 @@ def quad_cong_roots(g: int, l: int, k: int) -> tuple[int, list[int]]:
         acc_mod *= pe
     sols.sort()
     return len(sols), sols
-
-
-def quad_cong_roots_scan(g: int, l: int, k: int) -> tuple[int, list[int]]:
-    """Reference implementation of quad_cong_roots by full scan, O(k)."""
-    if k < 1:
-        raise ValueError("modulus must be positive")
-    g %= k
-    l %= k
-    if 1 < k <= 1 << 21:
-        # g*x*x stays under 2^63 here, so the scan can run on int64
-        x = np.arange(k, dtype=np.int64)
-        roots = np.nonzero((g * x * x - l) % k == 0)[0].tolist()
-    else:
-        roots = [x for x in range(k) if (g * x * x - l) % k == 0]
-    return len(roots), roots
 
 
 def _roots_prime_power(g: int, l: int, p: int, e: int) -> list[int]:

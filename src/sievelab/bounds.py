@@ -36,7 +36,7 @@ from .errors import (CapacityError, InvalidRegimeError, NotCoprimeError,
                      OutOfRangeError, ShapeDomainError)
 from .moduli import ModuliSet, derive_subset
 from .sequences import CoefficientSequence
-from .arith import divisors, factorize
+from .arith import divisors, squarefree_divisors
 from .util import fmt17
 
 _REGIME_SLACK = 1e-12
@@ -81,19 +81,11 @@ def _modulus_term(values: np.ndarray, q: int) -> float:
     """
     fold = _fold(values, q)
     total = 0.0
-    for m, sign in _squarefree_divisors(q):
+    for m, sign in squarefree_divisors(q):
         part = fold.reshape(m, q // m).sum(0)
         x = part.view(np.float64)
         total += sign * (q // m) * float(np.sum(x * x))
     return total
-
-
-def _squarefree_divisors(q: int) -> list[tuple[int, int]]:
-    """(m, mu(m)) for every squarefree m dividing q, m = 1 first."""
-    out = [(1, 1)]
-    for p, _ in factorize(q):
-        out += [(m * p, -sign) for m, sign in out]
-    return out
 
 
 def sieve_lhs(seq: CoefficientSequence, s: ModuliSet, threads: int = 1,

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .bounds import (SHAPE_NAMES, BoundReport, build_report, sieve_bracket,
                      sieve_lhs)
-from .counting import WindowQuery, check_delta, count_window_ap, k_delta
+from .counting import WindowQuery, count_window_ap, k_delta
 from .errors import ConfigError, InputError, SieveLabError
 from .harmonic import gauss_sum
 from .moduli import FareySlabs, ModuliSet, build_moduli_set, derive_subset
@@ -321,8 +321,7 @@ def run_experiment(cfg) -> int:
         text = fmt17(sieve_lhs(_build_sequence(cfg), _build_moduli(cfg),
                                threads=cfg["threads"])) + "\n"
     elif cmd == "k-delta":
-        check_delta(cfg["delta"])
-        text = f"{k_delta(FareySlabs(_build_moduli(cfg)), cfg['delta'])}\n"
+        text = f"{k_delta(_build_moduli(cfg), cfg['delta'])}\n"
     elif cmd == "a-count":
         query = WindowQuery(cfg["u"], cfg["k"], cfg["l"], cfg["t"])
         s = _build_moduli(cfg)
@@ -362,9 +361,11 @@ def main(argv=None) -> int:
         return _fail("error", exc, 1)
     except OSError as exc:
         return _fail("io error", exc, 1)
+    except MemoryError as exc:
+        return _fail("error", str(exc) or "out of memory", 1)
 
 
-def _fail(prefix: str, exc: Exception, code: int) -> int:
+def _fail(prefix: str, exc: object, code: int) -> int:
     """Print exc as one stderr line, whatever text it echoes; return code."""
     print(f"{prefix}: {exc}".replace("\n", "\\n"), file=sys.stderr)
     return code

@@ -161,30 +161,28 @@ def _edge_offset(y, c_min: int, span: int) -> np.ndarray:
     return np.fmax(np.fmin(np.floor(y) - c_min, float(span)), -1.0).astype(np.int64)
 
 
-def check_delta(delta: float) -> None:
-    """Raise InvalidDeltaError unless 0 < delta <= 1/2, as k_delta needs."""
+def k_delta(s: ModuliSet, delta: float) -> int:
+    """Largest number of Farey values a/q, q in s, within circular
+    distance delta of any single point of the circle (so a closed window
+    of width 2*delta).
+
+    Requires 0 < delta <= 1/2, checked before any fraction is built.  An
+    optimal window can be slid until its left edge touches a value, so
+    left edges range over the values v, and the window at v holds the
+    values of ext, the list followed by the list + 1.0, that are
+    <= v + 2*delta.
+
+    The fractions come as FareySlabs, and the left edges go through the
+    slabs in order.  A right cursor walks the slabs of ext and holds
+    only those that straddle the current window edges; the slabs wholly
+    below the edges are counted by rank, never built.  The left cursor
+    takes its slab from the right cursor when that built it (up to
+    _KDELTA_AHEAD slabs ahead), so for windows narrower than that only
+    the wrap head is built twice.
+    """
     if not 0 < delta <= 0.5:
         raise InvalidDeltaError(f"delta={delta} outside (0, 1/2]")
-
-
-def k_delta(farey: FareyList | FareySlabs, delta: float) -> int:
-    """Largest number of Farey values within circular distance delta of
-    any single point of the circle (so a closed window of width 2*delta).
-
-    Requires 0 < delta <= 1/2 (check_delta).  An optimal window can be
-    slid until its left edge touches a value, so left edges range over
-    the values v, and the window at v holds the values of ext, the list
-    followed by the list + 1.0, that are <= v + 2*delta.
-
-    farey is a FareySlabs or a FareyList (one slab).  The left edges go
-    through the slabs in order.  A right cursor walks the slabs of ext
-    and holds only those that straddle the current window edges; the
-    slabs wholly below the edges are counted by rank, never built.  The
-    left cursor takes its slab from the right cursor when that built it
-    (up to _KDELTA_AHEAD slabs ahead), so for windows narrower than that
-    only the wrap head is built twice.
-    """
-    check_delta(delta)
+    farey = FareySlabs(s)
     n = len(farey)
     if n == 0:
         return 0

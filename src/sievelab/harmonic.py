@@ -50,41 +50,6 @@ def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
-def phi_hat_by_quadrature(s: float, panels: int = 4000) -> float:
-    """Independent numerical Fourier transform of phi at s.
-
-    phi is even, so phi_hat(s) = 2 * int_0^inf phi(y) cos(2*pi*s*y) dy.
-    The head [0, panels] is integrated with 32-point Gauss-Legendre per
-    unit panel; the tail uses the expansion of phi into three cosine
-    frequencies {|s|, |s|+1, ||s|-1|} against 1/(8*y^2), each handled by
-    a four-term integration-by-parts series.  Avoid |s| so close to 1
-    that a tail frequency nearly vanishes; the stock check points stay
-    clear of that.
-    """
-    w = 2.0 * np.pi * abs(s)
-    nodes, weights = _gl_nodes(32)
-    starts = np.arange(panels, dtype=np.float64)
-    y = starts[:, None] + 0.5 * (nodes[None, :] + 1.0)
-    vals = phi_value(y) * np.cos(w * y)
-    head = float(np.sum(vals @ weights) * 0.5)
-    t = float(panels)
-    tail = (_cos_tail(w, t) - 0.5 * _cos_tail(2 * np.pi + w, t)
-            - 0.5 * _cos_tail(abs(2 * np.pi - w), t)) / 8.0
-    return 2.0 * (head + tail)
-
-
-def _cos_tail(omega: float, t: float) -> float:
-    """int_t^inf cos(omega*y) / y^2 dy by parts, four terms."""
-    if omega == 0.0:
-        return 1.0 / t
-    s_, c_ = math.sin(omega * t), math.cos(omega * t)
-    # d/dy chains: each integration by parts trades one power of y for 1/omega
-    return (-s_ / (omega * t**2)
-            + 2.0 * c_ / (omega**2 * t**3)
-            + 6.0 * s_ / (omega**3 * t**4)
-            - 24.0 * c_ / (omega**4 * t**5))
-
-
 def gauss_sum(k: int, l: int, c: int) -> complex:
     """G(k, l; c) = sum_{d=1}^{c} e((k*d^2 + l*d)/c), gcd(k, c) = 1."""
     if c < 1:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import factorize, quad_cong_roots
+from .arith import factorize, quad_cong_roots, squarefree_divisors
 from .errors import (CapacityError, EmptyModuliWarning, OutOfRangeError,
                      SequenceFileError)
 from .util import primes_up_to
@@ -26,6 +26,7 @@ _REL_SLACK = 1e-9  # containment checks allow this much relative float slack
 _INT64_MAX = int(np.iinfo(np.int64).max)  # every modulus is an int64
 _FAREY_Q_LIMIT = 1 << 26  # below it, distinct reduced fractions have distinct floats
 _FAREY_SLAB = 1 << 14  # fractions one Farey slab holds, about
+_SET_CAPACITY = 10**8  # moduli a squares set may hold
 
 
 @dataclass(frozen=True)
@@ -76,23 +77,26 @@ def squares_up_to(qmax: int) -> ModuliSet:
     """{q^2 : 1 <= q <= qmax} in (0, qmax^2]."""
     if not 1 <= qmax <= math.isqrt(_INT64_MAX):
         raise OutOfRangeError(f"need 1 <= qmax <= {math.isqrt(_INT64_MAX)}")
-    el = np.arange(1, qmax + 1, dtype=np.int64) ** 2
+    el = _squares(1, qmax + 1)
     return ModuliSet(el, 0.0, float(qmax) ** 2, "squares_up_to", float(qmax))
 
 
 def squares_in_octave(q0: float) -> ModuliSet:
-    """The squares inside (Q0, 2*Q0]."""
+    """The squares inside (Q0, 2*Q0]: c^2 > Q0 exactly when c^2 > floor(Q0),
+    and c^2 <= 2*Q0 exactly when c^2 <= floor(2*Q0)."""
     if not 0 < q0 <= _INT64_MAX / 2:
         raise OutOfRangeError(f"need 0 < Q0 <= {_INT64_MAX / 2:g}")
-    lo = math.isqrt(int(math.floor(q0)))
-    qs = []
-    c = max(1, lo)
-    while c * c <= 2 * q0:
-        if c * c > q0:
-            qs.append(c * c)
-        c += 1
-    return _warn_if_empty(ModuliSet(np.array(qs, dtype=np.int64), float(q0), float(q0),
+    el = _squares(math.isqrt(math.floor(q0)) + 1, math.isqrt(math.floor(2 * q0)) + 1)
+    return _warn_if_empty(ModuliSet(el, float(q0), float(q0),
                                     "squares_in_octave", float(q0)))
+
+
+def _squares(lo: int, hi: int) -> np.ndarray:
+    """c^2 for lo <= c < hi, refused before allocating past _SET_CAPACITY."""
+    if hi - lo > _SET_CAPACITY:
+        raise CapacityError(f"square moduli set needs {hi - lo} moduli, "
+                            f"over capacity {_SET_CAPACITY}")
+    return np.arange(lo, hi, dtype=np.int64) ** 2
 
 
 def primes_up_to_set(q: int) -> ModuliSet:
@@ -213,17 +217,6 @@ class FareyList:
     def __len__(self) -> int:
         return int(self.values.size)
 
-    # The slab interface of FareySlabs, with the whole list as one slab.
-    @property
-    def edges(self) -> np.ndarray:
-        return self.values[[0, -1]]
-
-    def rank(self, b: int) -> int:
-        return b * len(self)
-
-    def slab(self, b: int) -> FareyList:
-        return self
-
 
 class FareySlabs:
     """The fractions a/q, 1 <= a <= q, gcd(a, q) = 1, q in S, cut by value
@@ -253,18 +246,11 @@ class FareySlabs:
         # one row (q index, prime p | q) per prime, struck from the slabs
         self._strike_at = np.repeat(np.arange(q.size), [len(ps) for ps in primes])
         self._strike_p = np.array([p for ps in primes for p in ps], dtype=np.int64)
-        # one row (q index, d, mu(d)) per squarefree divisor d of q
-        at, d, mu = [], [], []
-        for i, ps in enumerate(primes):
-            divs = [(1, 1)]
-            for p in ps:
-                divs += [(dd * p, -m) for dd, m in divs]
-            at += [i] * len(divs)
-            d += [dd for dd, _ in divs]
-            mu += [m for _, m in divs]
-        self._mob_q = q[np.array(at, dtype=np.int64)]
-        self._mob_d = np.array(d, dtype=np.int64)
-        self._mob_mu = np.array(mu, dtype=np.int64)
+        # one row (q, d, mu(d)) per squarefree divisor d of q
+        divs = [squarefree_divisors(int(x)) for x in q]
+        self._mob_q = np.repeat(q, [len(ds) for ds in divs])
+        self._mob_d, self._mob_mu = np.array([dm for ds in divs for dm in ds],
+                                             dtype=np.int64).reshape(-1, 2).T
         self._q = q
         self._total = int(np.sum(self._mob_mu * (self._mob_q // self._mob_d)))
         self._b = max(1, -(-self._total // _FAREY_SLAB))

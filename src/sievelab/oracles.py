@@ -3,10 +3,11 @@
 Every function here recomputes a fast-path quantity by the most literal
 method available: per-point evaluation instead of bucketing, python
 loops instead of vectorized scans, direct enumeration instead of
-arithmetic shortcuts.  Where a maximum over a continuum is involved the
-oracle rederives its own candidate points.  Comparison predicates are
-kept textually identical to the fast path so that float rounding cannot
-manufacture spurious mismatches; only the mechanism differs.
+arithmetic shortcuts, numerical quadrature instead of closed forms.
+Where a maximum over a continuum is involved the oracle rederives its
+own candidate points.  Comparison predicates are kept textually
+identical to the fast path so that float rounding cannot manufacture
+spurious mismatches; only the mechanism differs.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .arith import divisors
 from .bounds import _grid_z
 from .counting import WindowQuery
 from .errors import InvalidDeltaError, NotCoprimeError
+from .harmonic import phi_value
 from .moduli import FareyList, ModuliSet, derive_subset
 from .sequences import CoefficientSequence, eval_at_modulus, eval_exp_sum
 
@@ -126,6 +128,56 @@ def gauss_sum_oracle(k: int, l: int, c: int) -> complex:
     for d in range(1, c + 1):
         total += cmath.exp(2j * cmath.pi * (((k * d * d + l * d) % c) / c))
     return total
+
+
+def quad_cong_roots_scan(g: int, l: int, k: int) -> tuple[int, list[int]]:
+    """arith.quad_cong_roots by full scan of x mod k, O(k)."""
+    if k < 1:
+        raise ValueError("modulus must be positive")
+    g %= k
+    l %= k
+    if 1 < k <= 1 << 21:
+        # g*x*x stays under 2^63 here, so the scan can run on int64
+        x = np.arange(k, dtype=np.int64)
+        roots = np.nonzero((g * x * x - l) % k == 0)[0].tolist()
+    else:
+        roots = [x for x in range(k) if (g * x * x - l) % k == 0]
+    return len(roots), roots
+
+
+def phi_hat_by_quadrature(s: float, panels: int = 4000) -> float:
+    """Independent numerical Fourier transform of phi at s.
+
+    phi is even, so phi_hat(s) = 2 * int_0^inf phi(y) cos(2*pi*s*y) dy.
+    The head [0, panels] is integrated with 32-point Gauss-Legendre per
+    unit panel; the tail uses the expansion of phi into three cosine
+    frequencies {|s|, |s|+1, ||s|-1|} against 1/(8*y^2), each handled by
+    a four-term integration-by-parts series.  Avoid |s| so close to 1
+    that a tail frequency nearly vanishes; the stock check points stay
+    clear of that.
+    """
+    w = 2.0 * np.pi * abs(s)
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    starts = np.arange(panels, dtype=np.float64)
+    y = starts[:, None] + 0.5 * (nodes[None, :] + 1.0)
+    vals = phi_value(y) * np.cos(w * y)
+    head = float(np.sum(vals @ weights) * 0.5)
+    t = float(panels)
+    tail = (_cos_tail(w, t) - 0.5 * _cos_tail(2 * np.pi + w, t)
+            - 0.5 * _cos_tail(abs(2 * np.pi - w), t)) / 8.0
+    return 2.0 * (head + tail)
+
+
+def _cos_tail(omega: float, t: float) -> float:
+    """int_t^inf cos(omega*y) / y^2 dy by parts, four terms."""
+    if omega == 0.0:
+        return 1.0 / t
+    s_, c_ = math.sin(omega * t), math.cos(omega * t)
+    # d/dy chains: each integration by parts trades one power of y for 1/omega
+    return (-s_ / (omega * t**2)
+            + 2.0 * c_ / (omega**2 * t**3)
+            + 6.0 * s_ / (omega**3 * t**4)
+            - 24.0 * c_ / (omega**4 * t**5))
 
 
 def bracket_oracle(s: ModuliSet, n: int) -> tuple[float, float]:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sievelab import arith
+from sievelab import arith, oracles
 from sievelab.errors import NotInvertibleError
 
 
@@ -88,11 +88,22 @@ def test_crt_pair_reconstructs_residues():
     assert x % 4 == 1 and x % 9 == 2
 
 
+def test_squarefree_divisors_match_brute_force():
+    for n in range(1, 5001):
+        want = []
+        for d in range(1, n + 1):
+            if n % d == 0 and all(d % (p * p) for p in range(2, math.isqrt(d) + 1)):
+                want.append((d, (-1) ** len(arith.factorize(d))))
+        got = arith.squarefree_divisors(n)
+        assert got[0] == (1, 1)
+        assert sorted(got) == want
+
+
 @settings(max_examples=300)
 @given(st.integers(1, 600), st.integers(0, 10**6), st.integers(0, 10**6))
 def test_quad_roots_match_exhaustive_scan(k, g, l):
     cnt, roots = arith.quad_cong_roots(g, l, k)
-    scnt, sroots = arith.quad_cong_roots_scan(g, l, k)
+    scnt, sroots = oracles.quad_cong_roots_scan(g, l, k)
     assert cnt == scnt
     assert roots == sroots
     assert all((g * x * x - l) % k == 0 for x in roots)
@@ -105,7 +116,7 @@ def test_quad_roots_match_exhaustive_scan_on_small_prime_powers():
             for g in range(pe):
                 for l in range(pe):
                     assert arith.quad_cong_roots(g, l, pe) == \
-                        arith.quad_cong_roots_scan(g, l, pe)
+                        oracles.quad_cong_roots_scan(g, l, pe)
 
 
 def test_quad_roots_count_cap_for_coprime_inputs():

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import time
 import warnings
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sievelab import SHAPE_NAMES, BoundReport, cli
+from sievelab import SHAPE_NAMES, BoundReport, cli, counting
 from sievelab.cli import OPTIONS, emit_report, main, parse_args
 from sievelab.errors import (CapacityError, ConfigError, InputError,
                              InvalidDeltaError, InvalidRegimeError,
@@ -578,11 +579,43 @@ def test_k_delta_refuses_delta_before_enumerating(capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("FareySlabs built before the delta check")
 
-    monkeypatch.setattr(cli, "FareySlabs", fail)
+    monkeypatch.setattr(counting, "FareySlabs", fail)
     code, out, err = run_cli(capsys, "--cmd", "k-delta", "--delta", "0")
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("config error")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--moduli", "octave", "--q0", "2305843009213693952"],
+    ["--q", "3037000499"],
+], ids=["octave-2^61", "squares-int64"])
+def test_square_sets_past_capacity_exit_1_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "--cmd", "shapes", "--no-lhs", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:") and "capacity" in err
+
+
+@pytest.mark.parametrize("exc", [
+    MemoryError("Unable to allocate 256. GiB for an array with shape "
+                "(17179869184,) and data type complex128"),
+    MemoryError(),
+], ids=["numpy", "bare"])
+def test_memory_exhaustion_exits_1_with_one_line(capsys, monkeypatch, exc):
+    # raised by a stand-in, never by a real allocation: under overcommit
+    # the kernel may kill the process instead of raising
+    def exhausted(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "sieve_lhs", exhausted)
+    code, out, err = run_cli(capsys, "--cmd", "sieve-sum", "--n", "64")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert len(err.strip()) > len("error:")
 
 
 @pytest.mark.parametrize("cls", [ConfigError, OutOfRangeError, InvalidDeltaError,

@@ -17,7 +17,6 @@ from sievelab import (WindowQuery, count_window_ap, derive_subset,
                       primes_up_to_set, squares_up_to)
 from sievelab.counting import window_count_profile
 from sievelab.errors import EmptyModuliWarning, InvalidDeltaError
-from sievelab.moduli import FareySlabs
 from sievelab import oracles
 from sievelab.util import seeded_rng
 
@@ -86,60 +85,55 @@ def test_window_count_equals_oracle(data):
 
 
 def test_crowding_hand_case():
-    fl = enumerate_farey(_set_from([2, 3], 3))
+    s = _set_from([2, 3], 3)
     # fractions: 1/3, 1/2, 2/3
-    assert k_delta(fl, 1 / 12) == 2
-    assert k_delta(fl, 0.5) == 3
-    assert k_delta(fl, 0.01) == 1
-    assert k_delta(enumerate_farey(explicit_moduli([1])), 0.1) == 1
+    assert k_delta(s, 1 / 12) == 2
+    assert k_delta(s, 0.5) == 3
+    assert k_delta(s, 0.01) == 1
+    assert k_delta(explicit_moduli([1]), 0.1) == 1
     # alpha = 1/2 sees all of 1/4, 1/2, 3/4 at distance <= 1/4
-    assert k_delta(enumerate_farey(_set_from([2, 4], 4)), 0.25) == 3
+    assert k_delta(_set_from([2, 4], 4), 0.25) == 3
 
 
 def test_crowding_rejects_bad_delta():
-    fl = enumerate_farey(_set_from([2], 2))
+    s = _set_from([2], 2)
     with pytest.raises(InvalidDeltaError):
-        k_delta(fl, 0.0)
+        k_delta(s, 0.0)
     with pytest.raises(InvalidDeltaError):
-        k_delta(fl, 0.51)
+        k_delta(s, 0.51)
 
 
 def test_crowding_wraps_around_the_circle():
-    fl = enumerate_farey(explicit_moduli([1, 8]))
     # 1/8 and 1/1 are 1/8 apart on the circle
-    assert k_delta(fl, 1 / 15) == 2
+    assert k_delta(explicit_moduli([1, 8]), 1 / 15) == 2
 
 
-@pytest.fixture(scope="module")
-def farey_squares_208():
-    return enumerate_farey(squares_up_to(208))  # 1,830,773 fractions
+_WHOLE_LIST = 2**21  # one slab holds every fraction of squares up to 208
 
 
 @pytest.mark.parametrize("delta, want", [(1e-4, 424), (1e-2, 36669),
                                          (0.25, 915453), (0.5, 1830773)])
-def test_crowding_does_not_depend_on_the_slab_size(monkeypatch, farey_squares_208,
-                                                   delta, want):
+def test_crowding_does_not_depend_on_the_slab_size(monkeypatch, delta, want):
     # want is the count of the whole-list evaluation that preceded the slabs
     big = squares_up_to(208)
-    assert k_delta(farey_squares_208, delta) == want
-    for size in (2**12, 2**16):
+    for size in (_WHOLE_LIST, 2**12, 2**16):
         monkeypatch.setattr(moduli, "_FAREY_SLAB", size)
-        assert k_delta(FareySlabs(big), delta) == want
+        assert k_delta(big, delta) == want
     rng = seeded_rng(11)
     for _ in range(10):
         s = explicit_moduli(set(rng.integers(1, 100, size=int(rng.integers(1, 40))).tolist()))
-        monkeypatch.undo()
-        whole = k_delta(enumerate_farey(s), delta)
+        monkeypatch.setattr(moduli, "_FAREY_SLAB", _WHOLE_LIST)
+        whole = k_delta(s, delta)
         for size in (1, 97, 2**16):
             monkeypatch.setattr(moduli, "_FAREY_SLAB", size)
-            assert k_delta(FareySlabs(s), delta) == whole
+            assert k_delta(s, delta) == whole
 
 
 def test_crowding_memory_is_bounded_by_the_slab():
     # the whole list of squares up to 208 alone takes 44 MB
     tracemalloc.start()
     try:
-        assert k_delta(FareySlabs(squares_up_to(208)), 0.5) == 1830773
+        assert k_delta(squares_up_to(208), 0.5) == 1830773
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -149,15 +143,15 @@ def test_crowding_memory_is_bounded_by_the_slab():
 def test_crowding_of_an_empty_set_is_zero():
     with pytest.warns(EmptyModuliWarning):
         empty = explicit_moduli([])
-    assert k_delta(FareySlabs(empty), 0.1) == k_delta(enumerate_farey(empty), 0.1) == 0
+    assert k_delta(empty, 0.1) == 0
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.lists(st.integers(1, 30), min_size=1, max_size=10, unique=True),
        st.floats(0.01, 0.5))
 def test_crowding_equals_oracle(el, delta):
-    fl = enumerate_farey(_set_from(el, max(el)))
-    assert k_delta(fl, delta) == oracles.k_delta_oracle(fl, delta)
+    s = _set_from(el, max(el))
+    assert k_delta(s, delta) == oracles.k_delta_oracle(enumerate_farey(s), delta)
 
 
 @settings(max_examples=120, deadline=None)

@@ -12,7 +12,8 @@ from sievelab import (gauss_sum, gauss_sum_row, linear_phase_integral,
                       oscillatory_integral, phi_hat_value, phi_value,
                       poisson_residual)
 from sievelab.errors import NotCoprimeError, QuadratureError
-from sievelab.harmonic import phi_hat_by_quadrature, phi_pair
+from sievelab.harmonic import phi_pair
+from sievelab.oracles import phi_hat_by_quadrature
 
 
 def test_kernel_special_values():

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,37 @@ def test_octave_contains_exactly_the_straddling_squares():
     assert np.all(el > 10**6) and np.all(el <= 2 * 10**6)
     roots = np.sqrt(el.astype(float)).round().astype(np.int64)
     assert np.array_equal(roots * roots, el)
+
+
+def _octave_by_loop(q0):
+    """The squares in (q0, 2*q0], one candidate root at a time."""
+    out, c = [], max(1, math.isqrt(math.floor(q0)))
+    while c * c <= 2 * q0:
+        if c * c > q0:
+            out.append(c * c)
+        c += 1
+    return out
+
+
+def test_octave_closed_form_equals_the_loop():
+    grid = [k / 4 for k in range(1, 12001)]
+    grid += [1e-300, 0.5, 0.999999, 4.0000001, 1e13 + 0.5, 123456789.75]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EmptyModuliWarning)
+        for q0 in grid:
+            assert squares_in_octave(q0).elements.tolist() == _octave_by_loop(q0), q0
+
+
+@pytest.mark.parametrize("build, count", [
+    (lambda: squares_up_to(3037000499), 3037000499),
+    (lambda: squares_up_to(10**8 + 1), 10**8 + 1),
+    (lambda: squares_in_octave(2.0**61), 628983399),
+], ids=["up-to-int64", "up-to-cap", "octave-2^61"])
+def test_square_sets_past_capacity_are_refused_before_allocating(build, count):
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match=f"needs {count} moduli"):
+        build()
+    assert time.perf_counter() - start < 1.0
 
 
 def test_primes_set():
