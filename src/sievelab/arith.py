@@ -136,7 +136,10 @@ def quad_cong_roots(g: int, l: int, k: int) -> tuple[int, list[int]]:
     acc_mod = 1
     sols = [0]
     for pe, roots in per_factor:
-        sols = [crt_pair(x, acc_mod, y, pe) for x in sols for y in roots]
+        # crt_pair for every (x, y), with its one inverse taken once
+        inv = mod_inv(acc_mod % pe, pe)
+        sols = [(x + acc_mod * (((y - x) * inv) % pe)) % (acc_mod * pe)
+                for x in sols for y in roots]
         acc_mod *= pe
     sols.sort()
     return len(sols), sols

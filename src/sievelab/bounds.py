@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,12 +36,13 @@ from .counting import window_count_profile
 from .errors import (CapacityError, InvalidRegimeError, NotCoprimeError,
                      OutOfRangeError, ShapeDomainError)
 from .moduli import ModuliSet, derive_subset
-from .sequences import CoefficientSequence
+from .sequences import _PIECE, CoefficientSequence
 from .arith import divisors, squarefree_divisors
-from .util import fmt17
+from .util import PairwiseSum, fmt17
 
 _REGIME_SLACK = 1e-12
 _BRACKET_CHUNK = 1 << 22  # (h, row, z) entries one bracket gather may hold
+_MAX_Z_GRID = _BRACKET_CHUNK  # a grid row of z values fits in one gather chunk
 
 SHAPE_NAMES = (
     "classical",
@@ -57,21 +59,84 @@ SHAPE_NAMES = (
 )
 
 
-def _fold(values: np.ndarray, q: int) -> np.ndarray:
-    """Residue-class sums of values[i] over i mod q.
+class _Fold:
+    """Residue-class sums of a sequence mod q, fed its pieces in order.
 
-    values[i] holds a_{i+1}, so these are the buckets of n mod q shifted
-    cyclically by one place; every norm taken of a fold is invariant
-    under that shift.  The sequence is reshaped, not copied or indexed.
+    fold[i mod q] sums the a_{i+1}: the buckets of n mod q shifted
+    cyclically by one place, and every norm taken of a fold is invariant
+    under that shift.  The sums equal, bit for bit, numpy's over the
+    whole array.  For q >= 2 that is values.reshape(-1, q).sum(0), which
+    adds the rows in order: partial rows at piece edges are added in
+    place, and the running fold is added into a piece's first whole row
+    (saved and restored), so that sum(0) of its rows continues the same
+    chain of additions.  At q = 1 it is numpy's pairwise sum of the
+    complex values, rebuilt by PairwiseSum.
     """
-    full = values.size - values.size % q
-    fold = values[:full].reshape(-1, q).sum(0)
-    fold[: values.size - full] += values[full:]
-    return fold
+
+    def __init__(self, q: int, n: int):
+        self.q = q
+        self._sum = np.zeros(q, dtype=np.complex128)
+        self._at = 0
+        self._pairwise = PairwiseSum(n, 2, _PIECE) if q == 1 else None
+
+    def add(self, piece: np.ndarray) -> None:
+        """Fold in the next piece; piece is written to but restored."""
+        if self._pairwise is not None:
+            self._pairwise.add(piece)
+            return
+        q = self.q
+        at = self._at % q
+        head = min(q - at, piece.size) if at else 0
+        self._sum[at : at + head] += piece[:head]
+        rows = (piece.size - head) // q
+        if rows == 1:  # the same one addition, without the save and restore
+            self._sum += piece[head : head + q]
+        elif rows:
+            body = piece[head : head + rows * q].reshape(rows, q)
+            first = body[0].copy()
+            body[0] += self._sum
+            body.sum(0, out=self._sum)
+            body[0] = first
+        tail = piece[head + rows * q :]
+        self._sum[: tail.size] += tail
+        self._at += piece.size
+
+    def result(self) -> np.ndarray:
+        """The fold, once every piece is in."""
+        if self._pairwise is not None:
+            return np.array([self._pairwise.total()])
+        return self._sum
 
 
-def _modulus_term(values: np.ndarray, q: int) -> float:
-    """Sum of |S(a/q)|^2 over a mod q coprime to q.
+def _folds(seq: CoefficientSequence, qs: list[int], pool=None, workers: int = 1) -> list:
+    """The length-q fold of seq for every q in qs, from one pass.
+
+    The pieces are drawn in order on this thread.  Each of the workers
+    folds every workers-th modulus, from its own copy of the piece, while
+    this thread draws the next one.
+    """
+    folds = [_Fold(q, seq.N) for q in qs]
+
+    def fold_share(w: int, piece: np.ndarray) -> None:
+        own = piece.copy()
+        for f in folds[w::workers]:
+            f.add(own)
+
+    pending = []
+    for piece in seq.pieces():
+        for task in pending:
+            task.result()
+        if pool is None:
+            fold_share(0, piece)
+        else:
+            pending = [pool.submit(fold_share, w, piece) for w in range(workers)]
+    for task in pending:
+        task.result()
+    return [f.result() for f in folds]
+
+
+def _modulus_term(fold: np.ndarray) -> float:
+    """Sum of |S(a/q)|^2 over a mod q coprime to q, from the length-q fold.
 
     Parseval at each divisor d of q gives sum over all a mod d of
     |S(a/d)|^2 = d * ||fold_d||^2, and Moebius inversion over the reduced
@@ -79,7 +144,7 @@ def _modulus_term(values: np.ndarray, q: int) -> float:
     over squarefree m | q of mu(m) * (q/m) * ||fold_{q/m}||^2.  Each
     fold_{q/m} is refolded from the length-q fold.
     """
-    fold = _fold(values, q)
+    q = fold.size
     total = 0.0
     for m, sign in squarefree_divisors(q):
         part = fold.reshape(m, q // m).sum(0)
@@ -88,27 +153,44 @@ def _modulus_term(values: np.ndarray, q: int) -> float:
     return total
 
 
+def _batches(qs: list[int], capacity: int):
+    """qs cut into consecutive runs whose folds fit in capacity entries."""
+    batch, held = [], 0
+    for q in qs:
+        if batch and held + q > capacity:
+            yield batch
+            batch, held = [], 0
+        batch.append(q)
+        held += q
+    if batch:
+        yield batch
+
+
 def sieve_lhs(seq: CoefficientSequence, s: ModuliSet, threads: int = 1,
               capacity: int = 10**8) -> float:
     """Sum over q in s and reduced a mod q of |S(a/q)|^2.
 
-    Each modulus costs one pass over the sequence plus O(q * 2^omega(q))
-    for its refolds; no transform is taken.  capacity caps the fold
-    entries held at once, the largest modulus times the number of
-    moduli in flight.  Work is split per modulus; partial sums are
-    always reduced in element order, so the result is identical for
-    every thread count.
+    The sequence streams past the folds of all moduli in pieces, so
+    memory is one piece per worker plus the folds, never N values; each
+    modulus then costs O(q * 2^omega(q)) for its refolds, and no
+    transform is taken.  capacity caps the fold entries: the largest
+    modulus times the moduli in flight (min(threads, |s|)) must fit, or
+    nothing runs; moduli whose folds together exceed it are taken in
+    consecutive batches, one pass over the sequence each.  Each fold is
+    built by one worker in element order and the terms are reduced in
+    element order, so the result is identical for every thread count.
     """
     qs = [int(q) for q in s.elements]
     entries = max(qs, default=0) * min(threads, len(qs))
     if entries > capacity:
         raise CapacityError(f"sieve sum folds need {16 * entries} bytes "
                             f"({entries} entries), over capacity {capacity} entries")
-    if threads > 1 and len(qs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            terms = list(pool.map(lambda q: _modulus_term(seq.values, q), qs))
-    else:
-        terms = [_modulus_term(seq.values, q) for q in qs]
+    workers = max(1, min(threads, len(qs)))
+    terms = []
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        for batch in _batches(qs, capacity):
+            folds = _folds(seq, batch, pool, workers)
+            terms += pool.map(_modulus_term, folds) if pool else map(_modulus_term, folds)
     total = 0.0
     for term in terms:
         total += term
@@ -318,13 +400,19 @@ def sieve_bracket(s: ModuliSet, n: int, z_grid: int = 64, mode: str = "grid",
     lower bound of the true supremum that never decreases under grid
     refinement (refined grids contain the coarse points exactly).  Exact
     mode enumerates the breakpoints of the piecewise-constant objective
-    instead; it is the slow reference.
+    instead; it is the slow reference.  A grid row of z values must fit
+    in one gather chunk, so z_grid above _MAX_Z_GRID is refused before
+    anything is built.
     """
     n = int(n)
     if n < 4:
         raise OutOfRangeError("bracket needs N >= 4")
     if mode not in ("grid", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "grid" and z_grid > _MAX_Z_GRID:
+        raise CapacityError(f"a z-grid of {z_grid} points needs {8 * z_grid} bytes "
+                            f"per (h, row), over the {_MAX_Z_GRID} entries "
+                            f"one bracket gather holds")
     rs = range(1, math.isqrt(n) + 1)
     # the divisors of every r are 1..sqrt(N): build each dilate once, up
     # front, so that the workers only read them

@@ -1,6 +1,12 @@
 """Complex coefficient sequences (a_n) for n = 1..N and their
 trigonometric sums S(alpha) = sum_n a_n e(n*alpha), e(x) = exp(2*pi*i*x).
 
+A sequence is read in order, in pieces of at most _PIECE coefficients,
+so a pass over it holds one piece, never all N values.  The stock
+sequences draw each piece when a pass reaches it; an explicit array is
+read as slices of itself.  The whole array (values) is built only on
+request, by the pointwise evaluators below and the oracles.
+
 Two evaluation routes are provided.  eval_exp_sum is the direct O(N)
 evaluation at one real point, with the phase argument reduced mod 1
 before the exponential so large n*alpha does not destroy precision.
@@ -13,33 +19,84 @@ Sieve sums need only norms of the buckets and are formed in bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import OutOfRangeError, SequenceFileError
-from .util import cexp, seeded_rng
+from .util import PairwiseSum, cexp, seeded_rng
 
 _KINDS = ("ones", "delta", "random_signs", "random_phases", "focused", "from_file")
 _MAX_N = int(np.iinfo(np.intp).max) // 16  # the most complex128 values one array holds
+_PIECE = 1 << 16  # coefficients per piece: the most any pass holds at once
 
 
-@dataclass(frozen=True)
 class CoefficientSequence:
-    """Finitely supported coefficients; values[i] holds a_{i+1}."""
+    """Finitely supported coefficients a_1..a_N; values[i] holds a_{i+1}.
 
-    values: np.ndarray
-    N: int
-    Z: float = field(default=0.0)
+    CoefficientSequence(values, N) wraps an explicit array.  pieces()
+    yields the coefficients in order, in arrays of at most _PIECE.  Z,
+    the power sum of |a_n|^2, is a by-product of the first complete
+    pass and equals np.sum(np.abs(values) ** 2) bit for bit.
+    """
 
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.complex128)
+    def __init__(self, values, N: int):
+        v = np.asarray(values, dtype=np.complex128)
         v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-        if self.N != v.size or self.N < 1:
+        if N != v.size or N < 1:
             raise ValueError("N must equal len(values) and be >= 1")
-        z = float(np.sum(np.abs(v) ** 2))
-        object.__setattr__(self, "Z", z)
+        self.N = N
+        self._values = v
+        self._z = None
+
+    def _draw(self):
+        """The pieces of one pass."""
+        return (self._values[i : i + _PIECE] for i in range(0, self.N, _PIECE))
+
+    def pieces(self):
+        """The coefficients in order, in arrays of at most _PIECE, which
+        callers must not write to."""
+        z = PairwiseSum(self.N, 1, _PIECE) if self._z is None else None
+        for piece in self._draw():
+            if z is not None:
+                z.add(np.abs(piece) ** 2)
+            yield piece
+        if z is not None:
+            self._z = float(z.total())
+
+    @property
+    def Z(self) -> float:
+        if self._z is None:
+            for _ in self.pieces():
+                pass
+        return self._z
+
+    @property
+    def values(self) -> np.ndarray:
+        """All N coefficients as one read-only array, built on first use."""
+        if self._values is None:
+            v = np.empty(self.N, dtype=np.complex128)
+            for i, piece in zip(range(0, self.N, _PIECE), self.pieces()):
+                v[i : i + piece.size] = piece
+            v.setflags(write=False)
+            self._values = v
+        return self._values
+
+
+class _DrawnSequence(CoefficientSequence):
+    """A stock sequence: every pass draws its pieces afresh, from a new
+    generator on the same seed, so all passes read the same values."""
+
+    def __init__(self, N: int, seed, piece):
+        self.N = N
+        self._values = None
+        self._z = None
+        self._seed = seed
+        self._piece = piece  # piece(rng, lo, hi) -> a_{lo+1} .. a_hi
+
+    def _draw(self):
+        rng = seeded_rng(self._seed)
+        return (self._piece(rng, lo, min(lo + _PIECE, self.N))
+                for lo in range(0, self.N, _PIECE))
 
 
 def make_sequence(kind: str, N: int, *, n0: int | None = None, seed=0,
@@ -52,6 +109,10 @@ def make_sequence(kind: str, N: int, *, n0: int | None = None, seed=0,
     random_phases   a_n uniform on the unit circle, from seed
     focused         a_n = e(-n*beta), so S(beta) = N
     from_file       text file, line n holds "re im"
+
+    Nothing is drawn here: each piece is drawn when a pass reaches it,
+    the random kinds from one generator per pass, so a piece holds the
+    same values as the matching slice of one draw of all N.
     """
     if kind not in _KINDS:
         raise OutOfRangeError(f"unknown sequence kind {kind!r}")
@@ -60,23 +121,30 @@ def make_sequence(kind: str, N: int, *, n0: int | None = None, seed=0,
     if not 1 <= N <= _MAX_N:
         raise OutOfRangeError(f"sequence length must be in 1..{_MAX_N}")
     if kind == "ones":
-        v = np.ones(N, dtype=np.complex128)
+        def piece(rng, lo, hi):
+            return np.ones(hi - lo, dtype=np.complex128)
     elif kind == "delta":
         if n0 is None or not 1 <= n0 <= N:
             raise OutOfRangeError(f"delta position n0={n0} outside 1..{N}")
-        v = np.zeros(N, dtype=np.complex128)
-        v[n0 - 1] = 1.0
+
+        def piece(rng, lo, hi):
+            v = np.zeros(hi - lo, dtype=np.complex128)
+            if lo < n0 <= hi:
+                v[n0 - 1 - lo] = 1.0
+            return v
     elif kind == "random_signs":
-        rng = seeded_rng(seed)
-        v = (rng.integers(0, 2, N) * 2 - 1).astype(np.complex128)
+        def piece(rng, lo, hi):
+            return (rng.integers(0, 2, hi - lo) * 2 - 1).astype(np.complex128)
     elif kind == "random_phases":
-        rng = seeded_rng(seed)
-        v = cexp(rng.random(N))
+        def piece(rng, lo, hi):
+            return cexp(rng.random(hi - lo))
     else:  # focused
         if beta is None or not 0.0 <= beta < 1.0:
             raise OutOfRangeError(f"focus point beta={beta} outside [0, 1)")
-        v = cexp(-beta * np.arange(1, N + 1))
-    return CoefficientSequence(values=v, N=N)
+
+        def piece(rng, lo, hi):
+            return cexp(-beta * np.arange(lo + 1, hi + 1))
+    return _DrawnSequence(N, seed, piece)
 
 
 def sequence_from_file(path: str) -> CoefficientSequence:

@@ -1,4 +1,5 @@
-"""Small shared helpers: the complex exponential, sieves, deterministic RNG."""
+"""Small shared helpers: the complex exponential, streamed pairwise sums,
+sieves, deterministic RNG."""
 
 from __future__ import annotations
 
@@ -26,6 +27,54 @@ def cexp(x):
     if np.any(hit):
         out = np.where(hit, _QUARTER_TURNS[quarters.astype(np.int64) & 3], out)
     return out
+
+
+class PairwiseSum:
+    """np.sum of a contiguous length-n array that arrives in consecutive
+    pieces, bit for bit.
+
+    numpy sums a contiguous block of m scalars pairwise: while m > 128
+    it splits the block at m//2 rounded down to a multiple of 8 and adds
+    the two halves' sums.  A complex128 element is two scalars (scalars
+    = 2), so its tree differs from the float64 tree (scalars = 1) of the
+    same length.  Each node of at most cap elements is summed by np.sum
+    itself once its elements have arrived, and the node sums are added
+    along the tree by total().
+    """
+
+    def __init__(self, n: int, scalars: int, cap: int):
+        self._sizes: list[int] = []
+        self._tree = self._split(n, scalars, cap)
+        self._sums: list = []
+        self._held: list[np.ndarray] = []
+
+    def _split(self, m: int, scalars: int, cap: int):
+        if m <= cap:
+            self._sizes.append(m)
+            return len(self._sizes) - 1
+        half = m * scalars // 2
+        half = (half - half % 8) // scalars
+        return (self._split(half, scalars, cap), self._split(m - half, scalars, cap))
+
+    def add(self, piece: np.ndarray) -> None:
+        """Take the next elements; piece may be reused once this returns."""
+        i = 0
+        while i < piece.size:
+            want = self._sizes[len(self._sums)] - sum(p.size for p in self._held)
+            part = piece[i : i + want]
+            i += part.size
+            if part.size < want:
+                self._held.append(part.copy())
+            else:
+                self._sums.append(np.sum(np.concatenate([*self._held, part])
+                                         if self._held else part))
+                self._held = []
+
+    def total(self):
+        """The sum, once all n elements are in."""
+        def node(t):
+            return self._sums[t] if isinstance(t, int) else node(t[0]) + node(t[1])
+        return node(self._tree)
 
 
 def primes_up_to(n: int) -> list[int]:

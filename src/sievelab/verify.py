@@ -362,8 +362,9 @@ _MOEBIUS_RTOL = 1e-12
 
 def _moebius_scale(seq: sequences.CoefficientSequence, s: moduli.ModuliSet) -> float:
     """Sum over q in s and squarefree m | q of (q/m) * ||fold_{q/m}||^2."""
-    return sum((q // m) * float(np.sum(np.abs(bounds._fold(seq.values, q // m)) ** 2))
-               for q in map(int, s.elements) for m, _ in arith.squarefree_divisors(q))
+    ds = [q // m for q in map(int, s.elements) for m, _ in arith.squarefree_divisors(q)]
+    return sum(d * float(np.sum(np.abs(fold) ** 2))
+               for d, fold in zip(ds, bounds._folds(seq, ds)))
 
 
 def moebius_checks(lengths, naive_trials: int, seed: int) -> CheckResult:

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sievelab import (SHAPE_NAMES, BoundReport, WindowQuery, bound_shapes,
+from sievelab import (SHAPE_NAMES, BoundReport, CoefficientSequence,
+                      WindowQuery, bound_shapes,
                       build_report, crowding_shape_estimates, derive_subset,
                       explicit_moduli, farey_crowding_shape, make_sequence,
                       primes_up_to_set, sieve_bracket, sieve_lhs,
@@ -125,6 +126,77 @@ def test_lhs_capacity_counts_moduli_in_flight():
     assert sieve_lhs(seq, s, capacity=200) == sieve_lhs(seq, s)
     with pytest.raises(CapacityError, match="6400 bytes"):
         sieve_lhs(seq, s, threads=2, capacity=200)
+
+
+# Several pieces, and a multiple of neither 8 nor the piece length
+_STREAM_N = 3 * 2**16 + 12345
+# q = 1 (pairwise), small q, and q past the piece length (70000, 100003)
+_STREAM_MODULI = [1, 2, 3, 4, 49, 1024, 43264, 70000, 100003]
+
+
+def _reshape_fold(values, q):
+    """The whole-array fold the streamed one must equal bit for bit."""
+    full = values.size - values.size % q
+    fold = values[:full].reshape(-1, q).sum(0)
+    fold[: values.size - full] += values[full:]
+    return fold
+
+
+def _stream_sequences():
+    rng = seeded_rng(11)
+    n = _STREAM_N
+    explicit = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return [make_sequence("ones", n), make_sequence("delta", n, n0=2**16 + 3),
+            make_sequence("random_signs", n, seed=4),
+            make_sequence("random_phases", n, seed=4),
+            make_sequence("focused", n, beta=1 / 3),
+            CoefficientSequence(explicit, n)]
+
+
+@pytest.mark.parametrize("seq", _stream_sequences(),
+                         ids=["ones", "delta", "random_signs", "random_phases",
+                              "focused", "explicit"])
+def test_streamed_pass_equals_the_whole_array_bit_for_bit(seq):
+    s = explicit_moduli(_STREAM_MODULI)
+    lhs = sieve_lhs(seq, s)
+    z = seq.Z  # taken during the pass above
+    values = seq.values
+    assert z == float(np.sum(np.abs(values) ** 2))
+    folds = bounds_mod._folds(seq, _STREAM_MODULI)
+    want = [_reshape_fold(values, q) for q in _STREAM_MODULI]
+    for got, ref in zip(folds, want):
+        assert np.array_equal(got.view(np.float64), ref.view(np.float64))
+    total = 0.0
+    for ref in want:
+        total += bounds_mod._modulus_term(ref)
+    assert lhs == total
+
+
+def test_streamed_pass_is_the_same_at_two_threads():
+    s = explicit_moduli(_STREAM_MODULI)
+    for seq in _stream_sequences()[2:]:
+        assert sieve_lhs(seq, s, threads=1) == sieve_lhs(seq, s, threads=2)
+
+
+def test_batched_passes_equal_one_pass():
+    s = explicit_moduli(_STREAM_MODULI)
+    held = sum(_STREAM_MODULI)
+    for seq in _stream_sequences()[3:]:
+        whole = sieve_lhs(seq, s)
+        assert sieve_lhs(seq, s, capacity=held - 1) == whole  # two batches
+        assert sieve_lhs(seq, s, capacity=100003) == whole
+        assert sieve_lhs(seq, s, threads=2, capacity=2 * 100003) == whole
+
+
+def test_sieve_sum_memory_is_bounded_by_the_piece():
+    seq = make_sequence("random_phases", 2**22)  # values alone: 64 MB
+    tracemalloc.start()
+    try:
+        sieve_lhs(seq, squares_up_to(8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
 
 
 # ------------------------------------------------------------ the bracket
@@ -470,6 +542,15 @@ def test_grid_bracket_equals_per_h_oracle(s, n, z_grid):
     want = oracles.grid_bracket_oracle(s, n, z_grid)
     assert sieve_bracket(s, n, z_grid=z_grid) == want
     assert sieve_bracket(s, n, z_grid=z_grid, threads=2) == want
+
+
+def test_bracket_refuses_a_z_grid_past_one_gather_chunk(monkeypatch):
+    def fail(*args):
+        raise AssertionError("dilates built before the z-grid check")
+
+    monkeypatch.setattr(bounds_mod, "derive_subset", fail)
+    with pytest.raises(CapacityError, match="4000000000 points"):
+        sieve_bracket(primes_up_to_set(300), 4096, z_grid=4 * 10**9)
 
 
 def test_bracket_h_chunks_do_not_change_b(monkeypatch):

@@ -599,6 +599,15 @@ def test_square_sets_past_capacity_exit_1_at_once(capsys, argv):
     assert err.count("\n") == 1 and err.startswith("error:") and "capacity" in err
 
 
+def test_oversized_z_grid_exits_1_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "--cmd", "bracket", "--z-grid", "4000000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:") and "z-grid" in err
+
+
 @pytest.mark.parametrize("exc", [
     MemoryError("Unable to allocate 256. GiB for an array with shape "
                 "(17179869184,) and data type complex128"),

@@ -1,5 +1,8 @@
 """Coefficient sequences and trigonometric polynomial evaluation."""
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 
 from sievelab import (CoefficientSequence, eval_at_modulus, eval_exp_sum,
                       make_sequence, sequence_from_file)
+from sievelab import sequences
 from sievelab.errors import OutOfRangeError, SequenceFileError
 
 
@@ -97,6 +101,29 @@ def test_energy_is_computed_from_values():
     seq = CoefficientSequence(np.array([3.0, 4.0j]), 2)
     assert seq.Z == 25.0
     assert seq.N == 2
+
+
+def test_a_huge_sequence_is_built_at_once_without_its_values():
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        seq = make_sequence("ones", 2**34)  # values would be 256 GiB
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 2**20
+    assert seq.N == 2**34
+    assert next(seq.pieces()).size == sequences._PIECE
+
+
+def test_pieces_are_the_values_in_order():
+    n = 2 * sequences._PIECE + 5
+    for seq in (make_sequence("random_phases", n, seed=3),
+                CoefficientSequence(np.arange(n) * 1j, n)):
+        parts = list(seq.pieces())
+        assert [p.size for p in parts] == [sequences._PIECE] * 2 + [5]
+        assert np.array_equal(np.concatenate(parts), seq.values)
 
 
 def test_file_round_trip(tmp_path):
