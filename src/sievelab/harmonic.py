@@ -18,6 +18,7 @@ with doubling until two refinements agree.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -26,8 +27,6 @@ from .errors import NotCoprimeError, QuadratureError
 from .util import cexp
 
 _QUAD_NODES = 16
-# Gauss-Legendre nodes and weights on [-1, 1], computed once
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_QUAD_NODES)
 _PANEL_BUDGET = 1 << 20
 
 
@@ -46,6 +45,13 @@ def phi_hat_value(s):
 def phi_pair(x: float) -> tuple[float, float]:
     """(phi(x), phi_hat(x)) at one point."""
     return float(phi_value(x)), float(phi_hat_value(x))
+
+
+@functools.cache
+def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # computed once per n, on first use: importing numpy.polynomial at
+    # module load would slow every command's start-up
+    return np.polynomial.legendre.leggauss(n)
 
 
 def gauss_sum(k: int, l: int, c: int) -> complex:
@@ -132,6 +138,7 @@ def oscillatory_integral(j: int, l: int, r_star: int, z: float, q0: float,
 
 
 def _osc_eval(j: int, l: int, r_star: int, z: float, q0: float, panels: int) -> complex:
+    nodes, weights = _gl_nodes(_QUAD_NODES)
     width = q0 / panels
     total = 0.0 + 0.0j
     # chunk panels so the node matrix stays within memory
@@ -139,8 +146,8 @@ def _osc_eval(j: int, l: int, r_star: int, z: float, q0: float, panels: int) -> 
     for start in range(0, panels, chunk):
         stop = min(panels, start + chunk)
         left = q0 + width * np.arange(start, stop, dtype=np.float64)
-        y = left[:, None] + 0.5 * width * (_GL_NODES[None, :] + 1.0)
+        y = left[:, None] + 0.5 * width * (nodes[None, :] + 1.0)
         ph = j * z * y - l * np.sqrt(y) / r_star
         vals = cexp(ph)
-        total += complex(np.sum(vals @ _GL_WEIGHTS) * 0.5 * width)
+        total += complex(np.sum(vals @ weights) * 0.5 * width)
     return total

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -176,6 +177,20 @@ def test_streamed_pass_is_the_same_at_two_threads():
     s = explicit_moduli(_STREAM_MODULI)
     for seq in _stream_sequences()[2:]:
         assert sieve_lhs(seq, s, threads=1) == sieve_lhs(seq, s, threads=2)
+
+
+def test_streamed_pass_holds_under_thread_stress():
+    # more workers than cores, switching threads as often as possible
+    s = explicit_moduli(_STREAM_MODULI)
+    seq = make_sequence("random_phases", _STREAM_N, seed=9)
+    want = sieve_lhs(seq, s)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = sieve_lhs(seq, s, threads=5)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
 
 
 def test_batched_passes_equal_one_pass():
