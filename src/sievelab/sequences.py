@@ -75,8 +75,10 @@ class CoefficientSequence:
         """All N coefficients as one read-only array, built on first use."""
         if self._values is None:
             v = np.empty(self.N, dtype=np.complex128)
-            for i, piece in zip(range(0, self.N, _PIECE), self.pieces()):
+            i = 0
+            for piece in self.pieces():
                 v[i : i + piece.size] = piece
+                i += piece.size
             v.setflags(write=False)
             self._values = v
         return self._values
