@@ -38,11 +38,13 @@ from .errors import (CapacityError, InvalidRegimeError, NotCoprimeError,
 from .moduli import ModuliSet, derive_subset
 from .sequences import _PIECE, CoefficientSequence
 from .arith import divisors, squarefree_divisors
+from . import util
 from .util import PairwiseSum, fmt17
 
 _REGIME_SLACK = 1e-12
 _BRACKET_CHUNK = 1 << 22  # (h, row, z) entries one bracket gather may hold
 _MAX_Z_GRID = _BRACKET_CHUNK  # a grid row of z values fits in one gather chunk
+_FOLD_BYTES = 16  # one complex128 fold entry
 
 SHAPE_NAMES = (
     "classical",
@@ -153,11 +155,11 @@ def _modulus_term(fold: np.ndarray) -> float:
     return total
 
 
-def _batches(qs: list[int], capacity: int):
-    """qs cut into consecutive runs whose folds fit in capacity entries."""
+def _batches(qs: list[int], entries: int):
+    """qs cut into consecutive runs whose folds fit in the given entries."""
     batch, held = [], 0
     for q in qs:
-        if batch and held + q > capacity:
+        if batch and held + q > entries:
             yield batch
             batch, held = [], 0
         batch.append(q)
@@ -166,29 +168,25 @@ def _batches(qs: list[int], capacity: int):
         yield batch
 
 
-def sieve_lhs(seq: CoefficientSequence, s: ModuliSet, threads: int = 1,
-              capacity: int = 10**8) -> float:
+def sieve_lhs(seq: CoefficientSequence, s: ModuliSet, threads: int = 1) -> float:
     """Sum over q in s and reduced a mod q of |S(a/q)|^2.
 
     The sequence streams past the folds of all moduli in pieces, so
     memory is one piece per worker plus the folds, never N values; each
     modulus then costs O(q * 2^omega(q)) for its refolds, and no
-    transform is taken.  capacity caps the fold entries: the largest
-    modulus times the moduli in flight (min(threads, |s|)) must fit, or
-    nothing runs; moduli whose folds together exceed it are taken in
+    transform is taken.  The folds of the moduli in flight (the largest
+    modulus, min(threads, |s|) times) must fit in util.CAPACITY bytes,
+    or nothing runs; moduli whose folds together exceed it are taken in
     consecutive batches, one pass over the sequence each.  Each fold is
     built by one worker in element order and the terms are reduced in
     element order, so the result is identical for every thread count.
     """
     qs = [int(q) for q in s.elements]
-    entries = max(qs, default=0) * min(threads, len(qs))
-    if entries > capacity:
-        raise CapacityError(f"sieve sum folds need {16 * entries} bytes "
-                            f"({entries} entries), over capacity {capacity} entries")
     workers = max(1, min(threads, len(qs)))
+    util.reserve("sieve sum", max(qs, default=0) * workers, "fold entries", _FOLD_BYTES)
     terms = []
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        for batch in _batches(qs, capacity):
+        for batch in _batches(qs, util.CAPACITY // _FOLD_BYTES):
             folds = _folds(seq, batch, pool, workers)
             terms += pool.map(_modulus_term, folds) if pool else map(_modulus_term, folds)
     total = 0.0

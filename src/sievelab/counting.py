@@ -248,9 +248,10 @@ def pi_count(s: ModuliSet, b: int, r: int, z: float, delta: float, y: float) -> 
     """Pairs (q, m): q in S within [y-delta, y+delta], m = -b*q (mod r),
     m != 0, and m inside [(y-4*delta)*r*z, (y+4*delta)*r*z].
 
-    Exact by direct enumeration of the arithmetic progression of m per
-    eligible q.  The m-interval is taken literally, so it is empty when
-    its endpoints are out of order.
+    Exact, in closed form per eligible q: the m = rho (mod r) in [lo, hi]
+    start at m0 and number (hi - m0)//r + 1, less one when 0 is among
+    them.  The m-interval is taken literally, so it is empty when its
+    endpoints are out of order.
     """
     if r < 1:
         raise ValueError("need r >= 1")
@@ -261,18 +262,13 @@ def pi_count(s: ModuliSet, b: int, r: int, z: float, delta: float, y: float) -> 
     jhi = (y + 4.0 * delta) * r * z
     if jhi < jlo:
         return 0
+    lo, hi = math.ceil(jlo), math.floor(jhi)
     total = 0
     for q in el[qlo:qhi]:
         if not (y - delta <= q <= y + delta):
             continue
         rho = (-b * int(q)) % r
-        m = rho + r * math.ceil((jlo - rho) / r)
-        while m < jlo:
-            m += r
-        while m - r >= jlo:
-            m -= r
-        while m <= jhi:
-            if m != 0:
-                total += 1
-            m += r
+        m0 = lo + (rho - lo) % r
+        if m0 <= hi:
+            total += (hi - m0) // r + 1 - (rho == 0 and m0 <= 0 <= hi)
     return total

@@ -37,7 +37,7 @@ class InvalidRegimeError(InputError):
 
 
 class CapacityError(SieveLabError):
-    """Raised when an enumeration would exceed its configured size limit."""
+    """Raised, before allocating, when a request is over its byte capacity."""
 
 
 class QuadratureError(SieveLabError):

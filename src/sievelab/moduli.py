@@ -17,16 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import util
 from .arith import factorize, quad_cong_roots, squarefree_divisors
-from .errors import (CapacityError, EmptyModuliWarning, OutOfRangeError,
-                     SequenceFileError)
-from .util import primes_up_to
+from .errors import EmptyModuliWarning, OutOfRangeError, SequenceFileError
 
 _REL_SLACK = 1e-9  # containment checks allow this much relative float slack
 _INT64_MAX = int(np.iinfo(np.int64).max)  # every modulus is an int64
 _FAREY_Q_LIMIT = 1 << 26  # below it, distinct reduced fractions have distinct floats
 _FAREY_SLAB = 1 << 14  # fractions one Farey slab holds, about
-_SET_CAPACITY = 10**8  # moduli a squares set may hold
 
 
 @dataclass(frozen=True)
@@ -92,10 +90,8 @@ def squares_in_octave(q0: float) -> ModuliSet:
 
 
 def _squares(lo: int, hi: int) -> np.ndarray:
-    """c^2 for lo <= c < hi, refused before allocating past _SET_CAPACITY."""
-    if hi - lo > _SET_CAPACITY:
-        raise CapacityError(f"square moduli set needs {hi - lo} moduli, "
-                            f"over capacity {_SET_CAPACITY}")
+    """c^2 for lo <= c < hi, at 18 bytes a modulus: the set's checks peak at 17."""
+    util.reserve("square moduli set", hi - lo, "moduli", 18)
     return np.arange(lo, hi, dtype=np.int64) ** 2
 
 
@@ -103,8 +99,9 @@ def primes_up_to_set(q: int) -> ModuliSet:
     """The primes inside (0, q]."""
     if not 1 <= q <= _INT64_MAX:
         raise OutOfRangeError(f"need 1 <= q <= {_INT64_MAX}")
-    ps = primes_up_to(q)
-    return _warn_if_empty(ModuliSet(np.array(ps, dtype=np.int64), 0.0, float(q),
+    # a byte a slot, 8 a prime; pi(q) < 1.25506 q / ln q (Rosser-Schoenfeld)
+    util.reserve("prime sieve", q + 1, "slots", 1 + 8 * 1.25506 / math.log(max(q, 2)))
+    return _warn_if_empty(ModuliSet(util.primes_up_to(q), 0.0, float(q),
                                     "primes_up_to", float(q)))
 
 
@@ -295,17 +292,15 @@ def _runs(count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return run, np.arange(run.size) - (np.cumsum(count) - count)[run]
 
 
-def enumerate_farey(s: ModuliSet, capacity: int = 10**8) -> FareyList:
+def enumerate_farey(s: ModuliSet) -> FareyList:
     """All fractions a/q, 1 <= a <= q, gcd(a, q) = 1, q in S, sorted by value.
 
-    The concatenated FareySlabs of s.  The list has sum phi(q) entries; a
-    CapacityError fires before anything is allocated when that sum
-    exceeds `capacity`.
+    The concatenated FareySlabs of s, sum phi(q) entries, reserved before
+    any slab is built: 57 bytes a fraction at the peak (the slabs, the
+    joined list, its gcd check), and 58 also covers the slab tables.
     """
     slabs = FareySlabs(s)
-    if len(slabs) > capacity:
-        raise CapacityError(f"farey enumeration needs {len(slabs)} fractions, "
-                            f"over capacity {capacity}")
+    util.reserve("farey enumeration", len(slabs), "fractions", 58)
     parts = list(slabs)
     return FareyList(*(np.concatenate([getattr(fl, name) for fl in parts])
                        for name in ("numerators", "denominators", "values")))

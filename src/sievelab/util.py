@@ -1,11 +1,24 @@
-"""Small shared helpers: the complex exponential, streamed pairwise sums,
-sieves, deterministic RNG."""
+"""Small shared helpers: the memory capacity, the complex exponential,
+streamed pairwise sums, sieves, deterministic RNG."""
 
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+from .errors import CapacityError
+
+CAPACITY = 1_600_000_000  # bytes one large allocation may take: 10^8 complex128
+
+
+def reserve(what: str, count: int, unit: str, bytes_each: float) -> None:
+    """Refuse, before it allocates, a call whose peak of count units of
+    bytes_each bytes passes CAPACITY (read at each call)."""
+    need = math.ceil(count * bytes_each)
+    if need > CAPACITY:
+        raise CapacityError(f"{what} needs {count} {unit} ({need} bytes), "
+                            f"over the {CAPACITY}-byte capacity")
 
 
 _QUARTER_TURNS = np.array([1.0 + 0j, 1j, -1.0 + 0j, -1j])
@@ -77,16 +90,14 @@ class PairwiseSum:
         return node(self._tree)
 
 
-def primes_up_to(n: int) -> list[int]:
-    """All primes <= n by a byte sieve."""
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(n) + 1):
+def primes_up_to(n: int) -> np.ndarray:
+    """All primes <= n as int64, by a sieve of n + 1 bytes."""
+    sieve = np.ones(max(n + 1, 2), dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(sieve.size - 1) + 1):
         if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i in range(2, n + 1) if sieve[i]]
+            sieve[p * p :: p] = False
+    return np.flatnonzero(sieve)
 
 
 def seeded_rng(seed) -> np.random.Generator:

@@ -24,6 +24,7 @@ from sievelab.errors import (CapacityError, InvalidRegimeError,
 from sievelab import oracles
 from sievelab.arith import divisors, factorize, mod_inv
 from sievelab import bounds as bounds_mod
+from sievelab import util
 from sievelab.bounds import _grid_z, _signed_class_counts
 from sievelab.util import seeded_rng
 
@@ -70,11 +71,12 @@ def test_lhs_thread_count_does_not_change_bytes():
     assert sieve_lhs(seq, s, threads=1) == sieve_lhs(seq, s, threads=8)
 
 
-def test_lhs_capacity_gate():
+def test_lhs_capacity_gate(monkeypatch):
     seq = make_sequence("ones", 4)
     s = explicit_moduli([10**5, 2 * 10**5], span=2 * 10**5)
+    monkeypatch.setattr(util, "CAPACITY", 16 * 10**5)
     with pytest.raises(CapacityError):
-        sieve_lhs(seq, s, capacity=10**5)
+        sieve_lhs(seq, s)
 
 
 def _ramanujan_sum(q: int, h: int) -> int:
@@ -121,12 +123,14 @@ def test_lhs_two_threads_match_one_bit_for_bit():
         assert sieve_lhs(seq, s, threads=1) == sieve_lhs(seq, s, threads=2)
 
 
-def test_lhs_capacity_counts_moduli_in_flight():
+def test_lhs_capacity_counts_moduli_in_flight(monkeypatch):
     seq = make_sequence("ones", 4)
     s = explicit_moduli([100, 200])
-    assert sieve_lhs(seq, s, capacity=200) == sieve_lhs(seq, s)
+    whole = sieve_lhs(seq, s)
+    monkeypatch.setattr(util, "CAPACITY", 16 * 200)
+    assert sieve_lhs(seq, s) == whole
     with pytest.raises(CapacityError, match="6400 bytes"):
-        sieve_lhs(seq, s, threads=2, capacity=200)
+        sieve_lhs(seq, s, threads=2)
 
 
 # Several pieces, and a multiple of neither 8 nor the piece length
@@ -193,14 +197,18 @@ def test_streamed_pass_holds_under_thread_stress():
     assert got == want
 
 
-def test_batched_passes_equal_one_pass():
+def test_batched_passes_equal_one_pass(monkeypatch):
     s = explicit_moduli(_STREAM_MODULI)
     held = sum(_STREAM_MODULI)
     for seq in _stream_sequences()[3:]:
         whole = sieve_lhs(seq, s)
-        assert sieve_lhs(seq, s, capacity=held - 1) == whole  # two batches
-        assert sieve_lhs(seq, s, capacity=100003) == whole
-        assert sieve_lhs(seq, s, threads=2, capacity=2 * 100003) == whole
+        with monkeypatch.context() as m:
+            m.setattr(util, "CAPACITY", 16 * (held - 1))
+            assert sieve_lhs(seq, s) == whole  # two batches
+            m.setattr(util, "CAPACITY", 16 * 100003)
+            assert sieve_lhs(seq, s) == whole
+            m.setattr(util, "CAPACITY", 16 * 2 * 100003)
+            assert sieve_lhs(seq, s, threads=2) == whole
 
 
 def test_sieve_sum_memory_is_bounded_by_the_piece():

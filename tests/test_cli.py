@@ -599,6 +599,16 @@ def test_square_sets_past_capacity_exit_1_at_once(capsys, argv):
     assert err.count("\n") == 1 and err.startswith("error:") and "capacity" in err
 
 
+def test_prime_sieve_past_capacity_exits_1_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "--cmd", "shapes", "--no-lhs", "--moduli", "primes",
+                             "--q", "10000000000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:") and "bytes" in err
+
+
 def test_oversized_z_grid_exits_1_at_once(capsys):
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "--cmd", "bracket", "--z-grid", "4000000000")

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -11,10 +12,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sievelab import moduli
+from sievelab import moduli, util
 from sievelab import (derive_subset, enumerate_farey, explicit_moduli,
-                      moduli_from_file, primes_up_to_set, square_class_count,
-                      square_divisor_profile, squares_in_octave, squares_up_to)
+                      make_sequence, moduli_from_file, primes_up_to_set,
+                      sieve_lhs, square_class_count, square_divisor_profile,
+                      squares_in_octave, squares_up_to)
 from sievelab.errors import (CapacityError, EmptyModuliWarning, OutOfRangeError,
                              SequenceFileError)
 from sievelab.moduli import FareySlabs, build_moduli_set
@@ -183,10 +185,11 @@ def test_modulus_one_contributes_the_full_turn():
     assert fl.values.tolist() == [0.5, 1.0]
 
 
-def test_farey_capacity_guard():
+def test_farey_capacity_guard(monkeypatch):
     s = squares_up_to(40)
+    monkeypatch.setattr(util, "CAPACITY", 10 * 58)
     with pytest.raises(CapacityError):
-        enumerate_farey(s, capacity=10)
+        enumerate_farey(s)
 
 
 def test_farey_values_match_fraction_data():
@@ -204,6 +207,35 @@ def test_farey_capacity_refused_before_allocating():
     with pytest.raises(CapacityError, match="needs 1622607695 fractions"):
         enumerate_farey(squares_up_to(2000))
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("call, count, need, bounds_peak", [
+    (lambda: squares_up_to(10**5), "100000 moduli", 10**5 * 18, True),
+    (lambda: squares_in_octave(1e12), "414213 moduli", 414213 * 18, True),
+    # 10^6 + 1 slots of 1 byte, 8 bytes for each of < 1.25506 q / ln q primes
+    (lambda: primes_up_to_set(10**6), "1000001 slots", 1726756, True),
+    (lambda: enumerate_farey(squares_up_to(100)), "203085 fractions", 203085 * 58, True),
+    (lambda: sieve_lhs(make_sequence("ones", 64), squares_up_to(8), threads=2),
+     "128 fold entries", 128 * 16, False),
+], ids=["squares", "octave", "primes", "farey", "sieve-sum"])
+def test_one_byte_capacity_bounds_every_large_allocation(monkeypatch, call, count,
+                                                          need, bounds_peak):
+    monkeypatch.setattr(util, "CAPACITY", need - 1)
+    start = time.perf_counter()
+    with pytest.raises(CapacityError) as refused:
+        call()
+    assert time.perf_counter() - start < 1.0
+    assert f"needs {count} ({need} bytes), over the {need - 1}-byte capacity" \
+        in str(refused.value)
+    if bounds_peak:
+        monkeypatch.setattr(util, "CAPACITY", need)
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= need
 
 
 def _random_moduli_sets(cap):
