@@ -346,7 +346,7 @@ def _grid_z(r: int, n: int, points: int) -> np.ndarray:
     # int/int true division is correctly rounded, so j/(g-1) and
     # (65*j)/(65*(g-1)) are the same float and coarse grids are exact
     # subsets of their refinements: bit-identical z values.
-    return np.array([z_lo * ratio ** (j / (g - 1)) for j in range(g)])
+    return np.fromiter((z_lo * ratio ** (j / (g - 1)) for j in range(g)), np.float64, g)
 
 
 def _exact_z(s: ModuliSet, n: int, r: int, dilates: dict[int, ModuliSet]) -> np.ndarray:
@@ -420,12 +420,9 @@ def sieve_bracket(s: ModuliSet, n: int, z_grid: int = 64, mode: str = "grid",
         zs = _grid_z(r, n, z_grid) if mode == "grid" else _exact_z(s, n, r, dilates)
         return _bracket_eval(s, n, r, zs, dilates)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            vals = list(pool.map(one, rs))
-    else:
-        vals = [one(r) for r in rs]
-    b = float(max(vals, default=0))
+    workers = min(threads, len(rs))
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        b = float(max(pool.map(one, rs) if pool else map(one, rs)))
     return b, float(n) * (1.0 + b)
 
 

@@ -33,6 +33,7 @@ _COMMANDS = ("sieve-sum", "k-delta", "a-count", "farey", "gauss", "bracket",
 
 _MODULI_ALIASES = {"squares": "squares_up_to", "octave": "squares_in_octave",
                    "primes": "primes_up_to"}
+MAX_THREADS = 64  # worker threads one run may start: above the 8 of criterion 12
 
 
 class Option(NamedTuple):
@@ -40,7 +41,7 @@ class Option(NamedTuple):
 
     type is int, float, str or bool (a flag taking no value), or a
     one-item list such as [int] for a comma-separated list.  check is a
-    tuple of choices, a lower bound (for each item of a list), or None.
+    tuple of choices, a lower bound or a range (of each item), or None.
     """
 
     name: str
@@ -62,6 +63,8 @@ class Option(NamedTuple):
                                   f"{', '.join(self.check)}")
             if isinstance(self.check, int) and v < self.check:
                 raise ConfigError(f"{where} must be >= {self.check}")
+            if isinstance(self.check, range) and v not in self.check:
+                raise ConfigError(f"{where} must be from {self.check[0]} to {self.check[-1]}")
         return out
 
 
@@ -96,7 +99,7 @@ OPTIONS = (
     Option("quick", bool, False, None, "reduced verification sweep sizes"),
     Option("out", str, None, None, "output path (default stdout)"),
     Option("format", str, "csv", ("csv", "json"), None),
-    Option("threads", int, 1, 1, "worker threads"),
+    Option("threads", int, 1, range(1, MAX_THREADS + 1), "worker threads"),
 )
 
 _OPTION_BY_NAME = {opt.name: opt for opt in OPTIONS}

@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .errors import OutOfRangeError, SequenceFileError
-from .util import PairwiseSum, cexp, seeded_rng
+from .util import PairwiseSum, cexp, reserve, seeded_rng
 
 _KINDS = ("ones", "delta", "random_signs", "random_phases", "focused", "from_file")
 _MAX_N = int(np.iinfo(np.intp).max) // 16  # the most complex128 values one array holds
@@ -74,6 +74,7 @@ class CoefficientSequence:
     def values(self) -> np.ndarray:
         """All N coefficients as one read-only array, built on first use."""
         if self._values is None:
+            reserve("sequence values", self.N, "coefficients", 16)
             v = np.empty(self.N, dtype=np.complex128)
             i = 0
             for piece in self.pieces():

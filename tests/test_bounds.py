@@ -280,6 +280,22 @@ def test_bracket_thread_determinism():
         sieve_bracket(s, 36, mode="exact", threads=4)
 
 
+def test_bracket_pool_is_clamped_to_its_tasks(monkeypatch):
+    # N = 36 has six values of r, so 64 threads open a pool of six
+    sizes = []
+
+    class Recording(bounds_mod.ThreadPoolExecutor):
+        def __init__(self, workers):
+            sizes.append(workers)
+            super().__init__(workers)
+
+    s = squares_in_octave(40)
+    one = sieve_bracket(s, 36, z_grid=256)
+    monkeypatch.setattr(bounds_mod, "ThreadPoolExecutor", Recording)
+    assert sieve_bracket(s, 36, z_grid=256, threads=64) == one
+    assert sizes == [6]
+
+
 @pytest.mark.parametrize("s, n", [
     (squares_in_octave(1000), 1024),
     (primes_up_to_set(300), 1024),

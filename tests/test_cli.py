@@ -383,6 +383,8 @@ def test_no_lhs_sweep_leaves_measured_cells_blank(capsys):
                  id="a-count-t-past-int64"),
     pytest.param(None, ["--cmd", "k-delta", "--q", "8192"], id="k-delta-q-2-26"),
     pytest.param(None, ["--cmd", "farey", "--q", "8192"], id="farey-q-2-26"),
+    pytest.param(None, ["--cmd", "bracket", "--threads", "65"], id="threads-past-bound"),
+    pytest.param({"cmd": "bracket", "threads": 65}, [], id="config-threads-past-bound"),
 ])
 def test_bad_inputs_exit_2_with_one_line(capsys, tmp_path, config, argv):
     if config is not None:

@@ -5,6 +5,7 @@ import math
 import time
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -67,7 +68,7 @@ def test_octave_closed_form_equals_the_loop():
 
 @pytest.mark.parametrize("build, count", [
     (lambda: squares_up_to(3037000499), 3037000499),
-    (lambda: squares_up_to(10**8 + 1), 10**8 + 1),
+    (lambda: squares_up_to(16 * 10**7 + 1), 16 * 10**7 + 1),
     (lambda: squares_in_octave(2.0**61), 628983399),
 ], ids=["up-to-int64", "up-to-cap", "octave-2^61"])
 def test_square_sets_past_capacity_are_refused_before_allocating(build, count):
@@ -210,14 +211,16 @@ def test_farey_capacity_refused_before_allocating():
 
 
 @pytest.mark.parametrize("call, count, need, bounds_peak", [
-    (lambda: squares_up_to(10**5), "100000 moduli", 10**5 * 18, True),
-    (lambda: squares_in_octave(1e12), "414213 moduli", 414213 * 18, True),
-    # 10^6 + 1 slots of 1 byte, 8 bytes for each of < 1.25506 q / ln q primes
+    (lambda: squares_up_to(10**5), "100000 moduli", 10**5 * 10, True),
+    (lambda: squares_in_octave(1e12), "414213 moduli", 414213 * 10, True),
+    # q + 1 slots of 1 byte, 8 bytes for each of < 1.25506 q / ln q primes
     (lambda: primes_up_to_set(10**6), "1000001 slots", 1726756, True),
-    (lambda: enumerate_farey(squares_up_to(100)), "203085 fractions", 203085 * 58, True),
+    (lambda: primes_up_to_set(10**4), "10001 slots", 20904, True),
+    (lambda: enumerate_farey(squares_up_to(100)), "203085 fractions", 203085 * 50, True),
     (lambda: sieve_lhs(make_sequence("ones", 64), squares_up_to(8), threads=2),
      "128 fold entries", 128 * 16, False),
-], ids=["squares", "octave", "primes", "farey", "sieve-sum"])
+    (lambda: make_sequence("ones", 1001).values, "1001 coefficients", 1001 * 16, False),
+], ids=["squares", "octave", "primes", "primes-small", "farey", "sieve-sum", "values"])
 def test_one_byte_capacity_bounds_every_large_allocation(monkeypatch, call, count,
                                                           need, bounds_peak):
     monkeypatch.setattr(util, "CAPACITY", need - 1)
@@ -243,6 +246,16 @@ def _random_moduli_sets(cap):
     rng = seeded_rng(7)
     return [explicit_moduli(set(rng.integers(1, cap, size=int(rng.integers(1, 40))).tolist()))
             for _ in range(10)]
+
+
+def test_farey_lists_equal_an_independent_gcd_filter():
+    # reducedness comes from the striking alone: FareyList does not check it
+    for s in [squares_up_to(30)] + _random_moduli_sets(300):
+        fl = enumerate_farey(s)
+        want = sorted(((a, q) for q in s.elements.tolist() for a in range(1, q + 1)
+                       if math.gcd(a, q) == 1), key=lambda f: Fraction(*f))
+        assert fl.numerators.tolist() == [a for a, _ in want]
+        assert fl.denominators.tolist() == [q for _, q in want]
 
 
 def test_farey_lists_match_the_pinned_digest():
