@@ -4,12 +4,19 @@ g*x^2 = l (mod k).
 
 Everything here works on Python ints and is exact.  The quadratic solver
 takes every prime power of k through square-root lifting and glues the
-roots by CRT.
+roots by CRT; the root count alone is the product of the per-prime-power
+counts, which have closed forms.
 """
 
 from __future__ import annotations
 
-from .errors import NotInvertibleError
+import functools
+import math
+import operator
+
+from .errors import NotInvertibleError, OutOfRangeError
+
+_FACTOR_CACHE = 256  # factorizations kept: callers step through n in order
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -17,9 +24,16 @@ def factorize(n: int) -> list[tuple[int, int]]:
 
     Pairs are sorted by prime.  factorize(1) == [].  Trial division with
     a 2,3,5 wheel; fine for the word-sized inputs this package handles.
+    The last _FACTOR_CACHE results are kept, keyed on operator.index(n);
+    each call returns a fresh list.
     """
+    return list(_factor_pairs(operator.index(n)))
+
+
+@functools.lru_cache(maxsize=_FACTOR_CACHE)
+def _factor_pairs(n: int) -> tuple[tuple[int, int], ...]:
     if n < 1:
-        raise ValueError("factorize requires n >= 1")
+        raise OutOfRangeError("factorize requires n >= 1")
     out = []
     for p in (2, 3, 5):
         if n % p == 0:
@@ -42,7 +56,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
         i = (i + 1) & 7
     if n > 1:
         out.append((n, 1))
-    return out
+    return tuple(out)
 
 
 def unfactorize(pairs: list[tuple[int, int]]) -> int:
@@ -86,34 +100,17 @@ def squarefree_divisors(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended gcd: returns (g, x, y) with a*x + b*y = g = gcd(a, b)."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
-
-
 def mod_inv(a: int, m: int) -> int:
     """Inverse of a modulo m, in [0, m).  mod_inv(a, 1) == 0 by convention."""
     if m < 1:
-        raise ValueError("modulus must be positive")
+        raise OutOfRangeError("modulus must be positive")
     if m == 1:
         return 0
-    g, x, _ = xgcd(a % m, m)
-    if g != 1:
-        raise NotInvertibleError(f"{a} has no inverse mod {m} (gcd={g})")
-    return x % m
-
-
-def crt_pair(x1: int, m1: int, x2: int, m2: int) -> int:
-    """Solve x = x1 (mod m1), x = x2 (mod m2) for coprime m1, m2."""
-    d = ((x2 - x1) * mod_inv(m1 % m2, m2)) % m2
-    return (x1 + m1 * d) % (m1 * m2)
+    try:
+        return pow(operator.index(a), -1, operator.index(m))
+    except ValueError:
+        raise NotInvertibleError(
+            f"{a} has no inverse mod {m} (gcd={math.gcd(a, m)})") from None
 
 
 def quad_cong_roots(g: int, l: int, k: int) -> tuple[int, list[int]]:
@@ -124,7 +121,7 @@ def quad_cong_roots(g: int, l: int, k: int) -> tuple[int, list[int]]:
     non-unit g or l, and recombined by CRT.
     """
     if k < 1:
-        raise ValueError("modulus must be positive")
+        raise OutOfRangeError("modulus must be positive")
     if k == 1:
         return 1, [0]
     per_factor = []
@@ -143,6 +140,60 @@ def quad_cong_roots(g: int, l: int, k: int) -> tuple[int, list[int]]:
         acc_mod *= pe
     sols.sort()
     return len(sols), sols
+
+
+def quad_cong_count(g: int, l: int, k: int) -> int:
+    """Number of roots of g*x^2 = l (mod k), k >= 1, without listing them.
+
+    By CRT the roots mod k are the tuples of roots mod the prime powers
+    of k, so the count is the product of the per-prime-power counts;
+    equal to quad_cong_roots(g, l, k)[0].
+    """
+    if k < 1:
+        raise OutOfRangeError("modulus must be positive")
+    count = 1
+    for p, e in factorize(k):
+        count *= _count_prime_power(g, l, p, e)
+        if not count:
+            return 0
+    return count
+
+
+def _count_prime_power(g: int, l: int, p: int, e: int) -> int:
+    """len(_roots_prime_power(g, l, p, e)), in closed form.
+
+    With s = v_p(g) and v = v_p(l), a root exists only for even v - s;
+    then x = p^((v-s)/2) * u, where u is a unit root of g' u^2 = l'
+    (mod p^(e-v)) for the unit parts g', l', and each such u lifts to
+    p^s * p^((v-s)/2) roots mod p^e.
+    """
+    pe = p**e
+    g %= pe
+    l %= pe
+    if g == 0:
+        return pe if l == 0 else 0
+    s = 0
+    while g % p == 0:
+        g //= p
+        s += 1
+    if l == 0:
+        # p^s * x^2 = 0 (mod p^e) iff p^ceil((e-s)/2) divides x
+        return p ** (s + (e - s) // 2)
+    v = 0
+    while l % p == 0:
+        l //= p
+        v += 1
+    if v < s or (v - s) % 2:
+        return 0
+    if p == 2:
+        # an odd square is 1 mod 8: x^2 = l/g (mod 2^f) has 1, 2 or 4
+        # roots for f = 1, 2, >= 3 when l = g mod 2^min(f, 3), else none
+        c = min(e - v, 3)
+        units = 1 << (c - 1) if (l - g) % (1 << c) == 0 else 0
+    else:
+        # two roots when l/g is a square mod p, Euler's criterion on l*g
+        units = 2 if pow(l * g, (p - 1) // 2, p) == 1 else 0
+    return p ** (s + (v - s) // 2) * units
 
 
 def _roots_prime_power(g: int, l: int, p: int, e: int) -> list[int]:

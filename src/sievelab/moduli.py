@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import util
-from .arith import factorize, quad_cong_roots, squarefree_divisors
+from .arith import factorize, quad_cong_count, squarefree_divisors
 from .errors import EmptyModuliWarning, OutOfRangeError, SequenceFileError
 
 _REL_SLACK = 1e-9  # containment checks allow this much relative float slack
@@ -155,7 +155,7 @@ def build_moduli_set(kind: str, **kw) -> ModuliSet:
 def derive_subset(s: ModuliSet, t: int) -> ModuliSet:
     """The dilate {q : t*q in S}, living in (M/t, (M+Q)/t]."""
     if t < 1:
-        raise ValueError("need t >= 1")
+        raise OutOfRangeError("need t >= 1")
     el = s.elements[s.elements % t == 0] // t
     return ModuliSet(el, s.M / t, s.Q / t, "derived", None)
 
@@ -168,7 +168,7 @@ def square_divisor_profile(t: int) -> tuple[int, int]:
     with odd exponent.
     """
     if t < 1:
-        raise ValueError("need t >= 1")
+        raise OutOfRangeError("need t >= 1")
     f = 1
     for p, v in factorize(t):
         f *= p ** ((v + 1) // 2)
@@ -183,7 +183,7 @@ def square_class_count(t: int, k: int, l: int) -> int:
     never more than 2^{omega(k)+1}.
     """
     _, g = square_divisor_profile(t)
-    return quad_cong_roots(g, l, k)[0]
+    return quad_cong_count(g, l, k)
 
 
 @dataclass(frozen=True)

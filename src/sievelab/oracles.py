@@ -130,6 +130,25 @@ def gauss_sum_oracle(k: int, l: int, c: int) -> complex:
     return total
 
 
+def xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """Extended gcd: returns (g, x, y) with a*x + b*y = g = gcd(a, b)."""
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    if a < 0:
+        a, x0, y0 = -a, -x0, -y0
+    return a, x0, y0
+
+
+def crt_pair(x1: int, m1: int, x2: int, m2: int) -> int:
+    """Solve x = x1 (mod m1), x = x2 (mod m2) for coprime m1, m2, with
+    the inverse of m1 mod m2 taken by xgcd."""
+    d = ((x2 - x1) * xgcd(m1, m2)[1]) % m2
+    return (x1 + m1 * d) % (m1 * m2)
+
+
 def quad_cong_roots_scan(g: int, l: int, k: int) -> tuple[int, list[int]]:
     """arith.quad_cong_roots by full scan of x mod k, O(k)."""
     if k < 1:

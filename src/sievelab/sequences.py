@@ -151,28 +151,42 @@ def make_sequence(kind: str, N: int, *, n0: int | None = None, seed=0,
 
 
 def sequence_from_file(path: str) -> CoefficientSequence:
-    """Load a sequence from UTF-8 text, one "re im" pair per line."""
+    """Load a sequence from UTF-8 text, one "re im" pair per line.
+
+    A first pass counts the non-blank lines, so the 16 bytes a
+    coefficient are reserved before the file is rewound and a second
+    pass fills the array.  A pipe, which cannot be rewound, and a file
+    whose count changes between the passes are refused.
+    """
     if path is None:
         raise SequenceFileError("no path given for from_file sequence")
-    rows = []
     try:
         with open(path, encoding="utf-8") as fh:
+            count = sum(1 for line in fh if line.strip())
+            if not count:
+                raise SequenceFileError(f"{path}: no coefficients found")
+            reserve(f"sequence file {path}", count, "coefficients", 16)
+            values = np.empty(count, dtype=np.complex128)
+            fh.seek(0)
+            i = 0
             for ln, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
                 parts = line.split()
+                if not parts:
+                    continue
+                if i == count:
+                    raise SequenceFileError(f"{path}: changed while being read")
                 if len(parts) != 2:
                     raise SequenceFileError(f"{path}:{ln}: expected two fields, got {len(parts)}")
                 try:
-                    rows.append(complex(float(parts[0]), float(parts[1])))
+                    values[i] = complex(float(parts[0]), float(parts[1]))
                 except ValueError as exc:
                     raise SequenceFileError(f"{path}:{ln}: {exc}") from exc
+                i += 1
+            if i < count:
+                raise SequenceFileError(f"{path}: changed while being read")
     except OSError as exc:
         raise SequenceFileError(f"cannot read {path}: {exc}") from exc
-    if not rows:
-        raise SequenceFileError(f"{path}: no coefficients found")
-    return CoefficientSequence(values=np.array(rows), N=len(rows))
+    return CoefficientSequence(values=values, N=count)
 
 
 def eval_exp_sum(seq: CoefficientSequence, alpha: float) -> complex:

@@ -32,8 +32,15 @@ def cexp(x):
     reduced mod 1, and the four quarter-circle points come out exact;
     libm residue like sin(pi) ~ 1e-16 would otherwise leak into results
     that are integers by symmetry.
+
+    The reduction t - floor(t) gives the bits of t % 1.0 for finite t,
+    at a quarter of its cost.  numpy's remainder is fmod, exact, plus one
+    rounded 1.0 for negative t; t - floor(t) rounds that same exact value
+    once, and both give +0.0 at integers and at -0.0.
     """
-    t = np.asarray(x, dtype=float) % 1.0
+    x = np.asarray(x, dtype=float)
+    t = np.floor(x, out=np.empty_like(x))
+    np.subtract(x, t, out=t)  # in place: no third array at the peak
     out = np.exp(2j * np.pi * t)
     quarters = t * 4.0
     hit = quarters == np.floor(quarters)

@@ -2,12 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sievelab import arith, oracles
-from sievelab.errors import NotInvertibleError
+from sievelab import arith, moduli, oracles
+from sievelab.errors import NotInvertibleError, OutOfRangeError
 
 
 @given(st.integers(1, 10**5))
@@ -17,6 +18,18 @@ def test_factorize_round_trip(n):
     assert all(e >= 1 for _, e in fac)
     primes = [p for p, _ in fac]
     assert primes == sorted(primes)
+
+
+@pytest.mark.parametrize("first", [np.int64, int])
+def test_factorize_cache_hands_out_fresh_lists_of_python_ints(first):
+    n = 2**4 * 3 * 7919
+    arith._factor_pairs.cache_clear()
+    got = [arith.factorize(first(n)), arith.factorize(n), arith.factorize(np.int64(n))]
+    assert got[0] == got[1] == got[2] == [(2, 4), (3, 1), (7919, 1)]
+    assert all(type(p) is int and type(e) is int for fac in got for p, e in fac)
+    got[0].append((2, 1))
+    got[0][0] = (3, 9)
+    assert arith.factorize(n) == got[1] != got[0]
 
 
 def test_factorize_edge_values():
@@ -59,7 +72,7 @@ def test_omega_counts_distinct_primes():
 
 @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
 def test_xgcd_identity(a, b):
-    g, x, y = arith.xgcd(a, b)
+    g, x, y = oracles.xgcd(a, b)
     assert g == math.gcd(a, b)
     assert a * x + b * y == g
 
@@ -75,6 +88,32 @@ def test_mod_inv_agrees_with_gcd_structure(a, m):
             arith.mod_inv(a, m)
 
 
+def test_mod_inv_equals_the_xgcd_inverse():
+    for m in range(1, 301):
+        for a in range(-m, 2 * m + 1):
+            g, x, _ = oracles.xgcd(a % m, m)
+            if g == 1:
+                assert arith.mod_inv(a, m) == x % m
+            else:
+                with pytest.raises(NotInvertibleError, match=f"gcd={g}"):
+                    arith.mod_inv(a, m)
+    assert arith.mod_inv(np.int64(-4), np.int64(7)) == 5
+
+
+@pytest.mark.parametrize("call", [
+    lambda: arith.factorize(0),
+    lambda: arith.mod_inv(3, 0),
+    lambda: arith.quad_cong_roots(1, 1, 0),
+    lambda: arith.quad_cong_count(1, 1, -2),
+    lambda: moduli.square_divisor_profile(0),
+    lambda: moduli.derive_subset(moduli.squares_up_to(3), 0),
+], ids=["factorize", "mod_inv", "quad_cong_roots", "quad_cong_count",
+        "square_divisor_profile", "derive_subset"])
+def test_argument_errors_are_out_of_range(call):
+    with pytest.raises(OutOfRangeError):
+        call()
+
+
 def test_mod_inv_trivial_modulus():
     assert arith.mod_inv(5, 1) == 0
     assert arith.mod_inv(1, 2) == 1
@@ -82,9 +121,9 @@ def test_mod_inv_trivial_modulus():
 
 
 def test_crt_pair_reconstructs_residues():
-    x = arith.crt_pair(2, 3, 3, 5)
+    x = oracles.crt_pair(2, 3, 3, 5)
     assert x % 3 == 2 and x % 5 == 3 and 0 <= x < 15
-    x = arith.crt_pair(1, 4, 2, 9)
+    x = oracles.crt_pair(1, 4, 2, 9)
     assert x % 4 == 1 and x % 9 == 2
 
 

@@ -16,8 +16,10 @@ from hypothesis import strategies as st
 from sievelab import moduli, util
 from sievelab import (derive_subset, enumerate_farey, explicit_moduli,
                       make_sequence, moduli_from_file, primes_up_to_set,
-                      sieve_lhs, square_class_count, square_divisor_profile,
+                      quad_cong_roots, sequence_from_file, sieve_lhs,
+                      square_class_count, square_divisor_profile,
                       squares_in_octave, squares_up_to)
+from sievelab.arith import quad_cong_count
 from sievelab.errors import (CapacityError, EmptyModuliWarning, OutOfRangeError,
                              SequenceFileError)
 from sievelab.moduli import FareySlabs, build_moduli_set
@@ -161,6 +163,17 @@ def test_square_class_count_totals_to_modulus(t, k):
     assert total == k
 
 
+def test_square_class_counts_equal_a_full_scan():
+    for t in range(1, 41):
+        g = square_divisor_profile(t)[1]
+        for k in range(1, 61):
+            x = np.arange(k, dtype=np.int64)
+            want = np.bincount(g * x * x % k, minlength=k).tolist()
+            assert [square_class_count(t, k, l) for l in range(k)] == want
+            assert [quad_cong_count(g, l, k) for l in range(k)] == \
+                [len(quad_cong_roots(g, l, k)[1]) for l in range(k)]
+
+
 def test_dilated_squares_follow_the_profile():
     s = squares_up_to(30)  # squares <= 900
     for t in (1, 2, 3, 4, 8, 9, 12, 25):
@@ -220,9 +233,14 @@ def test_farey_capacity_refused_before_allocating():
     (lambda: sieve_lhs(make_sequence("ones", 64), squares_up_to(8), threads=2),
      "128 fold entries", 128 * 16, False),
     (lambda: make_sequence("ones", 1001).values, "1001 coefficients", 1001 * 16, False),
-], ids=["squares", "octave", "primes", "primes-small", "farey", "sieve-sum", "values"])
-def test_one_byte_capacity_bounds_every_large_allocation(monkeypatch, call, count,
+    (lambda: sequence_from_file("seq.txt"), "1001 coefficients", 1001 * 16, False),
+], ids=["squares", "octave", "primes", "primes-small", "farey", "sieve-sum", "values",
+        "file-sequence"])
+def test_one_byte_capacity_bounds_every_large_allocation(monkeypatch, tmp_path, call, count,
                                                           need, bounds_peak):
+    # the file-sequence case reads seq.txt here: 1001 rows, blank lines between
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "seq.txt").write_text("1 0\n\n" * 1001, encoding="utf-8")
     monkeypatch.setattr(util, "CAPACITY", need - 1)
     start = time.perf_counter()
     with pytest.raises(CapacityError) as refused:

@@ -1,5 +1,7 @@
 """Coefficient sequences and trigonometric polynomial evaluation."""
 
+import io
+import os
 import time
 import tracemalloc
 
@@ -12,6 +14,7 @@ from sievelab import (CoefficientSequence, eval_at_modulus, eval_exp_sum,
                       make_sequence, sequence_from_file)
 from sievelab import sequences
 from sievelab.errors import OutOfRangeError, SequenceFileError
+from sievelab.util import cexp, seeded_rng
 
 
 def test_stock_kinds_have_expected_energy():
@@ -135,6 +138,27 @@ def test_file_round_trip(tmp_path):
     assert seq.Z == pytest.approx(1.5**2 + 2**2 + 3.25**2 + 1)
 
 
+def test_cexp_reduction_gives_the_bits_of_mod_one():
+    k = np.arange(-64.0, 65.0)
+    rng = seeded_rng(5)
+    x = np.concatenate([
+        [0.0, -0.0, 1.0, -1.0, 3.0, -7.0, 0.5, -0.5],
+        k, k / 4, k / 8, k + 1 / 3, k - 1 / 3,
+        # just below an integer: the reduced phase rounds up to 1.0
+        [-2.0**-54, -2.0**-60, -1e-20, -5e-324, 5 - 2.0**-51, -3 - 2.0**-51],
+        [2.0**53, 2.0**53 + 2, -2.0**53, -2.0**60 - 2**8, 1e300, -1e300,
+         2.0**52 + 0.5, -2.0**52 - 0.5, 2.0**51 + 0.25, -2.0**51 - 0.75],
+        rng.uniform(-1e6, 1e6, 4096), rng.standard_normal(4096) * 2.0**40,
+        rng.standard_normal(4096) * 1e-12,
+    ])
+    t = x % 1.0
+    quarters = t * 4.0
+    want = np.where(quarters == np.floor(quarters),
+                    np.array([1.0 + 0j, 1j, -1.0 + 0j, -1j])[quarters.astype(np.int64) & 3],
+                    np.exp(2j * np.pi * t))
+    assert np.array_equal(cexp(x).view(np.int64), want.view(np.int64))
+
+
 def test_file_errors_carry_the_line():
     with pytest.raises(SequenceFileError):
         sequence_from_file("/nonexistent/seq.txt")
@@ -148,6 +172,38 @@ def test_file_rejects_malformed_rows(tmp_path):
     p.write_text("1.0 sideways\n", encoding="utf-8")
     with pytest.raises(SequenceFileError):
         sequence_from_file(str(p))
+
+
+class _Rewritten(io.StringIO):
+    """A text file that holds `after` once it is rewound."""
+
+    def __init__(self, before, after):
+        super().__init__(before)
+        self._after = after
+
+    def seek(self, *args):
+        super().seek(0)
+        self.truncate()
+        self.write(self._after)
+        return super().seek(0)
+
+
+@pytest.mark.parametrize("after", ["1 0\n", "1 0\n2 0\n3 0\n"], ids=["shrunk", "grew"])
+def test_file_that_changes_between_passes_is_refused(monkeypatch, after):
+    # the reader counts in a first pass and fills in a second
+    monkeypatch.setattr(sequences, "open", lambda *a, **kw: _Rewritten("1 0\n\n2 0\n", after),
+                        raising=False)
+    with pytest.raises(SequenceFileError, match="changed while being read"):
+        sequence_from_file("seq.txt")
+
+
+def test_a_pipe_is_refused_with_one_error(monkeypatch):
+    r, w = os.pipe()
+    os.write(w, b"1 0\n2 0\n")
+    os.close(w)
+    monkeypatch.setattr(sequences, "open", lambda *a, **kw: os.fdopen(r, **kw), raising=False)
+    with pytest.raises(SequenceFileError, match="cannot read seq.txt: .*not seekable"):
+        sequence_from_file("seq.txt")
 
 
 def test_modulus_grid_much_larger_than_length():
