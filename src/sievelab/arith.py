@@ -2,10 +2,10 @@
 squarefree divisors, modular inverses, and the quadratic congruence
 g*x^2 = l (mod k).
 
-Everything here works on Python ints and is exact.  The quadratic solver
-takes every prime power of k through square-root lifting and glues the
-roots by CRT; the root count alone is the product of the per-prime-power
-counts, which have closed forms.
+Everything here works on Python ints and is exact.  Per prime power p^e
+of k, _split takes the p-adic valuations of g and l once and puts the roots
+at x = p^h*w + j*p^(h+f), w a unit root mod p^f; _unit_sqrt lists the w,
+quad_cong_roots glues them by CRT and quad_cong_count multiplies closed forms.
 """
 
 from __future__ import annotations
@@ -116,27 +116,30 @@ def mod_inv(a: int, m: int) -> int:
 def quad_cong_roots(g: int, l: int, k: int) -> tuple[int, list[int]]:
     """Count and list the roots of g*x^2 = l (mod k), k >= 1.
 
-    Returns (count, sorted list of roots in [0, k)).  Solved per prime
-    power of k by square-root lifting, with valuation bookkeeping for
-    non-unit g or l, and recombined by CRT.
+    Returns (count, sorted list of roots in [0, k)).  The roots mod each
+    prime power of k come from _split and _unit_sqrt and are glued by CRT.
     """
     if k < 1:
         raise OutOfRangeError("modulus must be positive")
-    if k == 1:
-        return 1, [0]
-    per_factor = []
-    for p, e in factorize(k):
-        roots = _roots_prime_power(g, l, p, e)
-        if not roots:
-            return 0, []
-        per_factor.append((p**e, roots))
     acc_mod = 1
     sols = [0]
-    for pe, roots in per_factor:
-        # crt_pair for every (x, y), with its one inverse taken once
-        inv = mod_inv(acc_mod % pe, pe)
-        sols = [(x + acc_mod * (((y - x) * inv) % pe)) % (acc_mod * pe)
-                for x in sols for y in roots]
+    for p, e in factorize(k):
+        split = _split(g, l, p, e)
+        if split is None:
+            return 0, []
+        h, f, gu, lu = split
+        roots = _unit_sqrt(gu, lu, p, f)
+        if not roots:
+            return 0, []
+        pe = p**e
+        if f < e:
+            # x = p^h*w + j*p^(h+f); for units g and l (f = e) the w are the roots
+            ph, step = p**h, p ** (h + f)
+            roots = [ph * w + j for w in roots for j in range(0, pe, step)]
+        # crt_pair for every (x, y), with its one inverse taken once; each
+        # glued value is already below acc_mod * pe
+        inv = pow(acc_mod, -1, pe)
+        sols = [x + acc_mod * ((y - x) * inv % pe) for x in sols for y in roots]
         acc_mod *= pe
     sols.sort()
     return len(sols), sols
@@ -145,134 +148,91 @@ def quad_cong_roots(g: int, l: int, k: int) -> tuple[int, list[int]]:
 def quad_cong_count(g: int, l: int, k: int) -> int:
     """Number of roots of g*x^2 = l (mod k), k >= 1, without listing them.
 
-    By CRT the roots mod k are the tuples of roots mod the prime powers
-    of k, so the count is the product of the per-prime-power counts;
-    equal to quad_cong_roots(g, l, k)[0].
+    By CRT, the product over the prime powers p^e of k of p^(e-h-f) times
+    the closed-form count of _split's unit roots w (one when f = 0).
     """
     if k < 1:
         raise OutOfRangeError("modulus must be positive")
     count = 1
     for p, e in factorize(k):
-        count *= _count_prime_power(g, l, p, e)
-        if not count:
+        split = _split(g, l, p, e)
+        if split is None:
             return 0
+        h, f, gu, lu = split
+        if f and p == 2:
+            # an odd square is 1 mod 8: g'w^2 = l' (mod 2^f) has 1, 2 or 4
+            # roots for f = 1, 2, >= 3 when l' = g' mod 2^min(f, 3), else none
+            c = f if f < 3 else 3
+            if (lu - gu) % (1 << c):
+                return 0
+            count <<= c - 1
+        elif f:
+            # two roots when l'/g' is a square mod p: Euler's criterion on l'g'
+            if pow(lu * gu, (p - 1) // 2, p) != 1:
+                return 0
+            count *= 2
+        count *= p ** (e - h - f)
     return count
 
 
-def _count_prime_power(g: int, l: int, p: int, e: int) -> int:
-    """len(_roots_prime_power(g, l, p, e)), in closed form.
+def _split(g: int, l: int, p: int, e: int) -> tuple[int, int, int, int] | None:
+    """Where the roots of g*x^2 = l (mod p^e) lie: (h, f, g', l'), or None.
 
-    With s = v_p(g) and v = v_p(l), a root exists only for even v - s;
-    then x = p^((v-s)/2) * u, where u is a unit root of g' u^2 = l'
-    (mod p^(e-v)) for the unit parts g', l', and each such u lifts to
-    p^s * p^((v-s)/2) roots mod p^e.
+    The roots are x = p^h*w + j*p^(h+f) for 0 <= j < p^(e-h-f), where w
+    runs over the units mod p^f with g'*w^2 = l' (mod p^f).  With
+    s = v_p(g) and v = v_p(l), g and l taken mod p^e and s capped at e:
+    - p^e | l: x needs only p^ceil((e-s)/2) | x, so h = ceil((e-s)/2),
+      f = 0 and w = 0; g = 0 (mod p^e) makes s = e, so every x is a root.
+    - otherwise a root needs v - s even and >= 0; then h = (v-s)/2,
+      f = e - v, and g', l' are the unit parts of g and l.
     """
     pe = p**e
     g %= pe
     l %= pe
-    if g == 0:
-        return pe if l == 0 else 0
-    s = 0
-    while g % p == 0:
+    if g % p and l % p:  # units: s = v = 0
+        return 0, e, g, l
+    s = v = 0
+    while g % p == 0 and s < e:
         g //= p
         s += 1
     if l == 0:
-        # p^s * x^2 = 0 (mod p^e) iff p^ceil((e-s)/2) divides x
-        return p ** (s + (e - s) // 2)
-    v = 0
+        return (e - s + 1) // 2, 0, g, l
     while l % p == 0:
         l //= p
         v += 1
     if v < s or (v - s) % 2:
-        return 0
-    if p == 2:
-        # an odd square is 1 mod 8: x^2 = l/g (mod 2^f) has 1, 2 or 4
-        # roots for f = 1, 2, >= 3 when l = g mod 2^min(f, 3), else none
-        c = min(e - v, 3)
-        units = 1 << (c - 1) if (l - g) % (1 << c) == 0 else 0
-    else:
-        # two roots when l/g is a square mod p, Euler's criterion on l*g
-        units = 2 if pow(l * g, (p - 1) // 2, p) == 1 else 0
-    return p ** (s + (v - s) // 2) * units
+        return None
+    return (v - s) // 2, e - v, g, l
 
 
-def _roots_prime_power(g: int, l: int, p: int, e: int) -> list[int]:
-    """Roots of g*x^2 = l (mod p^e)."""
-    pe = p**e
-    g %= pe
-    l %= pe
-    if g % p != 0:
-        # reduce to x^2 = l * g^{-1}
-        return _sqrt_mod_prime_power((l * mod_inv(g, pe)) % pe, p, e)
-    if g == 0:
-        return list(range(pe)) if l == 0 else []
-    s = 0
-    gg = g
-    while gg % p == 0:
-        gg //= p
-        s += 1
-    ps = p**s
-    # valuation of the left side is at least s, so p^s must divide l
-    if l % ps != 0:
-        return []
-    sub = _roots_prime_power(gg, l // ps, p, e - s)
-    m = p ** (e - s)
-    return sorted((x + j * m) % pe for x in sub for j in range(ps))
-
-
-def _sqrt_mod_prime_power(a: int, p: int, e: int) -> list[int]:
-    """Roots of x^2 = a (mod p^e) for any a, handling p | a by valuation."""
-    pe = p**e
-    a %= pe
-    if e == 0:
+def _unit_sqrt(g: int, l: int, p: int, f: int) -> list[int]:
+    """The w in [0, p^f) with g*w^2 = l (mod p^f), for units g and l."""
+    if f == 0:
         return [0]
-    if a == 0:
-        step = p ** ((e + 1) // 2)
-        return list(range(0, pe, step))
-    v = 0
-    aa = a
-    while aa % p == 0:
-        aa //= p
-        v += 1
-    if v:
-        if v % 2:
-            return []
-        # x = p^{v/2} * u with u^2 = aa (mod p^{e-v}); u lifts freely above
-        f = e - v
-        half = p ** (v // 2)
-        m = p**f
-        base = _sqrt_mod_unit(aa, p, f)
-        return sorted({(half * (y + j * m)) % pe for y in base for j in range(half)})
-    return _sqrt_mod_unit(a, p, e)
-
-
-def _sqrt_mod_unit(a: int, p: int, e: int) -> list[int]:
-    """Roots of x^2 = a (mod p^e) with p not dividing a."""
-    if e == 0:
-        return [0]
+    m = p**f
+    a = l * pow(g, -1, m) % m
     if p == 2:
-        if e == 1:
-            return [1]
-        if e == 2:
-            return [1, 3] if a % 4 == 1 else []
-        if a % 8 != 1:
+        # an odd square is 1 mod 2^min(f, 3).  Lift a root x < 2^(f-1) of
+        # w^2 = a one bit at a time; the roots are the first 1, 2 or 4 of
+        # x, -x, 2^(f-1) + x, 2^(f-1) - x for f = 1, 2, >= 3
+        c = min(f, 3)
+        if a % (1 << c) != 1:
             return []
         x = 1
-        for i in range(3, e):
+        for i in range(3, f):
             if (x * x - a) % (1 << (i + 1)):
                 x += 1 << (i - 1)
-        m = 1 << e
-        return sorted({x % m, (m - x) % m, (x + (m >> 1)) % m, (m - x + (m >> 1)) % m})
-    r0 = _tonelli_shanks(a % p, p)
-    if r0 is None:
+        half = m >> 1
+        return [x, m - x, half + x, half - x][:1 << (c - 1)]
+    x = _tonelli_shanks(a % p, p)
+    if x is None:
         return []
-    pe = p**e
-    x, pk = r0, p
-    while pk < pe:
-        pk2 = min(pk * pk, pe)
-        x = (x - (x * x - a) * mod_inv((2 * x) % pk2, pk2)) % pk2
-        pk = pk2
-    return sorted({x, pe - x})
+    # Hensel lifting by Newton steps, each doubling the p-adic precision
+    pk = p
+    while pk < m:
+        pk = min(pk * pk, m)
+        x = (x - (x * x - a) * pow(2 * x, -1, pk)) % pk
+    return [x, m - x]
 
 
 def _tonelli_shanks(a: int, p: int):

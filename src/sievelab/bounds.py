@@ -406,7 +406,7 @@ def sieve_bracket(s: ModuliSet, n: int, z_grid: int = 64, mode: str = "grid",
     if n < 4:
         raise OutOfRangeError("bracket needs N >= 4")
     if mode not in ("grid", "exact"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise OutOfRangeError(f"unknown mode {mode!r}")
     if mode == "grid" and z_grid > _MAX_Z_GRID:
         raise CapacityError(f"a z-grid of {z_grid} points needs {8 * z_grid} bytes "
                             f"per (h, row), over the {_MAX_Z_GRID} entries "

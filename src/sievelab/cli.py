@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 import sys
+import warnings
 from typing import NamedTuple
 
 from .bounds import (SHAPE_NAMES, BoundReport, build_report, sieve_bracket,
@@ -355,17 +356,20 @@ def run_experiment(cfg) -> int:
 
 
 def main(argv=None) -> int:
-    try:
-        cfg = parse_args(sys.argv[1:] if argv is None else argv)
-        return run_experiment(cfg)
-    except InputError as exc:
-        return _fail("config error", exc, 2)
-    except SieveLabError as exc:
-        return _fail("error", exc, 1)
-    except OSError as exc:
-        return _fail("io error", exc, 1)
-    except MemoryError as exc:
-        return _fail("error", str(exc) or "out of memory", 1)
+    with warnings.catch_warnings():
+        # a warning that the filters let through is one stderr line too
+        warnings.showwarning = lambda message, *_: _fail("warning", message, 0)
+        try:
+            cfg = parse_args(sys.argv[1:] if argv is None else argv)
+            return run_experiment(cfg)
+        except InputError as exc:
+            return _fail("config error", exc, 2)
+        except SieveLabError as exc:
+            return _fail("error", exc, 1)
+        except OSError as exc:
+            return _fail("io error", exc, 1)
+        except MemoryError as exc:
+            return _fail("error", str(exc) or "out of memory", 1)
 
 
 def _fail(prefix: str, exc: object, code: int) -> int:

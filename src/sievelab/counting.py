@@ -68,9 +68,9 @@ def dirichlet_approx(alpha: float, tau: float) -> RationalApprox:
     satisfies the pigeonhole guarantee because the next one exceeds tau.
     """
     if not tau >= 1:
-        raise ValueError("need tau >= 1")
+        raise OutOfRangeError("need tau >= 1")
     if not math.isfinite(alpha):
-        raise ValueError("alpha must be finite")
+        raise OutOfRangeError("alpha must be finite")
     x = Fraction(alpha)
     num, den = x.numerator, x.denominator
     hm2, hm1 = 0, 1
@@ -254,7 +254,7 @@ def pi_count(s: ModuliSet, b: int, r: int, z: float, delta: float, y: float) -> 
     endpoints are out of order.
     """
     if r < 1:
-        raise ValueError("need r >= 1")
+        raise OutOfRangeError("need r >= 1")
     el = s.elements
     qlo = np.searchsorted(el, y - delta, side="left")
     qhi = np.searchsorted(el, y + delta, side="right")

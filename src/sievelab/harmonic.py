@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .errors import NotCoprimeError, QuadratureError
+from .errors import NotCoprimeError, OutOfRangeError, QuadratureError
 from .util import cexp
 
 _QUAD_NODES = 16
@@ -57,7 +57,7 @@ def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
 def gauss_sum(k: int, l: int, c: int) -> complex:
     """G(k, l; c) = sum_{d=1}^{c} e((k*d^2 + l*d)/c), gcd(k, c) = 1."""
     if c < 1:
-        raise ValueError("modulus must be positive")
+        raise OutOfRangeError("modulus must be positive")
     if math.gcd(k, c) != 1:
         raise NotCoprimeError(f"k={k} shares a factor with c={c}")
     k %= c
@@ -75,7 +75,7 @@ def gauss_sum_row(k: int, c: int) -> np.ndarray:
     with gauss_sum entry by entry.
     """
     if c < 1:
-        raise ValueError("modulus must be positive")
+        raise OutOfRangeError("modulus must be positive")
     if math.gcd(k, c) != 1:
         raise NotCoprimeError(f"k={k} shares a factor with c={c}")
     k %= c
@@ -93,7 +93,7 @@ def poisson_residual(scale: float, shift: float, trunc: int = 10**6) -> float:
     phi_hat(n*scale) is finite because phi_hat has compact support.
     """
     if scale <= 0:
-        raise ValueError("scale must be positive")
+        raise OutOfRangeError("scale must be positive")
     n = np.arange(-trunc, trunc + 1, dtype=np.float64)
     direct = float(np.sum(phi_value((n - shift) / scale)))
     m_max = int(math.floor(1.0 / scale)) + 1
@@ -119,7 +119,7 @@ def oscillatory_integral(j: int, l: int, r_star: int, z: float, q0: float,
     comparison).  Raises QuadratureError if the panel budget runs out.
     """
     if q0 <= 0 or r_star < 1:
-        raise ValueError("need Q0 > 0 and r_star >= 1")
+        raise OutOfRangeError("need Q0 > 0 and r_star >= 1")
     if j == 0 and l == 0:
         return complex(q0)
     if tol is None:

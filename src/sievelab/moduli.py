@@ -149,7 +149,7 @@ def build_moduli_set(kind: str, **kw) -> ModuliSet:
         return explicit_moduli(kw["elements"], M=kw.get("M"), span=kw.get("span"))
     if kind == "file":
         return moduli_from_file(kw["path"], M=kw.get("M"), span=kw.get("span"))
-    raise ValueError(f"unknown moduli kind {kind!r}")
+    raise OutOfRangeError(f"unknown moduli kind {kind!r}")
 
 
 def derive_subset(s: ModuliSet, t: int) -> ModuliSet:

@@ -43,7 +43,7 @@ class CoefficientSequence:
         v = np.asarray(values, dtype=np.complex128)
         v.setflags(write=False)
         if N != v.size or N < 1:
-            raise ValueError("N must equal len(values) and be >= 1")
+            raise OutOfRangeError("N must equal len(values) and be >= 1")
         self.N = N
         self._values = v
         self._z = None
@@ -206,7 +206,7 @@ def eval_at_modulus(seq: CoefficientSequence, q: int) -> np.ndarray:
     of the circle and the result does not drift with N.
     """
     if q < 1:
-        raise ValueError("modulus must be positive")
+        raise OutOfRangeError("modulus must be positive")
     idx = np.arange(1, seq.N + 1, dtype=np.int64) % q
     br = np.bincount(idx, weights=seq.values.real, minlength=q)
     bi = np.bincount(idx, weights=seq.values.imag, minlength=q)

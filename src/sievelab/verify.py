@@ -112,8 +112,8 @@ def check_mod_inv(m_full: int, samples: int, seed: int) -> CheckResult:
 
 
 def quad_roots_sweep(k_max: int, pairs_per_k: int, seed: int) -> CheckResult:
-    """Fast quadratic-congruence solver vs exhaustive scan, plus the
-    2^(omega(k)+1) cap for coprime g and l."""
+    """Fast quadratic-congruence roots and root count vs exhaustive scan,
+    plus the 2^(omega(k)+1) cap for coprime g and l."""
     res = CheckResult("arith-quad-roots")
     rng = seeded_rng(seed)
     for k in range(1, k_max + 1):
@@ -130,7 +130,8 @@ def quad_roots_sweep(k_max: int, pairs_per_k: int, seed: int) -> CheckResult:
                 coprime_pair = False
             cnt, roots = arith.quad_cong_roots(g, l, k)
             scnt, sroots = oracles.quad_cong_roots_scan(g, l, k)
-            ok = cnt == scnt and roots == sroots
+            ok = (cnt == scnt and roots == sroots
+                  and arith.quad_cong_count(g, l, k) == scnt)
             if coprime_pair:
                 ok = ok and cnt <= cap
             res.expect(ok, f"quad_cong_roots({g},{l},{k})")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sievelab import arith, moduli, oracles
+from sievelab import arith, bounds, counting, harmonic, moduli, oracles, sequences
 from sievelab.errors import NotInvertibleError, OutOfRangeError
 
 
@@ -107,8 +107,26 @@ def test_mod_inv_equals_the_xgcd_inverse():
     lambda: arith.quad_cong_count(1, 1, -2),
     lambda: moduli.square_divisor_profile(0),
     lambda: moduli.derive_subset(moduli.squares_up_to(3), 0),
+    lambda: counting.dirichlet_approx(0.3, 0.5),
+    lambda: counting.dirichlet_approx(math.nan, 10.0),
+    lambda: counting.pi_count(moduli.squares_up_to(3), 0, 0, 0.1, 0.1, 4.0),
+    lambda: harmonic.gauss_sum(1, 0, 0),
+    lambda: harmonic.gauss_sum_row(1, 0),
+    lambda: harmonic.poisson_residual(0.0, 0.0),
+    lambda: harmonic.oscillatory_integral(1, 1, 1, 0.1, 0.0),
+    lambda: harmonic.oscillatory_integral(1, 1, 0, 0.1, 10.0),
+    lambda: sequences.eval_at_modulus(sequences.make_sequence("ones", 8), 0),
+    lambda: sequences.CoefficientSequence([1.0, 2.0], 3),
+    lambda: sequences.CoefficientSequence([], 0),
+    lambda: bounds.sieve_bracket(moduli.squares_up_to(3), 16, mode="fast"),
+    lambda: moduli.build_moduli_set("cubes"),
 ], ids=["factorize", "mod_inv", "quad_cong_roots", "quad_cong_count",
-        "square_divisor_profile", "derive_subset"])
+        "square_divisor_profile", "derive_subset", "dirichlet_approx-tau",
+        "dirichlet_approx-alpha", "pi_count", "gauss_sum", "gauss_sum_row",
+        "poisson_residual", "oscillatory_integral-q0",
+        "oscillatory_integral-r_star", "eval_at_modulus",
+        "CoefficientSequence-length", "CoefficientSequence-empty",
+        "sieve_bracket", "build_moduli_set"])
 def test_argument_errors_are_out_of_range(call):
     with pytest.raises(OutOfRangeError):
         call()
@@ -146,6 +164,7 @@ def test_quad_roots_match_exhaustive_scan(k, g, l):
     assert cnt == scnt
     assert roots == sroots
     assert all((g * x * x - l) % k == 0 for x in roots)
+    assert arith.quad_cong_count(g, l, k) == scnt
 
 
 def test_quad_roots_match_exhaustive_scan_on_small_prime_powers():
@@ -154,8 +173,50 @@ def test_quad_roots_match_exhaustive_scan_on_small_prime_powers():
         if len(arith.factorize(pe)) == 1:
             for g in range(pe):
                 for l in range(pe):
-                    assert arith.quad_cong_roots(g, l, pe) == \
-                        oracles.quad_cong_roots_scan(g, l, pe)
+                    scan = oracles.quad_cong_roots_scan(g, l, pe)
+                    assert arith.quad_cong_roots(g, l, pe) == scan
+                    assert arith.quad_cong_count(g, l, pe) == scan[0]
+
+
+def _unit(rng, k):
+    while True:
+        x = int(rng.integers(1, k))
+        if math.gcd(x, k) == 1:
+            return x
+
+
+def test_quad_roots_match_the_scan_on_long_lifts():
+    # moduli near 2^21, where the 2-adic loop and Hensel doubling take many
+    # steps.  Per prime p^e of k, s = v_p(g) <= v = v_p(l) are drawn from
+    # 0..min(6, e-1), v - s of either parity at the first prime, and l/g is
+    # a unit square times p^(v-s), so an even v - s has roots.  Draws whose
+    # count bound prod 4*p^((s+v)/2) passes 2^12 are redrawn.
+    rng = np.random.default_rng(2004)
+    for k in (2**21, 3**13, 5**9, 7**7, 1447**2, 2**10 * 3**6):
+        fac = arith.factorize(k)
+        p0, e0 = fac[0]
+        u, x0 = _unit(rng, k), _unit(rng, k)
+        cases = [(u, u * x0 * x0 % k),                     # units: a full lift
+                 (p0 * _unit(rng, k), 0),                  # p^e | l
+                 (p0**e0 * _unit(rng, k), _unit(rng, k))]  # g = 0 mod p^e
+        for parity in (0, 1):
+            bound = 4097
+            while bound > 4096:
+                u, x0 = _unit(rng, k), _unit(rng, k)
+                g, l, bound = u, u * x0 * x0, 1
+                for p, e in fac:
+                    top = min(6, e - 1)
+                    s, v = sorted(rng.integers(0, top + 1, 2).tolist())
+                    if p == p0 and (v - s) % 2 != parity:
+                        v += 1 if v < top else -1
+                    g, l = g * p**s, l * p**v
+                    bound *= 4 * p ** ((s + v) // 2)
+            cases.append((g % k, l % k))
+        for g, l in cases:
+            scan = oracles.quad_cong_roots_scan(g, l, k)
+            assert scan[0] <= 4096
+            assert arith.quad_cong_roots(g, l, k) == scan
+            assert arith.quad_cong_count(g, l, k) == scan[0]
 
 
 def test_quad_roots_count_cap_for_coprime_inputs():

@@ -151,11 +151,20 @@ def test_farey_table_bytes_at_size(capsys, tmp_path):
 def test_bracket_command_empty_set(capsys, tmp_path):
     mods = tmp_path / "m.txt"
     mods.write_text("", encoding="utf-8")
-    with pytest.warns(Warning):
-        code, out, _ = run_cli(capsys, "--cmd", "bracket", "--moduli",
-                               f"file:{mods}", "--n", "32")
+    code, out, err = run_cli(capsys, "--cmd", "bracket", "--moduli",
+                             f"file:{mods}", "--n", "32")
     assert code == 0
     assert out.split() == ["0", "32"]
+    assert err == "warning: constructed moduli set is empty\n"
+
+
+@pytest.mark.parametrize("moduli", [["primes", "--q", "1"], ["octave", "--q0", "0.3"]],
+                         ids=["primes", "octave"])
+def test_a_warning_is_one_stderr_line(capsys, moduli):
+    code, out, err = run_cli(capsys, "--cmd", "bracket", "--moduli", *moduli,
+                             "--n", "16")
+    assert (code, out) == (0, "0 16\n")
+    assert err == "warning: constructed moduli set is empty\n"
 
 
 def test_shapes_json_report(capsys, tmp_path):
