@@ -119,6 +119,7 @@ def quad_cong_roots(g: int, l: int, k: int) -> tuple[int, list[int]]:
     Returns (count, sorted list of roots in [0, k)).  The roots mod each
     prime power of k come from _split and _unit_sqrt and are glued by CRT.
     """
+    g, l, k = operator.index(g), operator.index(l), operator.index(k)
     if k < 1:
         raise OutOfRangeError("modulus must be positive")
     acc_mod = 1
@@ -151,6 +152,7 @@ def quad_cong_count(g: int, l: int, k: int) -> int:
     By CRT, the product over the prime powers p^e of k of p^(e-h-f) times
     the closed-form count of _split's unit roots w (one when f = 0).
     """
+    g, l, k = operator.index(g), operator.index(l), operator.index(k)
     if k < 1:
         raise OutOfRangeError("modulus must be positive")
     count = 1

@@ -24,9 +24,7 @@ crowding_shape_estimates gives closed-form estimates for that count.
 
 from __future__ import annotations
 
-import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -168,6 +166,16 @@ def _batches(qs: list[int], entries: int):
         yield batch
 
 
+def _pool(workers: int):
+    """A pool of `workers` threads; for one worker a null context, so the
+    `with` target is None and the caller runs its tasks in order itself."""
+    if workers <= 1:
+        return nullcontext()
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(workers)
+
+
 def sieve_lhs(seq: CoefficientSequence, s: ModuliSet, threads: int = 1) -> float:
     """Sum over q in s and reduced a mod q of |S(a/q)|^2.
 
@@ -185,7 +193,7 @@ def sieve_lhs(seq: CoefficientSequence, s: ModuliSet, threads: int = 1) -> float
     workers = max(1, min(threads, len(qs)))
     util.reserve("sieve sum", max(qs, default=0) * workers, "fold entries", _FOLD_BYTES)
     terms = []
-    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+    with _pool(workers) as pool:
         for batch in _batches(qs, util.CAPACITY // _FOLD_BYTES):
             folds = _folds(seq, batch, pool, workers)
             terms += pool.map(_modulus_term, folds) if pool else map(_modulus_term, folds)
@@ -421,7 +429,7 @@ def sieve_bracket(s: ModuliSet, n: int, z_grid: int = 64, mode: str = "grid",
         return _bracket_eval(s, n, r, zs, dilates)
 
     workers = min(threads, len(rs))
-    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+    with _pool(workers) as pool:
         b = float(max(pool.map(one, rs) if pool else map(one, rs)))
     return b, float(n) * (1.0 + b)
 
@@ -506,6 +514,8 @@ class BoundReport:
                 raise ValueError(f"ratio for {name} inconsistent with lhs/(shape*Z)")
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps({
             "N": self.N, "Q": self.Q, "Q0": self.Q0, "Z": self.Z,
             "lhs": self.lhs, "shapes": self.shapes, "ratios": self.ratios,

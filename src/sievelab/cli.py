@@ -13,7 +13,6 @@ import argparse
 import csv
 import io
 import itertools
-import json
 import math
 import sys
 import warnings
@@ -23,11 +22,9 @@ from .bounds import (SHAPE_NAMES, BoundReport, build_report, sieve_bracket,
                      sieve_lhs)
 from .counting import WindowQuery, count_window_ap, k_delta
 from .errors import ConfigError, InputError, SieveLabError
-from .harmonic import gauss_sum
 from .moduli import FareySlabs, ModuliSet, build_moduli_set, derive_subset
 from .sequences import make_sequence
 from .util import fmt17
-from .verify import run_verify
 
 _COMMANDS = ("sieve-sum", "k-delta", "a-count", "farey", "gauss", "bracket",
              "shapes", "verify", "sweep")
@@ -137,6 +134,8 @@ def _convert(kind, val, where: str):
 
 
 def _load_config_file(path: str) -> dict:
+    import json
+
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -301,6 +300,8 @@ def _cells(values: dict) -> list[str]:
 
 
 def _cmd_verify(cfg) -> int:
+    from .verify import run_verify
+
     results = run_verify(quick=cfg["quick"], seed=cfg["seed"])
     lines = []
     failed_groups = 0
@@ -340,6 +341,8 @@ def run_experiment(cfg) -> int:
         else:
             text = f"{len(slabs)}\n"
     elif cmd == "gauss":
+        from .harmonic import gauss_sum
+
         g = gauss_sum(cfg["k"], cfg["l"], cfg["c"])
         text = f"{fmt17(g.real)} {fmt17(g.imag)} {fmt17(abs(g))}\n"
     elif cmd == "bracket":

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -71,6 +70,8 @@ def dirichlet_approx(alpha: float, tau: float) -> RationalApprox:
         raise OutOfRangeError("need tau >= 1")
     if not math.isfinite(alpha):
         raise OutOfRangeError("alpha must be finite")
+    from fractions import Fraction
+
     x = Fraction(alpha)
     num, den = x.numerator, x.denominator
     hm2, hm1 = 0, 1

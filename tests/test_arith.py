@@ -236,3 +236,20 @@ def test_quad_roots_known_cases():
     assert arith.quad_cong_roots(1, 2, 4) == (0, [])
     assert arith.quad_cong_roots(2, 1, 5) == (0, [])  # 3 is not a square mod 5
     assert arith.quad_cong_roots(1, 4, 16) == (4, [2, 6, 10, 14])
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32])
+def test_quad_roots_take_numpy_integers(dtype):
+    # numpy scalars as g, l and k give the Python-int results, also
+    # through square_class_count, which hands quad_cong_count its g
+    for k in (1, 2, 8, 9, 12, 25, 97, 360):
+        for g in (-3, 0, 1, 3, 4, 12):
+            for l in (-1, 0, 1, 5, 9, 36):
+                want = arith.quad_cong_roots(g, l, k)
+                got = arith.quad_cong_roots(dtype(g), dtype(l), dtype(k))
+                assert got == want
+                assert all(type(x) is int for x in got[1])
+                assert arith.quad_cong_count(dtype(g), dtype(l), dtype(k)) == want[0]
+        for t in (1, 2, 12):
+            assert moduli.square_class_count(dtype(t), dtype(k), dtype(5)) == \
+                moduli.square_class_count(t, k, 5)

@@ -1,5 +1,6 @@
 """Sieve sums, the window bracket, crowding shapes, and the shape registry."""
 
+import concurrent.futures
 import json
 import math
 import sys
@@ -284,14 +285,14 @@ def test_bracket_pool_is_clamped_to_its_tasks(monkeypatch):
     # N = 36 has six values of r, so 64 threads open a pool of six
     sizes = []
 
-    class Recording(bounds_mod.ThreadPoolExecutor):
+    class Recording(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, workers):
             sizes.append(workers)
             super().__init__(workers)
 
     s = squares_in_octave(40)
     one = sieve_bracket(s, 36, z_grid=256)
-    monkeypatch.setattr(bounds_mod, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
     assert sieve_bracket(s, 36, z_grid=256, threads=64) == one
     assert sizes == [6]
 

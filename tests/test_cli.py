@@ -255,7 +255,7 @@ def test_quick_verify_passes_on_a_fresh_build(capsys):
 
 
 def test_verify_reporting_and_exit_codes(capsys, monkeypatch):
-    import sievelab.cli as cli_mod
+    import sievelab.verify as verify_mod
 
     def fake_ok(quick=True, seed=0):
         return [CheckResult("alpha", passed=3)]
@@ -264,12 +264,12 @@ def test_verify_reporting_and_exit_codes(capsys, monkeypatch):
         return [CheckResult("alpha", passed=3),
                 CheckResult("beta", passed=1, failed=2, notes=["boom"])]
 
-    monkeypatch.setattr(cli_mod, "run_verify", fake_ok)
+    monkeypatch.setattr(verify_mod, "run_verify", fake_ok)
     code, out, _ = run_cli(capsys, "--cmd", "verify")
     assert code == 0
     assert "[PASS] alpha: 3 checks" in out
 
-    monkeypatch.setattr(cli_mod, "run_verify", fake_bad)
+    monkeypatch.setattr(verify_mod, "run_verify", fake_bad)
     code, out, _ = run_cli(capsys, "--cmd", "verify")
     assert code == 1
     assert "[FAIL] beta: 2 of 3 failed; first: boom" in out

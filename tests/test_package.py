@@ -1,0 +1,84 @@
+"""The package's lazy exports, and which modules each entry point loads."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import sievelab
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+SUBMODULES = ("arith", "bounds", "counting", "errors", "harmonic", "moduli",
+              "oracles", "sequences", "util", "verify")
+# modules that neither a-count nor a sweep without sieve sums uses
+OFF_PATH = ("sievelab.verify", "sievelab.oracles", "sievelab.harmonic",
+            "fractions", "json")
+
+
+def _loaded(*args: str) -> set[str]:
+    """Every module a fresh interpreter imports while running args."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:") and "|" in line}
+
+
+def test_import_loads_no_submodule():
+    mods = _loaded("-c", "import sievelab; assert set(sievelab.__all__) <= set(dir(sievelab))")
+    assert "sievelab" in mods
+    assert not [m for m in mods if m.startswith("sievelab.")]
+
+
+@pytest.mark.parametrize("argv", [
+    "--cmd a-count --moduli primes --q 50 --u 5 --k 1 --l 0 --t 1",
+    "--cmd sweep --grid-n 4096 --grid-q 8 --moduli squares --no-lhs",
+], ids=["a-count", "sweep-no-lhs"])
+def test_commands_load_only_what_they_run(argv):
+    mods = _loaded("-m", "sievelab", *argv.split())
+    assert {"sievelab.cli", "sievelab.bounds", "sievelab.moduli"} <= mods
+    assert not mods & set(OFF_PATH)
+
+
+def test_exports_resolve_to_their_home_objects(monkeypatch):
+    # each name is listed once, under one home
+    assert sum(map(len, sievelab._EXPORTS.values())) == len(sievelab.__all__)
+    for name in sievelab.__all__:
+        home = importlib.import_module(f"sievelab.{sievelab._HOME[name]}")
+        # drop the cached value, so the lookup goes through __getattr__
+        monkeypatch.delattr(sievelab, name, raising=False)
+        assert getattr(sievelab, name) is getattr(home, name)
+        assert name in vars(sievelab)
+    for name in SUBMODULES:
+        monkeypatch.delattr(sievelab, name, raising=False)
+        assert getattr(sievelab, name) is importlib.import_module(f"sievelab.{name}")
+
+
+def test_star_import_and_dir_cover_all():
+    ns = {}
+    exec("from sievelab import *", ns)
+    assert set(sievelab.__all__) <= set(ns)
+    assert set(sievelab.__all__) <= set(dir(sievelab))
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="'sievelab' has no attribute 'no_such_name'"):
+        sievelab.no_such_name
+    assert not hasattr(sievelab, "no_such_name")
+
+
+def test_a_value_set_on_the_package_is_what_it_returns(monkeypatch):
+    # a tracer rebinds package names with setattr, before or after their
+    # first lookup, and callers that look them up later see its value
+    def traced(*args, **kwargs):
+        return None
+
+    monkeypatch.delattr(sievelab, "sieve_lhs", raising=False)
+    monkeypatch.setattr(sievelab, "sieve_lhs", traced, raising=False)
+    assert sievelab.sieve_lhs is traced
+    monkeypatch.setattr(sievelab, "square_class_count", traced)
+    assert sievelab.square_class_count is traced
