@@ -15,8 +15,11 @@ constant-free bound and is certified as such in the tests.
 sieve_bracket evaluates the window-count bracket N*(1+B), where B is a
 maximum over frequencies h and points z of one dilate window sum: the
 window counts of each dilate's classes, weighted by how many
-frequencies fall in each class.  Its exact mode finds the breakpoints
-in z from the element differences that k divides.
+frequencies fall in each class.  Only the t-dilate's elements coprime
+to k = r/t count, and those are the q/t with gcd(q, r) = t: one gcd
+with r partitions the set over the divisors of r, and no dilate is
+built.  Its exact mode finds the breakpoints in z from the element
+differences that k divides.
 farey_crowding_shape, which bounds how many fractions with moduli in
 the set crowd a rational point b/r, is the same sum at h = -b and one z;
 crowding_shape_estimates gives closed-form estimates for that count.
@@ -33,9 +36,9 @@ import numpy as np
 from .counting import window_count_profile
 from .errors import (CapacityError, InvalidRegimeError, NotCoprimeError,
                      OutOfRangeError, ShapeDomainError)
-from .moduli import ModuliSet, derive_subset
+from .moduli import ModuliSet
 from .sequences import _PIECE, CoefficientSequence
-from .arith import divisors, squarefree_divisors
+from .arith import divisors, euler_phi, squarefree_divisors
 from . import util
 from .util import PairwiseSum, fmt17
 
@@ -43,6 +46,9 @@ _REGIME_SLACK = 1e-12
 _BRACKET_CHUNK = 1 << 22  # (h, row, z) entries one bracket gather may hold
 _MAX_Z_GRID = _BRACKET_CHUNK  # a grid row of z values fits in one gather chunk
 _FOLD_BYTES = 16  # one complex128 fold entry
+_POINT_BYTES = 32  # a candidate z of exact mode: built, held, concatenated, masked
+_INSIDE_BYTES = 64  # and one inside (1/N, z_hi): its copies through unique and the midpoints
+_TERM_BYTES = 16  # per (class, z): two int64s, a count and a window count or their product
 
 SHAPE_NAMES = (
     "classical",
@@ -291,8 +297,19 @@ def _signed_class_counts(m_max: np.ndarray, k: int) -> np.ndarray:
     return pos + pos[(-np.arange(k)) % k]
 
 
-def _dilate_terms(s: ModuliSet, dilates: dict[int, ModuliSet], r: int,
-                  zs: np.ndarray, width) -> list:
+def _coprime_dilates(s: ModuliSet, r: int):
+    """(t, k, c) for each divisor t of r, k = r/t, with c the elements of
+    the t-dilate coprime to k, increasing and possibly none.
+
+    t | q and gcd(q/t, k) = 1 hold exactly when gcd(q, r) = t, so one
+    gcd with r partitions the set over the divisors.
+    """
+    g = np.gcd(s.elements, r)
+    for t in divisors(r):
+        yield t, r // t, s.elements[g == t] // t
+
+
+def _dilate_terms(s: ModuliSet, r: int, zs: np.ndarray, width) -> list:
     """(k, classes, profiles, counts) for each divisor t of r, k = r/t,
     whose t-dilate has a nonempty class mod k coprime to k.
 
@@ -304,14 +321,10 @@ def _dilate_terms(s: ModuliSet, dilates: dict[int, ModuliSet], r: int,
     """
     span = s.Q
     terms = []
-    for t in divisors(r):
-        el = dilates[t].elements
-        k = r // t
-        cls = el % k
-        keep = np.gcd(cls, k) == 1
-        ls, prof = window_count_profile(el[keep], width(t), s.M / t, (s.M + span) / t,
-                                        labels=cls[keep])
-        if ls.size:
+    for t, k, c in _coprime_dilates(s, r):
+        if c.size:
+            ls, prof = window_count_profile(c, width(t), s.M / t, (s.M + span) / t,
+                                            labels=c % k)
             counts = _signed_class_counts(np.floor(6.0 * r * zs * span / t).astype(np.int64), k)
             terms.append((k, ls, prof, counts))
     return terms
@@ -324,8 +337,7 @@ def _window_sum(terms: list, h: np.ndarray):
     return sum((counts[(h * ls) % k] * prof).sum(axis=1) for k, ls, prof, counts in terms)
 
 
-def _bracket_eval(s: ModuliSet, n: int, r: int, zs: np.ndarray,
-                  dilates: dict[int, ModuliSet]) -> int:
+def _bracket_eval(s: ModuliSet, n: int, r: int, zs: np.ndarray) -> int:
     """Max over z in zs and reduced h mod r of the bracket's window sum.
 
     For each divisor t of r, with k = r/t, the sum adds the window count
@@ -337,7 +349,7 @@ def _bracket_eval(s: ModuliSet, n: int, r: int, zs: np.ndarray,
     its (h, class, z) entries bounded.
     """
     span = s.Q
-    terms = _dilate_terms(s, dilates, r, zs, lambda t: 2.0 * span / (t * zs * n))
+    terms = _dilate_terms(s, r, zs, lambda t: 2.0 * span / (t * zs * n))
     if not terms:
         return 0
     hs = _reduced_residues(r)
@@ -357,7 +369,7 @@ def _grid_z(r: int, n: int, points: int) -> np.ndarray:
     return np.fromiter((z_lo * ratio ** (j / (g - 1)) for j in range(g)), np.float64, g)
 
 
-def _exact_z(s: ModuliSet, n: int, r: int, dilates: dict[int, ModuliSet]) -> np.ndarray:
+def _exact_z(s: ModuliSet, n: int, r: int, workers: int = 1) -> np.ndarray:
     """Breakpoints of the bracket objective in z, plus midpoints.
 
     The objective is piecewise constant in z: window counts change only
@@ -369,20 +381,33 @@ def _exact_z(s: ModuliSet, n: int, r: int, dilates: dict[int, ModuliSet]) -> np.
     divides, marked over [0, span] with no n x n array.  Evaluating at
     every breakpoint and between each adjacent pair covers every value
     the objective takes, so the result is the exact maximum.
+
+    Each divisor gives jmax m-breakpoints, at most jmax - jlo + 1 of
+    them inside (z_lo, z_hi), at most one width per pair or per unit of
+    c's range (whichever is fewer), one gap per element, and a mark of a
+    byte per unit of that range; all of it is reserved for every worker
+    before any is built.
     """
     span = s.Q
     z_lo = 1.0 / n
     z_hi = 1.0 / (r * math.sqrt(n))
-    pts = []
-    for t in divisors(r):
-        k = r // t
-        c = dilates[t].elements
-        c = c[np.gcd(c, k) == 1]
+    parts, need, mark_bytes = [], 0, 0
+    for t, k, c in _coprime_dilates(s, r):
         jmax = int(math.floor(6.0 * r * z_hi * span / t))
+        jlo = int(math.floor(6.0 * r * z_lo * span / t))
+        w = int(c[-1] - c[0]) + 1 if c.size else 0
+        parts.append((t, k, c, jmax, w))
+        widths = min(w, c.size * (c.size - 1) // 2) + c.size
+        need += _POINT_BYTES * (jmax + widths) + _INSIDE_BYTES * (jmax - jlo + 1 + widths)
+        mark_bytes = max(mark_bytes, w)
+    util.reserve(f"exact mode at r={r}", workers * (need + mark_bytes),
+                 "bytes of breakpoints and marks", 1)
+    pts = []
+    for t, k, c, jmax, w in parts:
         pts.append(np.arange(1, jmax + 1) * t / (6.0 * r * span))
         if c.size == 0:
             continue
-        mark = np.zeros(int(c[-1] - c[0]) + 1, dtype=bool)
+        mark = np.zeros(w, dtype=bool)
         for i in range(1, c.size):
             d = c[i:] - c[:-i]
             mark[d[d % k == 0]] = True
@@ -408,7 +433,8 @@ def sieve_bracket(s: ModuliSet, n: int, z_grid: int = 64, mode: str = "grid",
     mode enumerates the breakpoints of the piecewise-constant objective
     instead; it is the slow reference.  A grid row of z values must fit
     in one gather chunk, so z_grid above _MAX_Z_GRID is refused before
-    anything is built.
+    anything is built, and each r reserves its terms for every worker
+    before building them.
     """
     n = int(n)
     if n < 4:
@@ -420,15 +446,21 @@ def sieve_bracket(s: ModuliSet, n: int, z_grid: int = 64, mode: str = "grid",
                             f"per (h, row), over the {_MAX_Z_GRID} entries "
                             f"one bracket gather holds")
     rs = range(1, math.isqrt(n) + 1)
-    # the divisors of every r are 1..sqrt(N): build each dilate once, up
-    # front, so that the workers only read them
-    dilates = {t: derive_subset(s, t) for t in rs}
+    workers = min(threads, len(rs))
 
     def one(r: int) -> int:
-        zs = _grid_z(r, n, z_grid) if mode == "grid" else _exact_z(s, n, r, dilates)
-        return _bracket_eval(s, n, r, zs, dilates)
+        zs = _grid_z(r, n, z_grid) if mode == "grid" else _exact_z(s, n, r, workers)
+        # each divisor t brings k = r/t count rows, sigma(r) in all, and at
+        # most phi(k) <= phi(r) class rows: the widest profile holds at most
+        # phi(r)*|zs| entries, and a gather holds phi(r) h of it, or one
+        # chunk of them, or one h if that is more
+        widest = euler_phi(r) * zs.size
+        entries = (sum(divisors(r)) * zs.size
+                   + min(euler_phi(r) * widest, max(_BRACKET_CHUNK, widest)))
+        util.reserve(f"bracket terms at r={r}", workers * entries, "(class, z) entries",
+                     _TERM_BYTES)
+        return _bracket_eval(s, n, r, zs)
 
-    workers = min(threads, len(rs))
     with _pool(workers) as pool:
         b = float(max(pool.map(one, rs) if pool else map(one, rs)))
     return b, float(n) * (1.0 + b)
@@ -460,8 +492,7 @@ def farey_crowding_shape(s: ModuliSet, b: int, r: int, z: float,
     _check_regime(r, z, delta)
     span = s.Q
     zs = np.array([z])
-    dilates = {t: derive_subset(s, t) for t in divisors(r)}
-    terms = _dilate_terms(s, dilates, r, zs, lambda t: 2.0 * delta * span / (t * zs))
+    terms = _dilate_terms(s, r, zs, lambda t: 2.0 * delta * span / (t * zs))
     return 2.0 + float(np.sum(_window_sum(terms, np.array([[(-b) % r]]))))
 
 

@@ -27,7 +27,7 @@ _FAREY_Q_LIMIT = 1 << 26  # below it, distinct reduced fractions have distinct f
 _FAREY_SLAB = 1 << 14  # fractions one Farey slab holds, about
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModuliSet:
     """Strictly increasing integer moduli inside (M, M+Q].
 
@@ -186,7 +186,7 @@ def square_class_count(t: int, k: int, l: int) -> int:
     return quad_cong_count(g, l, k)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FareyList:
     """Reduced fractions a/q, values strictly increasing: the builders
     guarantee reducedness, the constructor checks lengths and order."""

@@ -297,6 +297,12 @@ def test_bracket_pool_is_clamped_to_its_tasks(monkeypatch):
     assert sizes == [6]
 
 
+def test_bracket_at_64_threads_fits_and_matches_one():
+    # 64 workers each reserve r's terms: at r = 1 one h and one class row
+    s = squares_in_octave(1000)
+    assert sieve_bracket(s, 4096, threads=64) == sieve_bracket(s, 4096, threads=1)
+
+
 @pytest.mark.parametrize("s, n", [
     (squares_in_octave(1000), 1024),
     (primes_up_to_set(300), 1024),
@@ -330,15 +336,57 @@ def test_exact_breakpoints_equal_a_loop_over_class_pairs(s, n):
             pts |= {z for z in zs if z_lo < z < z_hi}
         zs = sorted(pts)
         want = np.unique(zs + [0.5 * (a + b) for a, b in zip(zs, zs[1:])])
-        assert np.array_equal(bounds_mod._exact_z(s, n, r, dilates), want)
+        assert np.array_equal(bounds_mod._exact_z(s, n, r), want)
+
+
+@pytest.mark.parametrize("s", [
+    explicit_moduli([3, 7, 8, 12, 19, 20, 27, 31], M=2.0, span=30.0),
+    explicit_moduli([12, 18, 24, 30, 36, 45, 60, 64], M=10.0, span=60.0),
+    squares_in_octave(1000),
+    primes_up_to_set(300),
+    squares_up_to(30),
+], ids=["explicit", "explicit-composite", "octave", "primes", "squares"])
+def test_coprime_dilates_partition_the_set_over_the_divisors(s):
+    for r in range(1, 65):
+        got = list(bounds_mod._coprime_dilates(s, r))
+        assert [(t, k) for t, k, _ in got] == [(t, r // t) for t in divisors(r)]
+        for t, k, c in got:
+            want = [q for q in derive_subset(s, t).elements.tolist() if math.gcd(q, k) == 1]
+            assert c.tolist() == want
+
+
+def test_exact_mode_refuses_a_span_past_capacity_before_building():
+    # 1.5 * 10^15 m-breakpoints up to z_hi = 1/4 at r = 1
+    with pytest.raises(CapacityError, match="exact mode at r=1 needs"):
+        sieve_bracket(explicit_moduli([1, 10**15]), 16, mode="exact")
+
+
+def test_exact_mode_counts_its_mark(monkeypatch):
+    # at N = 2^20 the breakpoints of r = 1 take about 56 MB and fit in
+    # 10^8 bytes; with the mark's byte per unit of a 10^8 range they do not
+    monkeypatch.setattr(util, "CAPACITY", 10**8)
+    with pytest.raises(CapacityError, match="exact mode at r=1") as refused:
+        bounds_mod._exact_z(explicit_moduli([1, 10**8]), 2**20, 1)
+    need = int(str(refused.value).split(" needs ")[1].split()[0])
+    assert 10**8 < need < 2 * 10**8
+
+
+def test_exact_mode_reserves_for_every_worker(monkeypatch):
+    # r = 2 needs the most, 1,440,321 bytes per worker, and r = 4 the
+    # least, 840,385, so at two workers every r is refused
+    s = explicit_moduli([1, 10**4])
+    whole = sieve_bracket(s, 16, mode="exact")
+    monkeypatch.setattr(util, "CAPACITY", 1_440_321)
+    assert sieve_bracket(s, 16, mode="exact", threads=1) == whole
+    with pytest.raises(CapacityError, match="exact mode at r="):
+        sieve_bracket(s, 16, mode="exact", threads=2)
 
 
 def test_exact_breakpoints_allocate_no_pair_matrix():
     s = primes_up_to_set(50000)
-    dilates = {t: derive_subset(s, t) for t in range(1, 5)}
     tracemalloc.start()
     try:
-        zs = bounds_mod._exact_z(s, 16, 2, dilates)
+        zs = bounds_mod._exact_z(s, 16, 2)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -588,9 +636,40 @@ def test_bracket_refuses_a_z_grid_past_one_gather_chunk(monkeypatch):
     def fail(*args):
         raise AssertionError("dilates built before the z-grid check")
 
-    monkeypatch.setattr(bounds_mod, "derive_subset", fail)
+    monkeypatch.setattr(bounds_mod, "_coprime_dilates", fail)
     with pytest.raises(CapacityError, match="4000000000 points"):
         sieve_bracket(primes_up_to_set(300), 4096, z_grid=4 * 10**9)
+
+
+def test_bracket_reserves_its_terms_before_profiling(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("window counts built before the reservation")
+
+    monkeypatch.setattr(bounds_mod, "window_count_profile", fail)
+    # r = 1 holds 2^21 (class, z) entries and a gather of as many
+    monkeypatch.setattr(util, "CAPACITY", 5 * 10**7)
+    with pytest.raises(CapacityError, match="bracket terms at r=1 needs 4194304 "):
+        sieve_bracket(squares_up_to(8), 4096, z_grid=2**21)
+
+
+@pytest.mark.parametrize("z_grid", [2**12, 2**14])
+def test_bracket_peak_stays_under_its_reservation(monkeypatch, z_grid):
+    reserved = []
+    reserve = util.reserve
+
+    def spy(what, count, unit, bytes_each):
+        if what.startswith("bracket terms"):
+            reserved.append(count * bytes_each)
+        reserve(what, count, unit, bytes_each)
+
+    monkeypatch.setattr(util, "reserve", spy)
+    tracemalloc.start()
+    try:
+        sieve_bracket(squares_up_to(8), 4096, z_grid=z_grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(reserved) == 64 and peak <= max(reserved)
 
 
 def test_bracket_h_chunks_do_not_change_b(monkeypatch):

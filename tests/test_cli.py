@@ -629,6 +629,18 @@ def test_oversized_z_grid_exits_1_at_once(capsys):
     assert err.count("\n") == 1 and err.startswith("error:") and "z-grid" in err
 
 
+def test_exact_bracket_past_capacity_exits_1_at_once(capsys, tmp_path):
+    moduli = tmp_path / "moduli.txt"
+    moduli.write_text("1\n1000000000000000\n", encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "--cmd", "bracket", "--n", "16", "--mode", "exact",
+                             "--moduli", f"file:{moduli}")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: exact mode") and "capacity" in err
+
+
 @pytest.mark.parametrize("exc", [
     MemoryError("Unable to allocate 256. GiB for an array with shape "
                 "(17179869184,) and data type complex128"),

@@ -125,6 +125,14 @@ def test_derive_subset_divides_out_the_factor():
     assert derive_subset(squares_up_to(3), 2).elements.tolist() == [2]
 
 
+def test_moduli_and_farey_lists_compare_and_hash_by_identity():
+    for make in (lambda: squares_up_to(3), lambda: enumerate_farey(squares_up_to(3))):
+        a, b = make(), make()
+        assert a == a and a != b and not (a == b)
+        assert hash(a) == hash(a)
+        assert {a, b, a} == {a, b}
+
+
 def test_square_divisor_profile_known_values():
     assert square_divisor_profile(1) == (1, 1)
     assert square_divisor_profile(2) == (2, 2)
