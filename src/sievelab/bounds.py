@@ -5,7 +5,11 @@ sieve_lhs measures the quantity itself: the sum of |S(a/q)|^2 over the
 reduced fractions of every modulus in a set.  It never evaluates S: the
 coefficients are folded into residue buckets mod q, Parseval turns the
 bucket norm at each divisor d of q into the sum of |S(a/d)|^2 over all
-a mod d, and Moebius inversion keeps the reduced fractions.
+a mod d, and Moebius inversion keeps the reduced fractions.  The
+buckets form a lattice: the fold mod q is a refold of the fold mod any
+multiple of q, so only hosts, the moduli that divide no larger member,
+are folded from the sequence, each at a width of at least _MIN_WIDTH,
+and every other modulus is refolded from its host's.
 bound_shapes evaluates a registry of closed-form shapes (per unit of
 the coefficient power Z), with all absolute constants set to 1, so the
 report layer presents ratios rather than certified inequalities.  The
@@ -37,15 +41,20 @@ from .counting import window_count_profile
 from .errors import (CapacityError, InvalidRegimeError, NotCoprimeError,
                      OutOfRangeError, ShapeDomainError)
 from .moduli import ModuliSet
-from .sequences import _PIECE, CoefficientSequence
+from .sequences import CoefficientSequence
 from .arith import divisors, euler_phi, squarefree_divisors
 from . import util
-from .util import PairwiseSum, fmt17
+from .util import fmt17
 
 _REGIME_SLACK = 1e-12
 _BRACKET_CHUNK = 1 << 22  # (h, row, z) entries one bracket gather may hold
 _MAX_Z_GRID = _BRACKET_CHUNK  # a grid row of z values fits in one gather chunk
 _FOLD_BYTES = 16  # one complex128 fold entry
+_MIN_WIDTH = 1024  # the narrowest fold: below it numpy's per-row cost dominates
+# A lattice fold adds each bucket's values in another grouping than a
+# direct fold at width q; verify holds the two within this much times the
+# mass sum |a_n| (integer-valued sequences agree exactly).
+_LATTICE_RTOL = 1e-12
 _POINT_BYTES = 32  # a candidate z of exact mode: built, held, concatenated, masked
 _INSIDE_BYTES = 64  # and one inside (1/N, z_hi): its copies through unique and the midpoints
 _TERM_BYTES = 16  # per (class, z): two int64s, a count and a window count or their product
@@ -66,66 +75,96 @@ SHAPE_NAMES = (
 
 
 class _Fold:
-    """Residue-class sums of a sequence mod q, fed its pieces in order.
+    """Residue-class sums of a sequence mod w, fed its pieces in order.
 
-    fold[i mod q] sums the a_{i+1}: the buckets of n mod q shifted
+    sum[i mod w] sums the a_{i+1}: the buckets of n mod w shifted
     cyclically by one place, and every norm taken of a fold is invariant
-    under that shift.  The sums equal, bit for bit, numpy's over the
-    whole array.  For q >= 2 that is values.reshape(-1, q).sum(0), which
-    adds the rows in order: partial rows at piece edges are added in
-    place, and the running fold is added into a piece's first whole row
-    (saved and restored), so that sum(0) of its rows continues the same
-    chain of additions.  At q = 1 it is numpy's pairwise sum of the
-    complex values, rebuilt by PairwiseSum.
+    under that shift.  The sums equal, bit for bit, numpy's whole-array
+    values.reshape(-1, w).sum(0) plus the last partial row, which adds
+    the rows in order: partial rows at piece edges are added in place,
+    and the running fold is added into a piece's first whole row (saved
+    and restored), so that sum(0) of its rows continues the same chain
+    of additions.
     """
 
-    def __init__(self, q: int, n: int):
-        self.q = q
-        self._sum = np.zeros(q, dtype=np.complex128)
+    def __init__(self, w: int):
+        self.sum = np.zeros(w, dtype=np.complex128)
         self._at = 0
-        self._pairwise = PairwiseSum(n, 2, _PIECE) if q == 1 else None
 
     def add(self, piece: np.ndarray) -> None:
         """Fold in the next piece; piece is written to but restored."""
-        if self._pairwise is not None:
-            self._pairwise.add(piece)
-            return
-        q = self.q
-        at = self._at % q
-        head = min(q - at, piece.size) if at else 0
-        self._sum[at : at + head] += piece[:head]
-        rows = (piece.size - head) // q
+        w = self.sum.size
+        at = self._at % w
+        head = min(w - at, piece.size) if at else 0
+        self.sum[at : at + head] += piece[:head]
+        rows = (piece.size - head) // w
         if rows == 1:  # the same one addition, without the save and restore
-            self._sum += piece[head : head + q]
+            self.sum += piece[head : head + w]
         elif rows:
-            body = piece[head : head + rows * q].reshape(rows, q)
+            body = piece[head : head + rows * w].reshape(rows, w)
             first = body[0].copy()
-            body[0] += self._sum
-            body.sum(0, out=self._sum)
+            body[0] += self.sum
+            body.sum(0, out=self.sum)
             body[0] = first
-        tail = piece[head + rows * q :]
-        self._sum[: tail.size] += tail
+        tail = piece[head + rows * w :]
+        self.sum[: tail.size] += tail
         self._at += piece.size
 
-    def result(self) -> np.ndarray:
-        """The fold, once every piece is in."""
-        if self._pairwise is not None:
-            return np.array([self._pairwise.total()])
-        return self._sum
+
+def _hosts(qs: list[int]) -> dict[int, int]:
+    """The host of each q in qs: the largest member of qs that q divides.
+
+    Each q either probes its multiples up to the largest member or tests
+    the larger members, whichever is fewer: at most min(max/q, |qs|)
+    probes.
+    """
+    have = set(qs)
+    members = sorted(have)
+    arr = np.array(members, dtype=np.int64)
+    top = members[-1] if members else 0
+    hosts = {}
+    for i, q in enumerate(members):
+        if top // q <= len(members) - i:
+            hosts[q] = max(have.intersection(range(2 * q, top + 1, q)), default=q)
+        else:
+            hits = np.flatnonzero(arr[i + 1 :] % q == 0)
+            hosts[q] = int(arr[i + 1 + hits[-1]]) if hits.size else q
+    return hosts
 
 
-def _folds(seq: CoefficientSequence, qs: list[int], pool=None, workers: int = 1) -> list:
-    """The length-q fold of seq for every q in qs, from one pass.
+def _lattice(qs: list[int]) -> dict[int, list[int]]:
+    """Each q in qs under the width its host h folds at, widths increasing.
+
+    The width h*ceil(_MIN_WIDTH/h) is h itself from _MIN_WIDTH on, and
+    a multiple of every q that h hosts, so q's fold is a refold of it.
+    """
+    hosts = _hosts(qs)
+    lattice: dict[int, list[int]] = {}
+    for q in qs:
+        h = hosts[q]
+        lattice.setdefault(h * -(-_MIN_WIDTH // h), []).append(q)
+    return dict(sorted(lattice.items()))
+
+
+def _refold(fold: np.ndarray, q: int) -> np.ndarray:
+    """The length-q fold from a fold whose width q divides: the same
+    array when the widths agree, else a new one."""
+    return fold if fold.size == q else fold.reshape(-1, q).sum(0)
+
+
+def _folds(seq: CoefficientSequence, widths, pool=None, workers: int = 1) -> dict:
+    """The fold of seq at every width given, from one pass.
 
     The pieces are drawn in order on this thread.  Each of the workers
-    folds every workers-th modulus, from its own copy of the piece, while
+    folds every workers-th width, from its own copy of the piece, while
     this thread draws the next one.
     """
-    folds = [_Fold(q, seq.N) for q in qs]
+    folds = [_Fold(w) for w in widths]
+    shares = [folds[i::workers] for i in range(min(workers, len(folds)))]
 
-    def fold_share(w: int, piece: np.ndarray) -> None:
+    def fold_share(share: list, piece: np.ndarray) -> None:
         own = piece.copy()
-        for f in folds[w::workers]:
+        for f in share:
             f.add(own)
 
     pending = []
@@ -133,12 +172,13 @@ def _folds(seq: CoefficientSequence, qs: list[int], pool=None, workers: int = 1)
         for task in pending:
             task.result()
         if pool is None:
-            fold_share(0, piece)
+            for share in shares:
+                fold_share(share, piece)
         else:
-            pending = [pool.submit(fold_share, w, piece) for w in range(workers)]
+            pending = [pool.submit(fold_share, share, piece) for share in shares]
     for task in pending:
         task.result()
-    return [f.result() for f in folds]
+    return {f.sum.size: f.sum for f in folds}
 
 
 def _modulus_term(fold: np.ndarray) -> float:
@@ -148,28 +188,47 @@ def _modulus_term(fold: np.ndarray) -> float:
     |S(a/d)|^2 = d * ||fold_d||^2, and Moebius inversion over the reduced
     fractions keeps the denominators equal to q: the result is the sum
     over squarefree m | q of mu(m) * (q/m) * ||fold_{q/m}||^2.  Each
-    fold_{q/m} is refolded from the length-q fold.
+    fold_{q/m} is refolded from the length-q fold; at m = 1 it is that
+    fold, so the temporaries never pass q entries.
     """
     q = fold.size
     total = 0.0
     for m, sign in squarefree_divisors(q):
-        part = fold.reshape(m, q // m).sum(0)
-        x = part.view(np.float64)
+        x = _refold(fold, q // m).view(np.float64)
         total += sign * (q // m) * float(np.sum(x * x))
     return total
 
 
-def _batches(qs: list[int], entries: int):
-    """qs cut into consecutive runs whose folds fit in the given entries."""
-    batch, held = [], 0
-    for q in qs:
-        if batch and held + q > entries:
+def _batches(lattice: dict[int, list[int]], entries: int):
+    """The lattice cut into consecutive runs of widths whose folds fit
+    in the given entries; each q rides with its width."""
+    batch, held = {}, 0
+    for w, riders in lattice.items():
+        if batch and held + w > entries:
             yield batch
-            batch, held = [], 0
-        batch.append(q)
-        held += q
+            batch, held = {}, 0
+        batch[w] = riders
+        held += w
     if batch:
         yield batch
+
+
+def _batch_terms(seq: CoefficientSequence, batch: dict, pool, workers: int) -> dict:
+    """q -> its modulus term for every q in the batch, from one pass.
+
+    Each worker refolds one q at a time, so a worker's temporaries stay
+    within the widest fold: a refold to a proper divisor of the width is
+    at most half of it, and _modulus_term's at most q more.
+    """
+    folds = _folds(seq, batch, pool, workers)
+    jobs = [(q, folds[w]) for w, riders in batch.items() for q in riders]
+
+    def term(job) -> float:
+        q, fold = job
+        return _modulus_term(_refold(fold, q))
+
+    terms = pool.map(term, jobs) if pool else map(term, jobs)
+    return {q: t for (q, _), t in zip(jobs, terms)}
 
 
 def _pool(workers: int):
@@ -185,27 +244,40 @@ def _pool(workers: int):
 def sieve_lhs(seq: CoefficientSequence, s: ModuliSet, threads: int = 1) -> float:
     """Sum over q in s and reduced a mod q of |S(a/q)|^2.
 
-    The sequence streams past the folds of all moduli in pieces, so
-    memory is one piece per worker plus the folds, never N values; each
-    modulus then costs O(q * 2^omega(q)) for its refolds, and no
-    transform is taken.  The folds of the moduli in flight (the largest
-    modulus, min(threads, |s|) times) must fit in util.CAPACITY bytes,
-    or nothing runs; moduli whose folds together exceed it are taken in
-    consecutive batches, one pass over the sequence each.  Each fold is
-    built by one worker in element order and the terms are reduced in
-    element order, so the result is identical for every thread count.
+    The sequence streams past the folds in pieces, so memory is one
+    piece per worker plus the folds, never N values, and no transform
+    is taken.  Only hosts take pieces: a modulus's host is the largest
+    member of s that it divides, and it is folded at a width of at least
+    _MIN_WIDTH that every modulus it hosts divides.  Each modulus's fold
+    is then refolded from its host's, and costs O(q * 2^omega(q)) for
+    its Moebius refolds.
+
+    Memory rule: the host folds of one pass take at most util.CAPACITY
+    bytes; hosts whose folds together exceed it are taken in consecutive
+    batches, one pass over the sequence each, and a batch's folds are
+    dropped before the next pass.  Each worker's refold temporaries stay
+    within the widest fold, and the workers' together (the widest fold,
+    min(threads, |s|) times) must fit in util.CAPACITY, or nothing runs.
+
+    Each host fold is built by one worker in element order, each refold
+    is a fixed reshape sum, and the terms are reduced in element order,
+    so the result is identical for every thread count.  The refolds
+    group the additions differently from a direct fold at width q, so
+    float sequences move in the last bits (see _LATTICE_RTOL), and
+    integer-valued ones are exact.
     """
     qs = [int(q) for q in s.elements]
     workers = max(1, min(threads, len(qs)))
-    util.reserve("sieve sum", max(qs, default=0) * workers, "fold entries", _FOLD_BYTES)
-    terms = []
+    lattice = _lattice(qs)
+    util.reserve("sieve sum", max(lattice, default=0) * workers, "fold entries",
+                 _FOLD_BYTES)
+    terms = {}
     with _pool(workers) as pool:
-        for batch in _batches(qs, util.CAPACITY // _FOLD_BYTES):
-            folds = _folds(seq, batch, pool, workers)
-            terms += pool.map(_modulus_term, folds) if pool else map(_modulus_term, folds)
+        for batch in _batches(lattice, util.CAPACITY // _FOLD_BYTES):
+            terms.update(_batch_terms(seq, batch, pool, workers))
     total = 0.0
-    for term in terms:
-        total += term
+    for q in qs:
+        total += terms[q]
     return total
 
 

@@ -11,14 +11,16 @@ octave (Q0, 2*Q0] is exactly {c^2 * g : sqrt(Q0)/f < c <= sqrt(2*Q0)/f}.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import util
-from .arith import factorize, quad_cong_count, squarefree_divisors
+from .arith import _FACTOR_CACHE, factorize, quad_cong_count, squarefree_divisors
 from .errors import EmptyModuliWarning, OutOfRangeError, SequenceFileError
 
 _REL_SLACK = 1e-9  # containment checks allow this much relative float slack
@@ -165,8 +167,14 @@ def square_divisor_profile(t: int) -> tuple[int, int]:
 
     Round each exponent in t up to the next even number; f takes half of
     the rounded exponents, and g = f^2/t collects one copy of each prime
-    with odd exponent.
+    with odd exponent.  Like factorize, the last _FACTOR_CACHE profiles
+    are kept, keyed on operator.index(t), as tuples of Python ints.
     """
+    return _profile(operator.index(t))
+
+
+@functools.lru_cache(maxsize=_FACTOR_CACHE)
+def _profile(t: int) -> tuple[int, int]:
     if t < 1:
         raise OutOfRangeError("need t >= 1")
     f = 1

@@ -37,6 +37,15 @@ def naive_sieve_lhs(seq: CoefficientSequence, s: ModuliSet) -> float:
     return total
 
 
+def direct_fold(values: np.ndarray, q: int) -> np.ndarray:
+    """The residue-class sums of the whole array mod q: its whole rows
+    of q summed in order, then the last partial row added."""
+    full = values.size - values.size % q
+    fold = values[:full].reshape(-1, q).sum(0)
+    fold[: values.size - full] += values[full:]
+    return fold
+
+
 def dense_sieve_lhs(seq: CoefficientSequence, s: ModuliSet) -> float:
     """Every S(a/q) from the dense root-table transform, reduced a kept."""
     total = 0.0

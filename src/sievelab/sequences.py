@@ -55,7 +55,7 @@ class CoefficientSequence:
     def pieces(self):
         """The coefficients in order, in arrays of at most _PIECE, which
         callers must not write to."""
-        z = PairwiseSum(self.N, 1, _PIECE) if self._z is None else None
+        z = PairwiseSum(self.N, _PIECE) if self._z is None else None
         for piece in self._draw():
             if z is not None:
                 z.add(np.abs(piece) ** 2)

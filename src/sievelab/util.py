@@ -50,31 +50,28 @@ def cexp(x):
 
 
 class PairwiseSum:
-    """np.sum of a contiguous length-n array that arrives in consecutive
-    pieces, bit for bit.
+    """np.sum of a contiguous length-n float64 array that arrives in
+    consecutive pieces, bit for bit.
 
-    numpy sums a contiguous block of m scalars pairwise: while m > 128
+    numpy sums a contiguous block of m floats pairwise: while m > 128
     it splits the block at m//2 rounded down to a multiple of 8 and adds
-    the two halves' sums.  A complex128 element is two scalars (scalars
-    = 2), so its tree differs from the float64 tree (scalars = 1) of the
-    same length.  Each node of at most cap elements is summed by np.sum
-    itself once its elements have arrived, and the node sums are added
-    along the tree by total().
+    the two halves' sums.  Each node of at most cap elements is summed
+    by np.sum itself once its elements have arrived, and the node sums
+    are added along the tree by total().
     """
 
-    def __init__(self, n: int, scalars: int, cap: int):
+    def __init__(self, n: int, cap: int):
         self._sizes: list[int] = []
-        self._tree = self._split(n, scalars, cap)
+        self._tree = self._split(n, cap)
         self._sums: list = []
         self._held: list[np.ndarray] = []
 
-    def _split(self, m: int, scalars: int, cap: int):
+    def _split(self, m: int, cap: int):
         if m <= cap:
             self._sizes.append(m)
             return len(self._sizes) - 1
-        half = m * scalars // 2
-        half = (half - half % 8) // scalars
-        return (self._split(half, scalars, cap), self._split(m - half, scalars, cap))
+        half = m // 2 - m // 2 % 8
+        return (self._split(half, cap), self._split(m - half, cap))
 
     def add(self, piece: np.ndarray) -> None:
         """Take the next elements; piece may be reused once this returns."""

@@ -361,17 +361,27 @@ def classical_bound_trials(trials: int, seed: int) -> CheckResult:
 _MOEBIUS_RTOL = 1e-12
 
 
+def _lattice_folds(seq: sequences.CoefficientSequence, qs: list[int]) -> dict:
+    """q -> the length-q fold of seq, refolded from its host's, for q in qs."""
+    lattice = bounds._lattice(qs)
+    folds = bounds._folds(seq, lattice)
+    return {q: bounds._refold(folds[w], q) for w, riders in lattice.items() for q in riders}
+
+
 def _moebius_scale(seq: sequences.CoefficientSequence, s: moduli.ModuliSet) -> float:
     """Sum over q in s and squarefree m | q of (q/m) * ||fold_{q/m}||^2."""
     ds = [q // m for q in map(int, s.elements) for m, _ in arith.squarefree_divisors(q)]
-    return sum(d * float(np.sum(np.abs(fold) ** 2))
-               for d, fold in zip(ds, bounds._folds(seq, ds)))
+    folds = _lattice_folds(seq, ds)
+    return sum(d * float(np.sum(np.abs(folds[d]) ** 2)) for d in ds)
 
 
 def moebius_checks(lengths, naive_trials: int, seed: int) -> CheckResult:
     """sieve_lhs against the dense transform at every length given (up
     to 2^16), over squares, an octave and composite moduli with up to
-    five prime factors; and against the naive loop at desk sizes."""
+    five prime factors, and every lattice fold against the direct fold
+    of the whole array (exact for integer sequences, else within
+    bounds._LATTICE_RTOL of the mass sum |a_n|); and sieve_lhs against
+    the naive loop at desk sizes."""
     res = CheckResult("bounds-moebius")
     rng = seeded_rng(seed)
     sets = (moduli.squares_up_to(16), moduli.squares_in_octave(300),
@@ -380,12 +390,19 @@ def moebius_checks(lengths, naive_trials: int, seed: int) -> CheckResult:
         seqs = [_random_sequence(rng, n, flavor) for flavor in range(6)]
         seqs += [sequences.make_sequence("focused", n, beta=b) for b in (1 / 3, 1e-7)]
         for seq in seqs:
+            values = seq.values
+            exact = np.array_equal(values, np.round(values))  # ones, signs, delta
+            lattice_tol = 0.0 if exact else bounds._LATTICE_RTOL * float(np.sum(np.abs(values)))
             for s in sets:
                 fast = bounds.sieve_lhs(seq, s)
                 dense = oracles.dense_sieve_lhs(seq, s)
                 tol = _MOEBIUS_RTOL * _moebius_scale(seq, s)
                 res.expect(abs(fast - dense) <= tol,
                            f"N={n} {s.kind}: lhs {fast} vs dense {dense}")
+                for q, fold in _lattice_folds(seq, [int(q) for q in s.elements]).items():
+                    gap = float(np.max(np.abs(fold - oracles.direct_fold(values, q))))
+                    res.expect(gap <= lattice_tol,
+                               f"N={n} {s.kind}: lattice fold at q={q} off by {gap}")
     for i in range(naive_trials):
         n = int(rng.integers(1, 129))
         seq = _random_sequence(rng, n, i)

@@ -4,6 +4,7 @@ import concurrent.futures
 import json
 import math
 import sys
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -128,24 +129,24 @@ def test_lhs_capacity_counts_moduli_in_flight(monkeypatch):
     seq = make_sequence("ones", 4)
     s = explicit_moduli([100, 200])
     whole = sieve_lhs(seq, s)
-    monkeypatch.setattr(util, "CAPACITY", 16 * 200)
+    # 200 hosts itself at the width 200 * ceil(1024 / 200) = 1200
+    monkeypatch.setattr(util, "CAPACITY", 16 * 1200)
     assert sieve_lhs(seq, s) == whole
-    with pytest.raises(CapacityError, match="6400 bytes"):
+    with pytest.raises(CapacityError, match="38400 bytes"):
         sieve_lhs(seq, s, threads=2)
 
 
 # Several pieces, and a multiple of neither 8 nor the piece length
 _STREAM_N = 3 * 2**16 + 12345
-# q = 1 (pairwise), small q, and q past the piece length (70000, 100003)
+# q = 1, 2 and 4 refolded from the hosts 100003 and 70000, hosts 3 and 49
+# below the least width, and q past the piece length (70000, 100003)
 _STREAM_MODULI = [1, 2, 3, 4, 49, 1024, 43264, 70000, 100003]
 
 
-def _reshape_fold(values, q):
-    """The whole-array fold the streamed one must equal bit for bit."""
-    full = values.size - values.size % q
-    fold = values[:full].reshape(-1, q).sum(0)
-    fold[: values.size - full] += values[full:]
-    return fold
+def _lattice_fold(values, w, q):
+    """The whole-array fold the streamed one must equal bit for bit: the
+    whole array folded at its host's width w, then refolded to q."""
+    return oracles.direct_fold(values, w).reshape(-1, q).sum(0)
 
 
 def _stream_sequences():
@@ -168,13 +169,18 @@ def test_streamed_pass_equals_the_whole_array_bit_for_bit(seq):
     z = seq.Z  # taken during the pass above
     values = seq.values
     assert z == float(np.sum(np.abs(values) ** 2))
-    folds = bounds_mod._folds(seq, _STREAM_MODULI)
-    want = [_reshape_fold(values, q) for q in _STREAM_MODULI]
-    for got, ref in zip(folds, want):
-        assert np.array_equal(got.view(np.float64), ref.view(np.float64))
+    lattice = bounds_mod._lattice(_STREAM_MODULI)
+    assert list(lattice) == [1024, 1026, 1029, 43264, 70000, 100003]
+    folds = bounds_mod._folds(seq, lattice)
+    want = {}
+    for w, riders in lattice.items():
+        for q in riders:
+            want[q] = _lattice_fold(values, w, q)
+            got = bounds_mod._refold(folds[w], q)
+            assert np.array_equal(got.view(np.float64), want[q].view(np.float64))
     total = 0.0
-    for ref in want:
-        total += bounds_mod._modulus_term(ref)
+    for q in _STREAM_MODULI:
+        total += bounds_mod._modulus_term(want[q])
     assert lhs == total
 
 
@@ -221,6 +227,82 @@ def test_sieve_sum_memory_is_bounded_by_the_piece():
     finally:
         tracemalloc.stop()
     assert peak < 24 * 2**20
+
+
+def _brute_hosts(qs):
+    return {q: max(m for m in qs if m % q == 0) for q in qs}
+
+
+@pytest.mark.parametrize("s", [squares_up_to(1), squares_up_to(8), squares_up_to(60),
+                               squares_in_octave(300), squares_in_octave(5000),
+                               primes_up_to_set(2000)],
+                         ids=["squares-1", "squares-8", "squares-60", "octave-300",
+                              "octave-5000", "primes-2000"])
+def test_hosts_follow_the_brute_force_rule(s):
+    qs = [int(q) for q in s.elements]
+    assert bounds_mod._hosts(qs) == _brute_hosts(qs)
+    if s.kind == "squares_up_to":  # c^2 rides with (floor(Q/c)*c)^2
+        cap = int(s.param)
+        assert all(bounds_mod._hosts(qs)[c * c] == (cap // c * c) ** 2
+                   for c in range(1, cap + 1))
+
+
+def test_hosts_follow_the_brute_force_rule_on_random_sets():
+    rng = seeded_rng(23)
+    for _ in range(200):
+        top = int(rng.integers(1, 5000))
+        qs = sorted({int(q) for q in rng.integers(1, top + 1, size=rng.integers(1, 60))})
+        assert bounds_mod._hosts(qs) == _brute_hosts(qs)
+
+
+@pytest.mark.parametrize("qs, hosts", [
+    ([int(q) for q in primes_up_to_set(10**6).elements], None),  # each its own host
+    ([1, 2, 10**15], {1: 10**15, 2: 10**15, 10**15: 10**15}),
+], ids=["primes-1e6", "far-apart"])
+def test_hosts_are_found_with_bounded_probes(qs, hosts):
+    start = time.perf_counter()
+    got = bounds_mod._hosts(qs)
+    assert time.perf_counter() - start < 1.0
+    assert got == (hosts or {q: q for q in qs})
+
+
+def test_lattice_widths_are_multiples_of_their_riders():
+    lattice = bounds_mod._lattice([int(q) for q in squares_up_to(40).elements])
+    assert min(lattice) >= 1024
+    assert all(w % q == 0 for w, riders in lattice.items() for q in riders)
+    assert bounds_mod._lattice([1]) == {1024: [1]}
+    assert bounds_mod._lattice([3, 19]) == {1026: [3, 19]}  # hosts sharing a width
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sieve_sum_peak_stays_under_its_reservation(monkeypatch, threads):
+    # 24 primes near 60000 host themselves: four folds a batch
+    qs = [int(p) for p in util.primes_up_to(61000)[-24:]]
+    s = explicit_moduli(qs)
+    seq = make_sequence("ones", 4096)
+    whole = sieve_lhs(seq, s)
+    monkeypatch.setattr(util, "CAPACITY", 16 * 260_000)
+    assert len(list(bounds_mod._batches(bounds_mod._lattice(qs), 260_000))) == 6
+    reserved = []
+    reserve = util.reserve
+
+    def spy(what, count, unit, bytes_each):
+        if what == "sieve sum":
+            reserved.append(count * bytes_each)
+        reserve(what, count, unit, bytes_each)
+
+    monkeypatch.setattr(util, "reserve", spy)
+    tracemalloc.start()
+    try:
+        got = sieve_lhs(seq, s, threads=threads)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == whole
+    # one batch's folds take at most the capacity, and the workers'
+    # refold temporaries what was reserved for them
+    assert reserved == [threads * 16 * max(qs)]
+    assert peak <= util.CAPACITY + reserved[0]
 
 
 # ------------------------------------------------------------ the bracket

@@ -143,6 +143,17 @@ def test_square_divisor_profile_known_values():
     assert square_divisor_profile(18) == (6, 2)
 
 
+@pytest.mark.parametrize("first", [int, np.int64, np.int32])
+def test_square_divisor_profile_cache_is_shared_by_numpy_and_python_ints(first):
+    moduli._profile.cache_clear()
+    got = [square_divisor_profile(first(72)), square_divisor_profile(72),
+           square_divisor_profile(np.int64(72))]
+    assert got == [(12, 2)] * 3
+    assert all(type(v) is int for prof in got for v in prof)
+    info = moduli._profile.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+
+
 @given(st.integers(1, 20000))
 def test_square_divisor_profile_defining_property(t):
     f, g = square_divisor_profile(t)
@@ -238,8 +249,9 @@ def test_farey_capacity_refused_before_allocating():
     (lambda: primes_up_to_set(10**6), "1000001 slots", 1726756, True),
     (lambda: primes_up_to_set(10**4), "10001 slots", 20904, True),
     (lambda: enumerate_farey(squares_up_to(100)), "203085 fractions", 203085 * 50, True),
+    # the widest fold of squares to 8 is 36's, at 36 * ceil(1024 / 36) = 1044
     (lambda: sieve_lhs(make_sequence("ones", 64), squares_up_to(8), threads=2),
-     "128 fold entries", 128 * 16, False),
+     "2088 fold entries", 2088 * 16, False),
     (lambda: make_sequence("ones", 1001).values, "1001 coefficients", 1001 * 16, False),
     (lambda: sequence_from_file("seq.txt"), "1001 coefficients", 1001 * 16, False),
 ], ids=["squares", "octave", "primes", "primes-small", "farey", "sieve-sum", "values",
