@@ -19,7 +19,6 @@ never builds an n x n matrix.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,7 @@ from .errors import InvalidDeltaError, NotCoprimeError, OutOfRangeError
 from .moduli import _INT64_MAX, FareyList, FareySlabs, ModuliSet
 
 
-_KDELTA_AHEAD = 64  # slabs k_delta's right cursor keeps for the left, at most
+_KDELTA_AHEAD = 64  # built slabs k_delta keeps ahead of the left slab, at most
 
 
 @dataclass(frozen=True)
@@ -173,13 +172,20 @@ def k_delta(s: ModuliSet, delta: float) -> int:
     values of ext, the list followed by the list + 1.0, that are
     <= v + 2*delta.
 
-    The fractions come as FareySlabs, and the left edges go through the
-    slabs in order.  A right cursor walks the slabs of ext and holds
-    only those that straddle the current window edges; the slabs wholly
-    below the edges are counted by rank, never built.  The left cursor
-    takes its slab from the right cursor when that built it (up to
-    _KDELTA_AHEAD slabs ahead), so for windows narrower than that only
-    the wrap head is built twice.
+    The fractions come as FareySlabs, and each left slab b, values v,
+    looks its window up from the slab edges, with no cursor.  The ext
+    slabs below jlo, the first whose upper edge exceeds v[0] + 2*delta,
+    lie wholly under every window edge and are counted by rank, never
+    built; those from jhi, the first whose lower edge exceeds
+    v[-1] + 2*delta, lie wholly above.  Only the slabs jlo..jhi-1, at most
+    three since v spans one slab, straddle the edges; they alone are built
+    and searched.
+    Built slabs past b are kept by ext index, at most _KDELTA_AHEAD of
+    them: the window's own slabs serve the next window and the others
+    serve later left slabs, and past the bound the kept slab furthest
+    ahead goes.  So for windows narrower than that only the wrap head is
+    built twice; in a wider one most slabs are built once as a left slab
+    and once in a window.
     """
     if not 0 < delta <= 0.5:
         raise InvalidDeltaError(f"delta={delta} outside (0, 1/2]")
@@ -195,36 +201,25 @@ def k_delta(s: ModuliSet, delta: float) -> int:
     def rank(j):
         return farey.rank(j) if j <= nslab else n + farey.rank(j - nslab)
 
-    window = deque()  # (j, values): built ext slabs that reach past the edges
-    kept = {}  # values of slabs ahead of the left cursor, by index
-    below = j1 = 0  # ext values before the window; next ext slab to take
-    best = left = 0
+    ahead = {}  # built ext slabs past the left slab, by index
+    best = 0
     for b in range(nslab):
-        v = kept.pop(b, None)
-        if v is None:
-            v = farey.slab(b).values
+        v = ahead.pop(b) if b in ahead else farey.slab(b).values
         if v.size == 0:
             continue
         edge = v + 2.0 * delta
-        while window and (window[0][1].size == 0 or window[0][1][-1] <= edge[0]):
-            below += window.popleft()[1].size
-        if not window:
-            j = j1
-            while j < 2 * nslab and upper[j] <= edge[0]:
-                j += 1
-            below += rank(j) - rank(j1)
-            j1 = j
-        while j1 < 2 * nslab and lower[j1] <= edge[-1]:
-            src = j1 % nslab
-            x = v if src == b else farey.slab(src).values
-            if b < j1 < nslab and len(kept) < _KDELTA_AHEAD:
-                kept[j1] = x
-            window.append((j1, x if j1 < nslab else x + 1.0))
-            j1 += 1
-        near = np.concatenate([x for _, x in window]) if window else v[:0]
-        right = below + np.searchsorted(near, edge, side="right")
-        best = max(best, int((right - np.arange(left, left + v.size)).max()))
-        left += v.size
+        jlo = int(np.searchsorted(upper, edge[0], side="right"))
+        jhi = int(np.searchsorted(lower, edge[-1], side="right"))
+        ahead = {j: x for j, x in ahead.items() if b < j < nslab or j >= jlo}
+        for j in range(jlo, jhi):
+            if j not in ahead:
+                x = v if j % nslab == b else farey.slab(j % nslab).values
+                ahead[j] = x if j < nslab else x + 1.0
+        while len(ahead) > _KDELTA_AHEAD:  # the window stays, the furthest kept goes
+            del ahead[max(j for j in ahead if j < jlo)]
+        near = np.concatenate([ahead[j] for j in range(jlo, jhi)]) if jhi > jlo else v[:0]
+        right = rank(jlo) + np.searchsorted(near, edge, side="right")
+        best = max(best, int((right - farey.rank(b) - np.arange(v.size)).max()))
     return min(best, n)
 
 

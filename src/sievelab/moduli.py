@@ -48,8 +48,8 @@ class ModuliSet:
         el = np.asarray(self.elements, dtype=np.int64)
         el.setflags(write=False)
         object.__setattr__(self, "elements", el)
-        if self.M < 0 or self.Q <= 0:
-            raise OutOfRangeError("need M >= 0 and span Q > 0")
+        if not (0 <= self.M < math.inf and 0 < self.Q < math.inf):
+            raise OutOfRangeError("need finite M >= 0 and finite span Q > 0")
         if el.size:
             if np.any(el[1:] <= el[:-1]):
                 raise OutOfRangeError("moduli must be strictly increasing")

@@ -181,6 +181,8 @@ def sequence_from_file(path: str) -> CoefficientSequence:
                     values[i] = complex(float(parts[0]), float(parts[1]))
                 except ValueError as exc:
                     raise SequenceFileError(f"{path}:{ln}: {exc}") from exc
+                if not np.isfinite(values[i]):
+                    raise SequenceFileError(f"{path}:{ln}: coefficient is not finite")
                 i += 1
             if i < count:
                 raise SequenceFileError(f"{path}: changed while being read")

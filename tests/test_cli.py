@@ -406,6 +406,35 @@ def test_bad_inputs_exit_2_with_one_line(capsys, tmp_path, config, argv):
     assert err.count("\n") == 1 and err.startswith("config error")
 
 
+@pytest.mark.parametrize("m", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("cmd", ["bracket", "a-count"])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_an_interval_offset_outside_the_finite_floats_exits_2(capsys, tmp_path, via, cmd, m):
+    mod = tmp_path / "mod.txt"
+    mod.write_text("4\n9\n25\n", encoding="utf-8")
+    argv = ["--cmd", cmd, "--moduli", f"file:{mod}", "--n", "64"]
+    if via == "flag":
+        argv += ["--m", m]
+    else:
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"m": float(m)}), encoding="utf-8")
+        argv += ["--config", str(cfgfile)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "config error: need finite M >= 0 and finite span Q > 0\n"
+
+
+@pytest.mark.parametrize("cmd", ["sieve-sum", "shapes"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_a_non_finite_file_coefficient_exits_2(capsys, tmp_path, cmd, value):
+    seq = tmp_path / "seq.txt"
+    seq.write_text(f"1 0\n{value} 0\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "--cmd", cmd, "--seq", f"file:{seq}",
+                             "--moduli", "squares", "--q", "4")
+    assert (code, out) == (2, "")
+    assert err == f"config error: {seq}:2: coefficient is not finite\n"
+
+
 def test_config_arrays_and_scalars_for_list_options(capsys, tmp_path):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"cmd": "sweep", "grid_n": [64, 128],

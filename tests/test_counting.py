@@ -129,6 +129,33 @@ def test_crowding_does_not_depend_on_the_slab_size(monkeypatch, delta, want):
             assert k_delta(s, delta) == whole
 
 
+def _count_slab_builds(monkeypatch):
+    builds = []
+    slab = moduli.FareySlabs.slab
+    monkeypatch.setattr(moduli.FareySlabs, "slab", lambda self, b: builds.append(b) or slab(self, b))
+    return builds
+
+
+@pytest.mark.parametrize("delta, most", [(1e-4, 113), (1e-2, 115), (0.1, 135),
+                                         (0.3, 180), (0.5, 122)])
+def test_crowding_builds_few_slabs(monkeypatch, delta, most):
+    # squares up to 208 make 112 slabs; `most` is the two-cursor walk's count
+    builds = _count_slab_builds(monkeypatch)
+    k_delta(squares_up_to(208), delta)
+    assert len(builds) <= most
+
+
+@pytest.mark.parametrize("delta", [0.0777, 0.123, 0.3])
+def test_windows_past_the_look_ahead_share_their_slabs(monkeypatch, delta):
+    # 922 slabs; the window's edges lie 143 to 553 slabs past the left slab
+    monkeypatch.setattr(moduli, "_FAREY_SLAB", 48)
+    s = squares_up_to(60)
+    nslab = len(moduli.FareySlabs(s).edges) - 1
+    builds = _count_slab_builds(monkeypatch)
+    k_delta(s, delta)
+    assert len(builds) <= 2 * nslab
+
+
 def test_crowding_memory_is_bounded_by_the_slab():
     # the whole list of squares up to 208 alone takes 44 MB
     tracemalloc.start()

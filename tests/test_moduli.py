@@ -348,3 +348,10 @@ def test_farey_moduli_past_2_26_are_refused(el):
 def test_moduli_past_int64_are_refused(build):
     with pytest.raises(OutOfRangeError):
         build()
+
+
+@pytest.mark.parametrize("M, span", [(math.nan, None), (math.inf, None), (0.0, math.nan),
+                                     (0.0, math.inf), (math.nan, math.nan)])
+def test_an_interval_outside_the_finite_floats_is_refused(M, span):
+    with pytest.raises(OutOfRangeError, match="finite"):
+        explicit_moduli([4, 9, 25], M=M, span=span)

@@ -174,6 +174,14 @@ def test_file_rejects_malformed_rows(tmp_path):
         sequence_from_file(str(p))
 
 
+@pytest.mark.parametrize("row", ["nan 0", "inf 0", "-inf 0", "0 nan", "1 -inf"])
+def test_file_rejects_non_finite_coefficients(tmp_path, row):
+    p = tmp_path / "seq.txt"
+    p.write_text(f"1 0\n{row}\n2 0\n", encoding="utf-8")
+    with pytest.raises(SequenceFileError, match=r"seq\.txt:2: coefficient is not finite"):
+        sequence_from_file(str(p))
+
+
 class _Rewritten(io.StringIO):
     """A text file that holds `after` once it is rewound."""
 
