@@ -137,8 +137,9 @@ def quad_cong_roots(g: int, l: int, k: int) -> tuple[int, list[int]]:
             # x = p^h*w + j*p^(h+f); for units g and l (f = e) the w are the roots
             ph, step = p**h, p ** (h + f)
             roots = [ph * w + j for w in roots for j in range(0, pe, step)]
-        # crt_pair for every (x, y), with its one inverse taken once; each
-        # glued value is already below acc_mod * pe
+        # by CRT, x mod acc_mod and y mod pe glue to x + acc_mod * d with
+        # d = (y - x) / acc_mod mod pe, already below acc_mod * pe; the
+        # inverse of acc_mod mod pe is taken once for every pair
         inv = pow(acc_mod, -1, pe)
         sols = [x + acc_mod * ((y - x) * inv % pe) for x in sols for y in roots]
         acc_mod *= pe

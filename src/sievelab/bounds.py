@@ -603,7 +603,6 @@ class BoundReport:
     Z: float
     lhs: float
     shapes: dict[str, float]
-    ratios: dict[str, float]
     epsilon: float = 0.0
     X: float | None = None
 
@@ -611,10 +610,11 @@ class BoundReport:
         for name, val in self.shapes.items():
             if not val > 0:
                 raise ValueError(f"shape {name} is not positive: {val}")
-            want = self.lhs / (val * self.Z)
-            got = self.ratios[name]
-            if abs(got - want) > 1e-12 * max(abs(want), 1.0):
-                raise ValueError(f"ratio for {name} inconsistent with lhs/(shape*Z)")
+
+    @property
+    def ratios(self) -> dict[str, float]:
+        """lhs / (shape * Z) for each shape, in the shapes' order."""
+        return {name: self.lhs / (val * self.Z) for name, val in self.shapes.items()}
 
     def to_json(self) -> str:
         import json
@@ -628,10 +628,10 @@ class BoundReport:
     def csv_rows(self) -> list[list[str]]:
         """Header plus one row per applicable shape, full float precision."""
         rows = [["name", "value", "ratio"]]
+        ratios = self.ratios
         for name in SHAPE_NAMES:
             if name in self.shapes:
-                rows.append([name, fmt17(self.shapes[name]),
-                             fmt17(self.ratios[name])])
+                rows.append([name, fmt17(self.shapes[name]), fmt17(ratios[name])])
         return rows
 
 
@@ -657,7 +657,5 @@ def build_report(seq: CoefficientSequence | None, s: ModuliSet, *, n=None,
         lhs, z = 0.0, 1.0
     else:
         lhs, z = sieve_lhs(seq, s, threads=threads), seq.Z
-    ratios = {name: lhs / (val * z) for name, val in shapes.items()}
-    return BoundReport(N=n, Q=float(q_shape), Q0=q0, Z=z, lhs=lhs,
-                       shapes=shapes, ratios=ratios, epsilon=eps,
-                       X=None if x is None else float(x))
+    return BoundReport(N=n, Q=float(q_shape), Q0=q0, Z=z, lhs=lhs, shapes=shapes,
+                       epsilon=eps, X=None if x is None else float(x))

@@ -22,7 +22,7 @@ from .bounds import (SHAPE_NAMES, BoundReport, build_report, sieve_bracket,
                      sieve_lhs)
 from .counting import WindowQuery, count_window_ap, k_delta
 from .errors import ConfigError, InputError, SieveLabError
-from .moduli import FareySlabs, ModuliSet, build_moduli_set, derive_subset
+from .moduli import FareySlabs, ModuliSet, build_moduli_set
 from .sequences import make_sequence
 from .util import fmt17
 
@@ -206,6 +206,8 @@ def _build_moduli(cfg, q=None) -> ModuliSet:
     kind = cfg["moduli"]
     if kind.startswith("file:"):
         return build_moduli_set("file", path=kind[5:], M=cfg["m"])
+    if cfg["m"] is not None:
+        raise ConfigError(f"--m sets the offset of file: moduli, not of {kind}")
     kind = _MODULI_ALIASES.get(kind, kind)
     if kind == "squares_in_octave":
         q0 = cfg["q0"] if q is None else q
@@ -329,8 +331,7 @@ def run_experiment(cfg) -> int:
         text = f"{k_delta(_build_moduli(cfg), cfg['delta'])}\n"
     elif cmd == "a-count":
         query = WindowQuery(cfg["u"], cfg["k"], cfg["l"], cfg["t"])
-        s = _build_moduli(cfg)
-        text = f"{count_window_ap(derive_subset(s, query.t), query, s.M, s.Q)}\n"
+        text = f"{count_window_ap(_build_moduli(cfg), query)}\n"
     elif cmd == "farey":
         slabs = FareySlabs(_build_moduli(cfg))
         if cfg["out"]:

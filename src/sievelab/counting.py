@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDeltaError, NotCoprimeError, OutOfRangeError
-from .moduli import _INT64_MAX, FareyList, FareySlabs, ModuliSet
+from .moduli import _INT64_MAX, FareyList, FareySlabs, ModuliSet, derive_subset
 
 
 _KDELTA_AHEAD = 64  # built slabs k_delta keeps ahead of the left slab, at most
@@ -92,40 +92,34 @@ def dirichlet_approx(alpha: float, tau: float) -> RationalApprox:
     return RationalApprox(b=p, r=q, z=z, tau=float(tau))
 
 
-def count_window_ap(s_t: ModuliSet, query: WindowQuery, M: float, Q: float) -> int:
-    """Max elements of s_t = l (mod k) in a window (y, y+u], y in the range.
+def count_window_ap(s: ModuliSet, query: WindowQuery) -> int:
+    """Max elements of the t-dilate of s = l (mod k) in a window (y, y+u],
+    y in the dilate's interval [M/t, (M+Q)/t].
 
-    M and Q are the parent interval's parameters; the dilation t in the
-    query scales them to [M/t, (M+Q)/t].  Exact by candidate evaluation.
+    t, k, l and u all come from the query.  Exact by candidate evaluation.
     """
-    t = query.t
-    c = s_t.elements[s_t.elements % query.k == query.l % query.k]
-    return int(window_count_profile(c, [query.u], M / t, (M + Q) / t)[0])
+    t, k = query.t, query.k
+    el = derive_subset(s, t).elements
+    c = el[el % k == query.l % k]
+    _, rows = window_count_profile(c, [query.u], s.M / t, (s.M + s.Q) / t, labels=c % k)
+    return int(rows.sum())  # the class's one row, or none when it is empty
 
 
-def window_count_profile(c: np.ndarray, u_vec, lo: float, hi: float,
-                         labels=None):
-    """count_window_ap for integer element arrays over a vector of u.
+def window_count_profile(c: np.ndarray, u_vec, lo: float, hi: float, labels):
+    """count_window_ap for integer element arrays over a vector of u, per
+    group of equal label (one label per element).
 
-    Without labels, c is one class and the result holds one count per
-    u.  With labels (one per element), c is split into the groups of
-    equal label and the result is (groups, rows): the distinct labels in
-    ascending order and one row of counts per label, all from one sorted
-    pass.  The elements are keyed by (group, value) so that one
-    searchsorted serves every group, and np.maximum.reduceat takes each
-    group's maximum.
+    The result is (groups, rows): the distinct labels in ascending order
+    and one row of counts per label, all from one sorted pass.  The
+    elements are keyed by (group, value) so that one searchsorted serves
+    every group, and np.maximum.reduceat takes each group's maximum.
     """
     u_vec = np.asarray(u_vec, dtype=np.float64)
     c = np.asarray(c, dtype=np.int64)
-    single = labels is None
-    if single:
-        groups, rank = None, 0
-    else:
-        groups, rank = np.unique(np.asarray(labels, dtype=np.int64), return_inverse=True)
-        rank = rank.reshape(-1)
+    groups, rank = np.unique(np.asarray(labels, dtype=np.int64), return_inverse=True)
+    rank = rank.reshape(-1)
     if c.size == 0:
-        none = np.zeros((u_vec.size,) if single else (0, u_vec.size), dtype=np.int64)
-        return none if single else (groups, none)
+        return groups, np.zeros((0, u_vec.size), dtype=np.int64)
     # key = group * stride + (c - c_min): a key shifted down by at most
     # span + 1 still lies above every key of the group before
     c_min, span = int(c.min()), int(c.max()) - int(c.min())
@@ -152,7 +146,7 @@ def window_count_profile(c: np.ndarray, u_vec, lo: float, hi: float,
                               side="right")
         best = np.maximum(best, (top - below).max(axis=1))
         out[:, start : start + chunk] = np.where(u > 0, best, 0).T
-    return out[0] if single else (groups, out)
+    return groups, out
 
 
 def _edge_offset(y, c_min: int, span: int) -> np.ndarray:

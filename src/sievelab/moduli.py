@@ -27,6 +27,9 @@ _REL_SLACK = 1e-9  # containment checks allow this much relative float slack
 _INT64_MAX = int(np.iinfo(np.int64).max)  # every modulus is an int64
 _FAREY_Q_LIMIT = 1 << 26  # below it, distinct reduced fractions have distinct floats
 _FAREY_SLAB = 1 << 14  # fractions one Farey slab holds, about
+# a file modulus peaks at 9 bytes under tracemalloc, its int64 and the
+# order check's bool; the tenth covers the reader's buffers from 10^5 moduli
+_FILE_MODULUS_BYTES = 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,7 +112,10 @@ def primes_up_to_set(q: int) -> ModuliSet:
 
 def explicit_moduli(elements, M: float | None = None, span: float | None = None) -> ModuliSet:
     """A set given by an explicit element list, default interval (0, max]."""
-    el = np.array(sorted(int(x) for x in elements), dtype=np.int64)
+    return _explicit(np.array(sorted(int(x) for x in elements), dtype=np.int64), M, span)
+
+
+def _explicit(el: np.ndarray, M: float | None, span: float | None) -> ModuliSet:
     if M is None:
         M = 0.0
     if span is None:
@@ -118,25 +124,41 @@ def explicit_moduli(elements, M: float | None = None, span: float | None = None)
 
 
 def moduli_from_file(path: str, M: float | None = None, span: float | None = None) -> ModuliSet:
-    """Explicit set from a text file, one integer per line, increasing."""
-    vals = []
+    """Explicit set from a text file, one integer per line, increasing.
+
+    A first pass counts the non-blank lines, so that their bytes are
+    reserved (_FILE_MODULUS_BYTES a modulus) before the file is rewound
+    and a second pass fills the array.  A pipe, which cannot be rewound,
+    and a file whose count changes between the passes are refused.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
+            count = sum(1 for line in fh if line.strip())
+            util.reserve(f"moduli file {path}", count, "moduli", _FILE_MODULUS_BYTES)
+            el = np.empty(count, dtype=np.int64)
+            fh.seek(0)
+            i = 0
             for ln, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
+                if i == count:
+                    raise SequenceFileError(f"{path}: changed while being read")
                 try:
-                    vals.append(int(line))
+                    q = int(line)
                 except ValueError as exc:
                     raise SequenceFileError(f"{path}:{ln}: not an integer") from exc
-                if abs(vals[-1]) > _INT64_MAX:
+                if abs(q) > _INT64_MAX:
                     raise OutOfRangeError(f"{path}:{ln}: modulus past int64")
+                if i and q <= el[i - 1]:
+                    raise SequenceFileError(f"{path}: moduli must be strictly increasing")
+                el[i] = q
+                i += 1
+            if i < count:
+                raise SequenceFileError(f"{path}: changed while being read")
     except OSError as exc:
         raise SequenceFileError(f"cannot read {path}: {exc}") from exc
-    if any(b <= a for a, b in zip(vals, vals[1:])):
-        raise SequenceFileError(f"{path}: moduli must be strictly increasing")
-    return explicit_moduli(vals, M=M, span=span)
+    return _explicit(el, M, span)
 
 
 def build_moduli_set(kind: str, **kw) -> ModuliSet:

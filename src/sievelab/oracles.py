@@ -151,13 +151,6 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def crt_pair(x1: int, m1: int, x2: int, m2: int) -> int:
-    """Solve x = x1 (mod m1), x = x2 (mod m2) for coprime m1, m2, with
-    the inverse of m1 mod m2 taken by xgcd."""
-    d = ((x2 - x1) * xgcd(m1, m2)[1]) % m2
-    return (x1 + m1 * d) % (m1 * m2)
-
-
 def quad_cong_roots_scan(g: int, l: int, k: int) -> tuple[int, list[int]]:
     """arith.quad_cong_roots by full scan of x mod k, O(k)."""
     if k < 1:

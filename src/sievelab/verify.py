@@ -220,7 +220,6 @@ def window_oracle_trials(trials: int, seed: int) -> CheckResult:
         m_off = int(rng.integers(0, 3)) * int(rng.integers(0, span_cap // 2 + 1))
         s = _random_set(rng, span_cap, count_cap, m_off=m_off)
         t = int(rng.integers(1, 5))
-        st = moduli.derive_subset(s, t)
         k = int(rng.integers(1, 51))
         l = int(rng.integers(0, k))
         if math.gcd(l, k) != 1:
@@ -230,8 +229,8 @@ def window_oracle_trials(trials: int, seed: int) -> CheckResult:
         else:
             u = float(rng.random() * s.Q * 1.2)
         query = counting.WindowQuery(u, k, l, t)
-        fast = counting.count_window_ap(st, query, s.M, s.Q)
-        slow = oracles.count_window_oracle(st, query, s.M, s.Q)
+        fast = counting.count_window_ap(s, query)
+        slow = oracles.count_window_oracle(moduli.derive_subset(s, t), query, s.M, s.Q)
         res.expect(fast == slow, f"A_t mismatch {fast} vs {slow} at trial {i}")
     return res
 
@@ -501,9 +500,6 @@ def shape_checks(seed: int) -> CheckResult:
     rng = seeded_rng(seed)
     seq = _random_sequence(rng, 32, 2)
     rep = bounds.build_report(seq, moduli.squares_up_to(3))
-    for name, val in rep.shapes.items():
-        res.expect(abs(rep.ratios[name] - rep.lhs / (val * rep.Z))
-                   <= 1e-12 * max(rep.ratios[name], 1.0), f"ratio {name}")
     import json as _json
     res.expect(_json.loads(rep.to_json())["N"] == 32, "report json round trip")
     return res

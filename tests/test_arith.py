@@ -138,13 +138,6 @@ def test_mod_inv_trivial_modulus():
     assert arith.mod_inv(3, 7) == 5
 
 
-def test_crt_pair_reconstructs_residues():
-    x = oracles.crt_pair(2, 3, 3, 5)
-    assert x % 3 == 2 and x % 5 == 3 and 0 <= x < 15
-    x = oracles.crt_pair(1, 4, 2, 9)
-    assert x % 4 == 1 and x % 9 == 2
-
-
 def test_squarefree_divisors_match_brute_force():
     for n in range(1, 5001):
         want = []

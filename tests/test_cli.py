@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sievelab import SHAPE_NAMES, BoundReport, cli, counting
+from sievelab import SHAPE_NAMES, BoundReport, cli, counting, util
 from sievelab.cli import OPTIONS, emit_report, main, parse_args
 from sievelab.errors import (CapacityError, ConfigError, InputError,
                              InvalidDeltaError, InvalidRegimeError,
@@ -190,21 +190,20 @@ def test_shapes_skeleton_without_sequences(capsys):
 
 
 def test_emit_report_header_only_when_no_shapes():
-    rep = BoundReport(N=4, Q=1.0, Q0=None, Z=1.0, lhs=0.0, shapes={},
-                      ratios={})
+    rep = BoundReport(N=4, Q=1.0, Q0=None, Z=1.0, lhs=0.0, shapes={})
     assert emit_report(rep, "csv") == b"name,value,ratio\n"
 
 
 def test_emit_report_golden_row():
     rep = BoundReport(N=4, Q=1.0, Q0=None, Z=1.0, lhs=4.0,
-                      shapes={"classical": 13.0}, ratios={"classical": 4 / 13})
+                      shapes={"classical": 13.0})
     body = emit_report(rep, "csv").decode()
     assert body == "name,value,ratio\nclassical,13,0.30769230769230771\n"
 
 
 def test_emit_report_json_round_trip():
     rep = BoundReport(N=4, Q=1.0, Q0=None, Z=1.0, lhs=4.0,
-                      shapes={"classical": 13.0}, ratios={"classical": 4 / 13})
+                      shapes={"classical": 13.0})
     parsed = json.loads(emit_report(rep, "json").decode())
     assert parsed == json.loads(rep.to_json())
 
@@ -422,6 +421,37 @@ def test_an_interval_offset_outside_the_finite_floats_exits_2(capsys, tmp_path, 
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == "config error: need finite M >= 0 and finite span Q > 0\n"
+
+
+@pytest.mark.parametrize("moduli", ["squares", "octave", "primes"])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_an_interval_offset_on_a_built_in_family_exits_2(capsys, tmp_path, via, moduli):
+    argv = ["--cmd", "bracket", "--moduli", moduli, "--q", "5", "--q0", "30", "--n", "64"]
+    if via == "flag":
+        argv += ["--m", "1000"]
+    else:
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"m": 1000}), encoding="utf-8")
+        argv += ["--config", str(cfgfile)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"config error: --m sets the offset of file: moduli, not of {moduli}\n"
+    # file: moduli take it, 0 included
+    mod = tmp_path / "mod.txt"
+    mod.write_text("4\n9\n25\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "--cmd", "bracket", "--moduli", f"file:{mod}",
+                           "--n", "64", "--m", "0")
+    assert (code, out) == (0, "72 4672\n")
+
+
+def test_a_moduli_file_over_the_capacity_exits_1(capsys, monkeypatch, tmp_path):
+    mod = tmp_path / "mod.txt"
+    mod.write_text("4\n9\nnine\n", encoding="utf-8")
+    monkeypatch.setattr(util, "CAPACITY", 29)
+    code, out, err = run_cli(capsys, "--cmd", "k-delta", "--moduli", f"file:{mod}")
+    assert (code, out) == (1, "")
+    assert err == (f"error: moduli file {mod} needs 3 moduli (30 bytes), "
+                   "over the 29-byte capacity\n")
 
 
 @pytest.mark.parametrize("cmd", ["sieve-sum", "shapes"])

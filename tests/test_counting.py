@@ -28,40 +28,41 @@ def _set_from(elements, span):
 def test_window_count_hand_case():
     s = _set_from([1, 2, 3, 10], 10)
     # u = 2.5 catches {1,2,3} in one window, never all four
-    assert count_window_ap(s, WindowQuery(2.5, 1, 0), s.M, s.Q) == 3
-    assert count_window_ap(s, WindowQuery(9.0, 1, 0), s.M, s.Q) == 3
-    assert count_window_ap(s, WindowQuery(10.0, 1, 0), s.M, s.Q) == 4
-    assert count_window_ap(s, WindowQuery(0.0, 1, 0), s.M, s.Q) == 0
+    assert count_window_ap(s, WindowQuery(2.5, 1, 0)) == 3
+    assert count_window_ap(s, WindowQuery(9.0, 1, 0)) == 3
+    assert count_window_ap(s, WindowQuery(10.0, 1, 0)) == 4
+    assert count_window_ap(s, WindowQuery(0.0, 1, 0)) == 0
     # a half-open unit window holds at most one integer
     s2 = _set_from([1, 2, 3], 3)
-    assert count_window_ap(s2, WindowQuery(1.0, 1, 0), s2.M, s2.Q) == 1
+    assert count_window_ap(s2, WindowQuery(1.0, 1, 0)) == 1
     # length 4 cannot span both endpoints of the odd triple
     s3 = _set_from([1, 3, 5], 5)
-    assert count_window_ap(s3, WindowQuery(4.0, 2, 1), s3.M, s3.Q) == 2
+    assert count_window_ap(s3, WindowQuery(4.0, 2, 1)) == 2
 
 
 def test_window_count_respects_residue_class():
     s = _set_from([1, 2, 3, 4, 5, 6], 6)
-    assert count_window_ap(s, WindowQuery(6.0, 2, 1), s.M, s.Q) == 3
-    assert count_window_ap(s, WindowQuery(6.0, 3, 2), s.M, s.Q) == 2
-    assert count_window_ap(s, WindowQuery(2.5, 3, 1), s.M, s.Q) == 1
+    assert count_window_ap(s, WindowQuery(6.0, 2, 1)) == 3
+    assert count_window_ap(s, WindowQuery(6.0, 3, 2)) == 2
+    assert count_window_ap(s, WindowQuery(2.5, 3, 1)) == 1
 
 
 def test_window_count_with_dilation():
     s = explicit_moduli([4, 8, 12, 16], M=0.0, span=16.0)
-    st_ = derive_subset(s, 4)
-    # dilated set {1,2,3,4} lives in (0, 4]
-    assert count_window_ap(st_, WindowQuery(2.0, 1, 0, 4), s.M, s.Q) == 2
-    assert count_window_ap(st_, WindowQuery(4.0, 1, 0, 4), s.M, s.Q) == 4
+    # the 4-dilate {1,2,3,4} lives in (0, 4], the 3-dilate {4} in (0, 16/3]
+    assert count_window_ap(s, WindowQuery(2.0, 1, 0, 4)) == 2
+    assert count_window_ap(s, WindowQuery(4.0, 1, 0, 4)) == 4
+    assert count_window_ap(s, WindowQuery(5.0, 1, 0, 3)) == 1
+    assert count_window_ap(s, WindowQuery(5.0, 2, 1, 4)) == 2
 
 
 def test_window_boundary_is_half_open():
     s = _set_from([5, 7], 12)
     # (y, y+2] with y = 5 contains 7 only; the left end is open
-    assert count_window_ap(s, WindowQuery(2.0, 1, 0), s.M, s.Q) == 1
+    assert count_window_ap(s, WindowQuery(2.0, 1, 0)) == 1
     s2 = _set_from([5, 7, 9], 12)
-    assert count_window_ap(s2, WindowQuery(2.0, 1, 0), s2.M, s2.Q) == 1
-    assert count_window_ap(s2, WindowQuery(2.0000001, 1, 0), s2.M, s2.Q) == 2
+    assert count_window_ap(s2, WindowQuery(2.0, 1, 0)) == 1
+    assert count_window_ap(s2, WindowQuery(2.0000001, 1, 0)) == 2
 
 
 @settings(max_examples=150, deadline=None)
@@ -80,8 +81,7 @@ def test_window_count_equals_oracle(data):
     reduced = [a for a in range(k) if math.gcd(a, k) == 1]
     l = data.draw(st.sampled_from(reduced))
     q = WindowQuery(u, k, l, t)
-    assert count_window_ap(st_, q, s.M, s.Q) == \
-        oracles.count_window_oracle(st_, q, s.M, s.Q)
+    assert count_window_ap(s, q) == oracles.count_window_oracle(st_, q, s.M, s.Q)
 
 
 def test_crowding_hand_case():
@@ -308,17 +308,13 @@ def test_window_counts_equal_oracle_at_the_edges_of_u(case):
         for l in classes:
             queries = [WindowQuery(float(u), k, l, t) for u in us]
             want = [oracles.count_window_oracle(st_, q, s.M, s.Q) for q in queries]
-            cls = st_.elements[st_.elements % k == l]
-            assert window_count_profile(cls, us, lo, hi).tolist() == want
-            assert [count_window_ap(st_, q, s.M, s.Q) for q in queries] == want
+            assert [count_window_ap(s, q) for q in queries] == want
             if l in present:
                 assert grouped[present.index(l)].tolist() == want
 
 
 def test_window_count_profile_of_nothing_is_zero():
     us = np.array([0.0, 1.0, 5.0])
-    assert window_count_profile(np.array([], dtype=np.int64), us, 0.0, 4.0).tolist() \
-        == [0, 0, 0]
     groups, none = window_count_profile(np.array([], dtype=np.int64), us, 0.0, 4.0,
                                         labels=np.array([], dtype=np.int64))
     assert groups.size == 0 and none.shape == (0, 3)
@@ -330,7 +326,7 @@ def test_count_window_ap_builds_no_square_matrix():
     query = WindowQuery(500.0, 1, 0, 1)
     tracemalloc.start()
     try:
-        count = count_window_ap(s, query, s.M, s.Q)
+        count = count_window_ap(s, query)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -254,13 +254,17 @@ def test_farey_capacity_refused_before_allocating():
      "2088 fold entries", 2088 * 16, False),
     (lambda: make_sequence("ones", 1001).values, "1001 coefficients", 1001 * 16, False),
     (lambda: sequence_from_file("seq.txt"), "1001 coefficients", 1001 * 16, False),
+    (lambda: moduli_from_file("mods.txt"), "100000 moduli", 10**5 * 10, True),
 ], ids=["squares", "octave", "primes", "primes-small", "farey", "sieve-sum", "values",
-        "file-sequence"])
+        "file-sequence", "file-moduli"])
 def test_one_byte_capacity_bounds_every_large_allocation(monkeypatch, tmp_path, call, count,
                                                           need, bounds_peak):
-    # the file-sequence case reads seq.txt here: 1001 rows, blank lines between
+    # the file cases read seq.txt here, 1001 rows with blank lines between,
+    # and mods.txt, 10^5 moduli
     monkeypatch.chdir(tmp_path)
     (tmp_path / "seq.txt").write_text("1 0\n\n" * 1001, encoding="utf-8")
+    mods = range(10**12, 10**12 + 3 * 10**5, 3)
+    (tmp_path / "mods.txt").write_text("".join(f"{q}\n" for q in mods), encoding="utf-8")
     monkeypatch.setattr(util, "CAPACITY", need - 1)
     start = time.perf_counter()
     with pytest.raises(CapacityError) as refused:

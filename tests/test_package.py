@@ -1,5 +1,6 @@
 """The package's lazy exports, and which modules each entry point loads."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 import sievelab
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+LAYERTRACE = SRC.parent / "bench" / "layertrace.py"
 SUBMODULES = ("arith", "bounds", "counting", "errors", "harmonic", "moduli",
               "oracles", "sequences", "util", "verify")
 # modules that neither a-count nor a sweep without sieve sums uses
@@ -82,3 +84,16 @@ def test_a_value_set_on_the_package_is_what_it_returns(monkeypatch):
     assert sievelab.sieve_lhs is traced
     monkeypatch.setattr(sievelab, "square_class_count", traced)
     assert sievelab.square_class_count is traced
+
+
+def test_every_traced_name_is_a_callable_of_its_layer():
+    # LAYERS read as a literal, so the benchmark's tracer is not imported
+    tree = ast.parse(LAYERTRACE.read_text(encoding="utf-8"))
+    layers = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["LAYERS"])
+    assert layers
+    for layer, names in layers.items():
+        module = importlib.import_module(f"sievelab.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{layer}.{name}"
