@@ -21,16 +21,19 @@ maximum over frequencies h and points z of one dilate window sum: the
 window counts of each dilate's classes, weighted by how many
 frequencies fall in each class.  Only the t-dilate's elements coprime
 to k = r/t count, and those are the q/t with gcd(q, r) = t: one gcd
-with r partitions the set over the divisors of r, and no dilate is
-built.  Its exact mode finds the breakpoints in z from the element
-differences that k divides.
+with r partitions the set over the divisors of r, no dilate is built,
+and one grouped window pass counts the classes of every divisor.  Its
+exact mode finds the breakpoints in z from the element differences
+that k divides.
 farey_crowding_shape, which bounds how many fractions with moduli in
-the set crowd a rational point b/r, is the same sum at h = -b and one z;
+the set crowd a rational point b/r, is the same sum at h = -b and one z,
+and keeps the last (set, r) partition across calls;
 crowding_shape_estimates gives closed-form estimates for that count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -356,57 +359,69 @@ def _reduced_residues(k: int) -> np.ndarray:
     return np.flatnonzero(np.gcd(np.arange(k), k) == 1)
 
 
-def _signed_class_counts(m_max: np.ndarray, k: int) -> np.ndarray:
-    """(k, len(m_max)) array: how many m with 0 < |m| <= m_max[j] fall in
-    each class l mod k, for every l.
+def _signed_class_counts(m_max, k) -> np.ndarray:
+    """How many m with 0 < |m| <= m_max fall in each class l mod k: a
+    block of k[j] rows, one per l, for each row j of m_max.
 
     The positive m = l (mod k) up to M number (M - f)//k + 1, with f the
     least positive member of the class (l, or k for l = 0); the negative
     ones are the positive members of class -l.
     """
-    first = (np.arange(k) - 1) % k + 1
-    pos = (np.asarray(m_max, dtype=np.int64)[None, :] - first[:, None]) // k + 1
-    return pos + pos[(-np.arange(k)) % k]
+    ks = np.atleast_1d(k)
+    block = np.repeat(np.arange(ks.size), ks)  # each row's block
+    start, k_row = (np.cumsum(ks) - ks)[block], ks[block]
+    l = np.arange(block.size) - start
+    m_max = np.asarray(m_max, dtype=np.int64).reshape(ks.size, -1)
+    pos = (m_max[block] - ((l - 1) % k_row + 1)[:, None]) // k_row[:, None] + 1
+    return pos + pos[start + (-l) % k_row]
 
 
-def _coprime_dilates(s: ModuliSet, r: int):
-    """(t, k, c) for each divisor t of r, k = r/t, with c the elements of
-    the t-dilate coprime to k, increasing and possibly none.
-
-    t | q and gcd(q/t, k) = 1 hold exactly when gcd(q, r) = t, so one
-    gcd with r partitions the set over the divisors.
+def _partition(s: ModuliSet, r: int) -> tuple:
+    """(c, labels, t, l, k, off, ts): the set split over the divisors ts
+    of r.  q is in the t-dilate as c = q/t, coprime to k = r/t, exactly
+    when gcd(q, r) = t.  Each element's label t*r + (c mod k) orders the
+    window-count rows by divisor, then class; t, l and k are per row,
+    and off is the first row of t's block of k in the class-count table.
     """
     g = np.gcd(s.elements, r)
-    for t in divisors(r):
-        yield t, r // t, s.elements[g == t] // t
+    c = s.elements // g
+    labels = g * r + c % (r // g)
+    rows = np.unique(labels)
+    t, ts = rows // r, np.array(divisors(r), dtype=np.int64)
+    off = (np.cumsum(r // ts) - r // ts)[np.searchsorted(ts, t)]
+    return c, labels, t, rows % r, r // t, off, ts
 
 
-def _dilate_terms(s: ModuliSet, r: int, zs: np.ndarray, width) -> list:
-    """(k, classes, profiles, counts) for each divisor t of r, k = r/t,
-    whose t-dilate has a nonempty class mod k coprime to k.
+# farey_crowding_shape is asked at several (b, z) per (s, r) in turn, so
+# it keeps the last partition; a ModuliSet hashes by identity
+_last_partition = functools.lru_cache(maxsize=1)(_partition)
 
-    Each such class gets one row of window counts over the widths
-    width(t) (a function, so that each caller keeps its own float
-    expression), all from one grouped pass; counts[m] holds how many
-    frequencies 0 < |m'| <= 6*r*z*span/t lie in residue m, one column
-    per z in zs (closed form).
+
+def _window_term(s: ModuliSet, r: int, part: tuple, zs: np.ndarray, width) -> tuple:
+    """(off, l, k, prof, counts) at r, one column per z in zs.
+
+    prof holds a row of window counts per row of the partition, over the
+    widths width(t) with t a column of the rows' divisors (so each caller
+    keeps its own float expression), from one grouped pass.  counts has
+    sigma(r) rows: row off + m counts the frequencies
+    0 < |m'| <= 6*r*z*span/t in residue m mod k (closed form).
     """
+    c, labels, t, l, k, off, ts = part
     span = s.Q
-    terms = []
-    for t, k, c in _coprime_dilates(s, r):
-        if c.size:
-            ls, prof = window_count_profile(c, width(t), s.M / t, (s.M + span) / t,
-                                            labels=c % k)
-            counts = _signed_class_counts(np.floor(6.0 * r * zs * span / t).astype(np.int64), k)
-            terms.append((k, ls, prof, counts))
-    return terms
+    _, prof = window_count_profile(c, width(t[:, None]), s.M / t, (s.M + span) / t,
+                                   labels)
+    m_max = np.floor(6.0 * r * zs * span / ts[:, None]).astype(np.int64)
+    return off, l, k, prof, _signed_class_counts(m_max, r // ts)
 
 
-def _window_sum(terms: list, h: np.ndarray):
+def _window_sum(term: tuple, h: np.ndarray):
     """Dilate window sums at the frequencies h (a column), one row per h
-    and one column per z: the sum over the terms of prof[l] *
-    counts[h*l mod k].  0 when there are no terms."""
-    return sum((counts[(h * ls) % k] * prof).sum(axis=1) for k, ls, prof, counts in terms)
+    and one column per z: the sum over the class rows of prof[row] *
+    counts[off + h*l mod k], one gather.  0 when there are no rows."""
+    off, l, k, prof, counts = term
+    gathered = counts[off + (h * l) % k]
+    gathered *= prof  # in place: the gather is the largest array a term makes
+    return gathered.sum(axis=1)
 
 
 def _bracket_eval(s: ModuliSet, n: int, r: int, zs: np.ndarray) -> int:
@@ -421,12 +436,10 @@ def _bracket_eval(s: ModuliSet, n: int, r: int, zs: np.ndarray) -> int:
     its (h, class, z) entries bounded.
     """
     span = s.Q
-    terms = _dilate_terms(s, r, zs, lambda t: 2.0 * span / (t * zs * n))
-    if not terms:
-        return 0
+    term = _window_term(s, r, _partition(s, r), zs, lambda t: 2.0 * span / (t * zs * n))
     hs = _reduced_residues(r)
-    step = max(1, _BRACKET_CHUNK // max(prof.size for _, _, prof, _ in terms))
-    return max(int(_window_sum(terms, hs[start : start + step, None]).max())
+    step = max(1, _BRACKET_CHUNK // max(1, term[3].size))
+    return max(int(_window_sum(term, hs[start : start + step, None]).max())
                for start in range(0, hs.size, step))
 
 
@@ -463,8 +476,10 @@ def _exact_z(s: ModuliSet, n: int, r: int, workers: int = 1) -> np.ndarray:
     span = s.Q
     z_lo = 1.0 / n
     z_hi = 1.0 / (r * math.sqrt(n))
+    c_all, labels, *_, ts = _partition(s, r)
     parts, need, mark_bytes = [], 0, 0
-    for t, k, c in _coprime_dilates(s, r):
+    for t in ts.tolist():
+        k, c = r // t, c_all[labels // r == t]
         jmax = int(math.floor(6.0 * r * z_hi * span / t))
         jlo = int(math.floor(6.0 * r * z_lo * span / t))
         w = int(c[-1] - c[0]) + 1 if c.size else 0
@@ -523,10 +538,11 @@ def sieve_bracket(s: ModuliSet, n: int, z_grid: int = 64, mode: str = "grid",
     def one(r: int) -> int:
         zs = _grid_z(r, n, z_grid) if mode == "grid" else _exact_z(s, n, r, workers)
         # each divisor t brings k = r/t count rows, sigma(r) in all, and at
-        # most phi(k) <= phi(r) class rows: the widest profile holds at most
-        # phi(r)*|zs| entries, and a gather holds phi(r) h of it, or one
-        # chunk of them, or one h if that is more
-        widest = euler_phi(r) * zs.size
+        # most phi(k) class rows, each holding an element: the profile has
+        # at most min(r, |s|) rows (the phi(r/t) sum to r) of |zs|
+        # entries, and a gather holds phi(r) h of it, or one chunk of
+        # them, or one h if that is more
+        widest = min(r, s.size) * zs.size
         entries = (sum(divisors(r)) * zs.size
                    + min(euler_phi(r) * widest, max(_BRACKET_CHUNK, widest)))
         util.reserve(f"bracket terms at r={r}", workers * entries, "(class, z) entries",
@@ -564,8 +580,9 @@ def farey_crowding_shape(s: ModuliSet, b: int, r: int, z: float,
     _check_regime(r, z, delta)
     span = s.Q
     zs = np.array([z])
-    terms = _dilate_terms(s, r, zs, lambda t: 2.0 * delta * span / (t * zs))
-    return 2.0 + float(np.sum(_window_sum(terms, np.array([[(-b) % r]]))))
+    term = _window_term(s, r, _last_partition(s, r), zs,
+                        lambda t: 2.0 * delta * span / (t * zs))
+    return 2.0 + float(np.sum(_window_sum(term, np.array([[(-b) % r]]))))
 
 
 def crowding_shape_estimates(r: int, z: float, delta: float, q0: float,

@@ -105,44 +105,51 @@ def count_window_ap(s: ModuliSet, query: WindowQuery) -> int:
     return int(rows.sum())  # the class's one row, or none when it is empty
 
 
-def window_count_profile(c: np.ndarray, u_vec, lo: float, hi: float, labels):
+def window_count_profile(c: np.ndarray, u_vec, lo, hi, labels):
     """count_window_ap for integer element arrays over a vector of u, per
     group of equal label (one label per element).
 
     The result is (groups, rows): the distinct labels in ascending order
-    and one row of counts per label, all from one sorted pass.  The
-    elements are keyed by (group, value) so that one searchsorted serves
-    every group, and np.maximum.reduceat takes each group's maximum.
+    and one row of counts per label, all from one sorted pass.  u_vec
+    broadcasts to (groups, |u|) and lo, hi to (groups,), so each group
+    may take its own widths and interval.  The elements are keyed by
+    (group, value) so that one searchsorted serves every group, and
+    np.maximum.reduceat takes each group's maximum.
     """
-    u_vec = np.asarray(u_vec, dtype=np.float64)
     c = np.asarray(c, dtype=np.int64)
     groups, rank = np.unique(np.asarray(labels, dtype=np.int64), return_inverse=True)
-    rank = rank.reshape(-1)
+    u_vec = np.asarray(u_vec, dtype=np.float64)
+    u_vec = np.broadcast_to(u_vec, (groups.size, u_vec.shape[-1]))
     if c.size == 0:
-        return groups, np.zeros((0, u_vec.size), dtype=np.int64)
+        return groups, np.zeros(u_vec.shape, dtype=np.int64)
+    ends = np.empty((2, groups.size))
+    ends[0], ends[1] = lo, hi
     # key = group * stride + (c - c_min): a key shifted down by at most
-    # span + 1 still lies above every key of the group before
+    # span + 1 (the whole array's span) still lies above every key of
+    # the group before
     c_min, span = int(c.min()), int(c.max()) - int(c.min())
     stride = 2 * span + 2
-    key = np.sort(rank * stride + (c - c_min))
+    if groups.size * stride > _INT64_MAX:
+        raise OutOfRangeError(f"{groups.size} groups over a span of {span} pass the int64 keys")
+    key = np.sort(rank.reshape(-1) * stride + (c - c_min))
+    group = key // stride
     cf = (key % stride + c_min).astype(np.float64)
-    base = np.arange(int(key[-1]) // stride + 1) * stride
+    base = np.arange(groups.size) * stride
     starts = np.searchsorted(key, base)
     upto_self = np.searchsorted(key, key, side="right")
-    ends = np.array([lo, hi])
-    below = np.searchsorted(key, base + _edge_offset(ends, c_min, span)[:, None],
-                            side="right")
-    out = np.empty((base.size, u_vec.size), dtype=np.int64)
+    below = np.searchsorted(key, base + _edge_offset(ends, c_min, span), side="right")
+    out = np.empty(u_vec.shape, dtype=np.int64)
     chunk = max(1, (1 << 18) // c.size)
-    for start in range(0, u_vec.size, chunk):
-        u = u_vec[start : start + chunk, None]
+    for start in range(0, u_vec.shape[1], chunk):
+        u = u_vec[:, start : start + chunk].T  # (chunk, groups)
+        ue = u[:, group]
         # windows (c_i - u, c_i] hold the c_j > c_i - ceil(u) of the group
-        width = np.ceil(np.fmax(np.fmin(u, span + 1.0), 0.0)).astype(np.int64)
+        width = np.ceil(np.fmax(np.fmin(ue, span + 1.0), 0.0)).astype(np.int64)
         counts = upto_self - np.searchsorted(key, key - width, side="right")
-        anchored = (cf - u >= lo) & (cf - u <= hi)
+        anchored = (cf - ue >= ends[0, group]) & (cf - ue <= ends[1, group])
         best = np.maximum.reduceat(np.where(anchored, counts, 0), starts, axis=1)
         # windows (y, y+u] at y = lo and y = hi hold the c > y, c <= y + u
-        top = np.searchsorted(key, base + _edge_offset(ends + u, c_min, span)[..., None],
+        top = np.searchsorted(key, base + _edge_offset(ends + u[:, None], c_min, span),
                               side="right")
         best = np.maximum(best, (top - below).max(axis=1))
         out[:, start : start + chunk] = np.where(u > 0, best, 0).T

@@ -156,7 +156,7 @@ def moduli_from_file(path: str, M: float | None = None, span: float | None = Non
                 i += 1
             if i < count:
                 raise SequenceFileError(f"{path}: changed while being read")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SequenceFileError(f"cannot read {path}: {exc}") from exc
     return _explicit(el, M, span)
 

@@ -186,7 +186,7 @@ def sequence_from_file(path: str) -> CoefficientSequence:
                 i += 1
             if i < count:
                 raise SequenceFileError(f"{path}: changed while being read")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SequenceFileError(f"cannot read {path}: {exc}") from exc
     return CoefficientSequence(values=values, N=count)
 

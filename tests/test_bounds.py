@@ -430,11 +430,20 @@ def test_exact_breakpoints_equal_a_loop_over_class_pairs(s, n):
 ], ids=["explicit", "explicit-composite", "octave", "primes", "squares"])
 def test_coprime_dilates_partition_the_set_over_the_divisors(s):
     for r in range(1, 65):
-        got = list(bounds_mod._coprime_dilates(s, r))
-        assert [(t, k) for t, k, _ in got] == [(t, r // t) for t in divisors(r)]
-        for t, k, c in got:
-            want = [q for q in derive_subset(s, t).elements.tolist() if math.gcd(q, k) == 1]
-            assert c.tolist() == want
+        c, labels, t, l, k, off, ts = bounds_mod._partition(s, r)
+        assert ts.tolist() == divisors(r)
+        for d in divisors(r):
+            want = [q for q in derive_subset(s, d).elements.tolist()
+                    if math.gcd(q, r // d) == 1]
+            assert c[labels // r == d].tolist() == want
+        # one row per (divisor, class), in label order, its block's row
+        # in the class-count table at off
+        gs = [(math.gcd(q, r), q) for q in s.elements.tolist()]
+        rows = sorted({(d, q // d % (r // d)) for d, q in gs})
+        assert list(zip(t.tolist(), l.tolist())) == rows
+        assert k.tolist() == [r // d for d, _ in rows]
+        starts = dict(zip(divisors(r), np.cumsum([0] + [r // d for d in divisors(r)])))
+        assert off.tolist() == [starts[d] for d, _ in rows]
 
 
 def test_exact_mode_refuses_a_span_past_capacity_before_building():
@@ -512,15 +521,9 @@ def test_crowding_single_element_probe():
     assert farey_crowding_shape(one, 1, 1, 0.25, 1 / 16) == 4.0
 
 
-@pytest.mark.parametrize("b, r", [(5, 12), (7, 12), (11, 30), (1, 30), (3, 8)])
-def test_crowding_shape_equals_loop_over_frequencies(b, r):
-    # uneven classes and windows narrower than a class, so both the
-    # class each frequency meets and the window width matter
-    rng = seeded_rng(r * 100 + b)
-    el = rng.choice(np.arange(1001, 3001), size=300, replace=False)
-    s = explicit_moduli(el, M=1000.0, span=2000.0)
-    delta = 1e-6
-    z = 0.9 * math.sqrt(delta) / r
+def _crowding_by_frequencies(s, b, r, z, delta):
+    """2 plus the window count of each divisor's class -b^-1*m mod k, one
+    frequency m at a time, by the oracle."""
     want = 2.0
     for t in divisors(r):
         k = r // t
@@ -532,7 +535,61 @@ def test_crowding_shape_equals_loop_over_frequencies(b, r):
             if m != 0 and math.gcd(m, k) == 1:
                 q = WindowQuery(u, k, (-bbar * m) % k, t)
                 want += oracles.count_window_oracle(st_, q, s.M, s.Q)
-    assert farey_crowding_shape(s, b, r, z, delta) == want
+    return want
+
+
+@pytest.mark.parametrize("b, r", [(5, 12), (7, 12), (11, 30), (1, 30), (3, 8)])
+def test_crowding_shape_equals_loop_over_frequencies(b, r):
+    # uneven classes and windows narrower than a class, so both the
+    # class each frequency meets and the window width matter
+    rng = seeded_rng(r * 100 + b)
+    el = rng.choice(np.arange(1001, 3001), size=300, replace=False)
+    s = explicit_moduli(el, M=1000.0, span=2000.0)
+    delta = 1e-6
+    z = 0.9 * math.sqrt(delta) / r
+    assert farey_crowding_shape(s, b, r, z, delta) == _crowding_by_frequencies(s, b, r, z, delta)
+
+
+def test_crowding_shape_equals_the_oracle_on_random_sets():
+    # small offset sets dense in multiples of r's divisors, so that every
+    # t-dilate holds elements; each (s, r) is asked at several (b, z) in
+    # a row, as the cached partition serves them
+    rng = seeded_rng(919)
+    for trial in range(40):
+        m_off, span = int(rng.integers(0, 300)), int(rng.integers(20, 400))
+        size = int(rng.integers(1, min(span, 80) + 1))
+        el = np.sort(rng.choice(np.arange(m_off + 1, m_off + span + 1), size, replace=False))
+        s = explicit_moduli(el, M=float(m_off), span=float(span))
+        r = int(rng.choice([4, 6, 9, 12, 18, 20, 24, 30]))
+        for _ in range(3):
+            b = int(rng.choice([b for b in range(r) if math.gcd(b, r) == 1]))
+            delta = 10.0 ** rng.uniform(-6.0, math.log10(1.0 / (r * r)))
+            z = delta * (math.sqrt(delta) / (r * delta)) ** rng.random()
+            z = min(z, math.sqrt(delta) / r)
+            want = _crowding_by_frequencies(s, b, r, z, delta)
+            assert farey_crowding_shape(s, b, r, z, delta) == want, (trial, b, r, z, delta)
+
+
+def test_crowding_shape_keeps_one_partition(monkeypatch):
+    # equal elements, different spans: the cache is keyed on the set
+    # itself, so each set gets its own widths and edges, and it holds one
+    # (set, r) at a time
+    el = np.arange(101, 401, 3)
+    sets = [explicit_moduli(el, M=100.0, span=300.0),
+            explicit_moduli(el, M=100.0, span=450.0)]
+    plan = [(0, 6, 1, 2e-4), (0, 6, 5, 9e-4), (1, 6, 1, 2e-4), (1, 6, 5, 9e-4),
+            (0, 10, 3, 3e-4), (0, 10, 7, 8e-4), (1, 10, 3, 3e-4), (1, 10, 9, 8e-4),
+            (0, 6, 1, 2e-4), (1, 10, 3, 3e-4)]
+    cache = bounds_mod._last_partition
+    cache.cache_clear()
+    got = []
+    for i, r, b, z in plan:
+        got.append(farey_crowding_shape(sets[i], b, r, z, 1e-4))
+        assert cache.cache_info().currsize == 1
+    assert cache.cache_info().hits == 4
+    assert got[1] != got[3] and got[4] != got[6]  # the spans tell the sets apart
+    monkeypatch.setattr(bounds_mod, "_last_partition", bounds_mod._partition)
+    assert [farey_crowding_shape(sets[i], b, r, z, 1e-4) for i, r, b, z in plan] == got
 
 
 @settings(max_examples=60, deadline=None)
@@ -715,9 +772,9 @@ def test_grid_bracket_equals_per_h_oracle(s, n, z_grid):
 
 def test_bracket_refuses_a_z_grid_past_one_gather_chunk(monkeypatch):
     def fail(*args):
-        raise AssertionError("dilates built before the z-grid check")
+        raise AssertionError("partition built before the z-grid check")
 
-    monkeypatch.setattr(bounds_mod, "_coprime_dilates", fail)
+    monkeypatch.setattr(bounds_mod, "_partition", fail)
     with pytest.raises(CapacityError, match="4000000000 points"):
         sieve_bracket(primes_up_to_set(300), 4096, z_grid=4 * 10**9)
 
@@ -733,8 +790,14 @@ def test_bracket_reserves_its_terms_before_profiling(monkeypatch):
         sieve_bracket(squares_up_to(8), 4096, z_grid=2**21)
 
 
-@pytest.mark.parametrize("z_grid", [2**12, 2**14])
-def test_bracket_peak_stays_under_its_reservation(monkeypatch, z_grid):
+@pytest.mark.parametrize("s, n, z_grid", [
+    pytest.param(squares_up_to(8), 4096, 2**12, id="4096"),
+    pytest.param(squares_up_to(8), 4096, 2**14, id="16384"),
+    # r = 7 has 7 class rows (the primes in the 6 classes mod 7, and 7
+    # itself in the 7-dilate) against phi(7) = 6, and its gather peaks
+    pytest.param(primes_up_to_set(300), 81, 2**16, id="primes-r7"),
+])
+def test_bracket_peak_stays_under_its_reservation(monkeypatch, s, n, z_grid):
     reserved = []
     reserve = util.reserve
 
@@ -746,11 +809,11 @@ def test_bracket_peak_stays_under_its_reservation(monkeypatch, z_grid):
     monkeypatch.setattr(util, "reserve", spy)
     tracemalloc.start()
     try:
-        sieve_bracket(squares_up_to(8), 4096, z_grid=z_grid)
+        sieve_bracket(s, n, z_grid=z_grid)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(reserved) == 64 and peak <= max(reserved)
+    assert len(reserved) == math.isqrt(n) and peak <= max(reserved)
 
 
 def test_bracket_h_chunks_do_not_change_b(monkeypatch):

@@ -465,6 +465,21 @@ def test_a_non_finite_file_coefficient_exits_2(capsys, tmp_path, cmd, value):
     assert err == f"config error: {seq}:2: coefficient is not finite\n"
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["--cmd", "k-delta", "--moduli", "file:{path}"], b"4\n\xff\n9\n"),
+    (["--cmd", "sieve-sum", "--seq", "file:{path}", "--moduli", "squares", "--q", "4"],
+     b"1 0\n\xff 0\n"),
+    (["--config", "{path}"], b'{"cmd": "k-delta", "q": 4}\xff'),
+], ids=["moduli", "seq", "config"])
+def test_a_file_that_is_not_utf8_exits_2(capsys, tmp_path, argv, text):
+    path = tmp_path / "input.txt"
+    path.write_bytes(text)
+    code, out, err = run_cli(capsys, *(a.format(path=path) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: cannot read ") and err.count("\n") == 1
+    assert f"{path}: 'utf-8' codec can't decode byte 0xff" in err
+
+
 def test_config_arrays_and_scalars_for_list_options(capsys, tmp_path):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"cmd": "sweep", "grid_n": [64, 128],

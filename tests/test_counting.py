@@ -16,7 +16,7 @@ from sievelab import (WindowQuery, count_window_ap, derive_subset,
                       k_delta, moduli, p_alpha, p_alpha_circular, pi_count,
                       primes_up_to_set, squares_up_to)
 from sievelab.counting import window_count_profile
-from sievelab.errors import EmptyModuliWarning, InvalidDeltaError
+from sievelab.errors import EmptyModuliWarning, InvalidDeltaError, OutOfRangeError
 from sievelab import oracles
 from sievelab.util import seeded_rng
 
@@ -311,6 +311,35 @@ def test_window_counts_equal_oracle_at_the_edges_of_u(case):
             assert [count_window_ap(s, q) for q in queries] == want
             if l in present:
                 assert grouped[present.index(l)].tolist() == want
+
+
+def test_window_count_profile_takes_widths_and_edges_per_group():
+    # each group's row equals a call on that group alone, with its own
+    # widths and interval, though the keys' stride spans every group
+    rng = seeded_rng(77)
+    for trial in range(40):
+        c = np.unique(rng.integers(1, int(rng.integers(2, 3000)), int(rng.integers(1, 60))))
+        labels = rng.integers(0, 6, c.size) * 7 + c % 3
+        groups = np.unique(labels)
+        us = rng.random((groups.size, 5)) * float(rng.choice([3.0, 40.0, 4000.0]))
+        us[:, 0] = 0.0
+        lo = rng.random(groups.size) * c.max()
+        hi = lo + rng.random(groups.size) * c.max()
+        got_groups, got = window_count_profile(c, us, lo, hi, labels)
+        assert got_groups.tolist() == groups.tolist()
+        for i, g in enumerate(groups):
+            one = c[labels == g]
+            _, want = window_count_profile(one, us[i], lo[i], hi[i], labels[labels == g])
+            assert got[i].tolist() == want[0].tolist()
+
+
+def test_window_count_profile_refuses_keys_past_int64():
+    # keys run to groups * 2 * span: four groups over 2^60 pass int64, two fit
+    c = np.array([1, 2, 3, 2**60])
+    with pytest.raises(OutOfRangeError, match="int64 keys"):
+        window_count_profile(c, [1.0], 0.0, 2.0**60, labels=np.arange(4))
+    _, two = window_count_profile(c, [1.0, 2.0**61], 0.0, 2.0**60, labels=np.arange(4) % 2)
+    assert two.tolist() == [[1, 2], [1, 2]]
 
 
 def test_window_count_profile_of_nothing_is_zero():
