@@ -29,6 +29,10 @@ farey_crowding_shape, which bounds how many fractions with moduli in
 the set crowd a rational point b/r, is the same sum at h = -b and one z,
 and keeps the last (set, r) partition across calls;
 crowding_shape_estimates gives closed-form estimates for that count.
+Both take the sum from one function, _window_max, which reserves its
+arrays before it builds any: 16 bytes a (row, z) entry for each of the
+sigma(r) class-count rows and for each frequency of a gather chunk, and
+48 bytes more a class-count row for its index columns.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from .errors import (CapacityError, InvalidRegimeError, NotCoprimeError,
                      OutOfRangeError, ShapeDomainError)
 from .moduli import ModuliSet
 from .sequences import CoefficientSequence
-from .arith import divisors, euler_phi, squarefree_divisors
+from .arith import divisors, squarefree_divisors
 from . import util
 from .util import fmt17
 
@@ -60,7 +64,7 @@ _MIN_WIDTH = 1024  # the narrowest fold: below it numpy's per-row cost dominates
 _LATTICE_RTOL = 1e-12
 _POINT_BYTES = 32  # a candidate z of exact mode: built, held, concatenated, masked
 _INSIDE_BYTES = 64  # and one inside (1/N, z_hi): its copies through unique and the midpoints
-_TERM_BYTES = 16  # per (class, z): two int64s, a count and a window count or their product
+_TERM_BYTES = 16  # per (row, z) entry: a count and a temporary, or a gathered count and a window count
 
 SHAPE_NAMES = (
     "classical",
@@ -397,50 +401,43 @@ def _partition(s: ModuliSet, r: int) -> tuple:
 _last_partition = functools.lru_cache(maxsize=1)(_partition)
 
 
-def _window_term(s: ModuliSet, r: int, part: tuple, zs: np.ndarray, width) -> tuple:
-    """(off, l, k, prof, counts) at r, one column per z in zs.
+def _window_max(s: ModuliSet, r: int, part: tuple, zs: np.ndarray, width, hs: np.ndarray,
+                workers: int = 1) -> int:
+    """Max over the frequencies hs and the points zs of the dilate window
+    sum at r: the sum over the class rows of prof[row] * counts[off +
+    h*l mod k], 0 when there are no rows.
 
-    prof holds a row of window counts per row of the partition, over the
-    widths width(t) with t a column of the rows' divisors (so each caller
-    keeps its own float expression), from one grouped pass.  counts has
-    sigma(r) rows: row off + m counts the frequencies
-    0 < |m'| <= 6*r*z*span/t in residue m mod k (closed form).
+    prof holds a row of window counts per row of the partition part,
+    over the widths width(t) with t a column of the rows' divisors (so
+    each caller keeps its own float expression), from one grouped pass.
+    counts has sigma(r) rows: row off + m counts the frequencies
+    0 < |m'| <= 6*r*z*span/t in residue m mod k (closed form).  The
+    gather runs in chunks over hs that keep its (h, row, z) entries
+    bounded.  The table and a chunk are reserved for each of the
+    workers before anything is built.
     """
     c, labels, t, l, k, off, ts = part
     span = s.Q
+    rows = t.size
+    step = max(1, _BRACKET_CHUNK // max(1, rows * zs.size))
+    # a class-count row peaks at 40 bytes and 16 a z while it is built
+    # (its index columns, the counts and a temporary), charged as 3 + |zs|
+    # entries; a chunk of frequencies holds rows * |zs| entries for each
+    util.reserve(f"bracket terms at r={r}",
+                 workers * (int((r // ts).sum()) * (zs.size + 3)
+                            + min(hs.size, step) * rows * zs.size),
+                 "(row, z) entries", _TERM_BYTES)
     _, prof = window_count_profile(c, width(t[:, None]), s.M / t, (s.M + span) / t,
                                    labels)
     m_max = np.floor(6.0 * r * zs * span / ts[:, None]).astype(np.int64)
-    return off, l, k, prof, _signed_class_counts(m_max, r // ts)
-
-
-def _window_sum(term: tuple, h: np.ndarray):
-    """Dilate window sums at the frequencies h (a column), one row per h
-    and one column per z: the sum over the class rows of prof[row] *
-    counts[off + h*l mod k], one gather.  0 when there are no rows."""
-    off, l, k, prof, counts = term
-    gathered = counts[off + (h * l) % k]
-    gathered *= prof  # in place: the gather is the largest array a term makes
-    return gathered.sum(axis=1)
-
-
-def _bracket_eval(s: ModuliSet, n: int, r: int, zs: np.ndarray) -> int:
-    """Max over z in zs and reduced h mod r of the bracket's window sum.
-
-    For each divisor t of r, with k = r/t, the sum adds the window count
-    (width 2*span/(t*z*N)) of the t-dilate's class h*m mod k over the
-    frequencies m coprime to k with 0 < |m| <= m_max(z).  By class
-    l = h*m that is the sum of prof[l] * counts[h^-1 * l]; since h runs
-    over a group, writing h for h^-1 leaves the maximum unchanged, so
-    _window_sum gathers through h*l mod k, in chunks over h that keep
-    its (h, class, z) entries bounded.
-    """
-    span = s.Q
-    term = _window_term(s, r, _partition(s, r), zs, lambda t: 2.0 * span / (t * zs * n))
-    hs = _reduced_residues(r)
-    step = max(1, _BRACKET_CHUNK // max(1, term[3].size))
-    return max(int(_window_sum(term, hs[start : start + step, None]).max())
-               for start in range(0, hs.size, step))
+    counts = _signed_class_counts(m_max, r // ts)
+    best = 0
+    for start in range(0, hs.size, step):
+        gathered = counts[off + (hs[start : start + step, None] * l) % k]
+        gathered *= prof  # in place: the gather is the largest array a chunk makes
+        best = max(best, int(gathered.sum(axis=1).max()))
+        del gathered  # before the next chunk's gather, so one is held at a time
+    return best
 
 
 def _grid_z(r: int, n: int, points: int) -> np.ndarray:
@@ -512,8 +509,10 @@ def sieve_bracket(s: ModuliSet, n: int, z_grid: int = 64, mode: str = "grid",
     """(B, N*(1+B)) with B the bracket maximum over r <= sqrt(N).
 
     For each r the inner maximum runs over frequencies h coprime to r
-    and over z in [1/N, 1/(r*sqrt(N))], summing window counts of every
-    dilate of s by a divisor of r.  In grid mode z is sampled on a
+    and over z in [1/N, 1/(r*sqrt(N))] of the window sum: for each
+    divisor t of r, with k = r/t, the window counts (width
+    2*span/(t*z*N)) of the t-dilate's class h*m mod k over the
+    frequencies m coprime to k with 0 < |m| <= 6*r*z*span/t.  In grid mode z is sampled on a
     geometric grid of z_grid points including both endpoints, so B is a
     lower bound of the true supremum that never decreases under grid
     refinement (refined grids contain the coarse points exactly).  Exact
@@ -533,21 +532,15 @@ def sieve_bracket(s: ModuliSet, n: int, z_grid: int = 64, mode: str = "grid",
                             f"per (h, row), over the {_MAX_Z_GRID} entries "
                             f"one bracket gather holds")
     rs = range(1, math.isqrt(n) + 1)
-    workers = min(threads, len(rs))
+    workers = max(1, min(threads, len(rs)))
+    span = s.Q
 
     def one(r: int) -> int:
         zs = _grid_z(r, n, z_grid) if mode == "grid" else _exact_z(s, n, r, workers)
-        # each divisor t brings k = r/t count rows, sigma(r) in all, and at
-        # most phi(k) class rows, each holding an element: the profile has
-        # at most min(r, |s|) rows (the phi(r/t) sum to r) of |zs|
-        # entries, and a gather holds phi(r) h of it, or one chunk of
-        # them, or one h if that is more
-        widest = min(r, s.size) * zs.size
-        entries = (sum(divisors(r)) * zs.size
-                   + min(euler_phi(r) * widest, max(_BRACKET_CHUNK, widest)))
-        util.reserve(f"bracket terms at r={r}", workers * entries, "(class, z) entries",
-                     _TERM_BYTES)
-        return _bracket_eval(s, n, r, zs)
+        # class l meets the frequencies h^-1*l; over all units h mod r,
+        # gathering h*l instead leaves the maximum unchanged
+        return _window_max(s, r, _partition(s, r), zs, lambda t: 2.0 * span / (t * zs * n),
+                           _reduced_residues(r), workers)
 
     with _pool(workers) as pool:
         b = float(max(pool.map(one, rs) if pool else map(one, rs)))
@@ -580,9 +573,9 @@ def farey_crowding_shape(s: ModuliSet, b: int, r: int, z: float,
     _check_regime(r, z, delta)
     span = s.Q
     zs = np.array([z])
-    term = _window_term(s, r, _last_partition(s, r), zs,
-                        lambda t: 2.0 * delta * span / (t * zs))
-    return 2.0 + float(np.sum(_window_sum(term, np.array([[(-b) % r]]))))
+    return 2.0 + float(_window_max(s, r, _last_partition(s, r), zs,
+                                   lambda t: 2.0 * delta * span / (t * zs),
+                                   np.array([(-b) % r])))
 
 
 def crowding_shape_estimates(r: int, z: float, delta: float, q0: float,

@@ -23,7 +23,7 @@ from .bounds import (SHAPE_NAMES, BoundReport, build_report, sieve_bracket,
 from .counting import WindowQuery, count_window_ap, k_delta
 from .errors import ConfigError, InputError, SieveLabError
 from .moduli import FareySlabs, ModuliSet, build_moduli_set
-from .sequences import make_sequence
+from .sequences import make_sequence, sequence_from_file
 from .util import fmt17
 
 _COMMANDS = ("sieve-sum", "k-delta", "a-count", "farey", "gauss", "bracket",
@@ -198,7 +198,7 @@ def _build_sequence(cfg, kind=None, n=None):
         kind = cfg["seq"][0]
     n = cfg["n"] if n is None else n
     if kind.startswith("file:"):
-        return make_sequence("from_file", n, path=kind[5:])
+        return sequence_from_file(kind[5:])
     return make_sequence(kind, n, n0=cfg["n0"], seed=cfg["seed"], beta=cfg["beta"])
 
 

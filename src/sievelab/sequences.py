@@ -3,9 +3,10 @@ trigonometric sums S(alpha) = sum_n a_n e(n*alpha), e(x) = exp(2*pi*i*x).
 
 A sequence is read in order, in pieces of at most _PIECE coefficients,
 so a pass over it holds one piece, never all N values.  The stock
-sequences draw each piece when a pass reaches it; an explicit array is
-read as slices of itself.  The whole array (values) is built only on
-request, by the pointwise evaluators below and the oracles.
+sequences of make_sequence draw each piece when a pass reaches it; an
+explicit array, such as sequence_from_file loads, is read as slices of
+itself.  The whole array (values) is built only on request, by the
+pointwise evaluators below and the oracles.
 
 Two evaluation routes are provided.  eval_exp_sum is the direct O(N)
 evaluation at one real point, with the phase argument reduced mod 1
@@ -25,7 +26,7 @@ import numpy as np
 from .errors import OutOfRangeError, SequenceFileError
 from .util import PairwiseSum, cexp, reserve, seeded_rng
 
-_KINDS = ("ones", "delta", "random_signs", "random_phases", "focused", "from_file")
+_KINDS = ("ones", "delta", "random_signs", "random_phases", "focused")
 _MAX_N = int(np.iinfo(np.intp).max) // 16  # the most complex128 values one array holds
 _PIECE = 1 << 16  # coefficients per piece: the most any pass holds at once
 
@@ -103,7 +104,7 @@ class _DrawnSequence(CoefficientSequence):
 
 
 def make_sequence(kind: str, N: int, *, n0: int | None = None, seed=0,
-                  beta: float | None = None, path: str | None = None) -> CoefficientSequence:
+                  beta: float | None = None) -> CoefficientSequence:
     """Construct one of the stock test sequences.
 
     ones            a_n = 1
@@ -111,7 +112,6 @@ def make_sequence(kind: str, N: int, *, n0: int | None = None, seed=0,
     random_signs    a_n uniform on {-1, +1}, from seed
     random_phases   a_n uniform on the unit circle, from seed
     focused         a_n = e(-n*beta), so S(beta) = N
-    from_file       text file, line n holds "re im"
 
     Nothing is drawn here: each piece is drawn when a pass reaches it,
     the random kinds from one generator per pass, so a piece holds the
@@ -119,8 +119,6 @@ def make_sequence(kind: str, N: int, *, n0: int | None = None, seed=0,
     """
     if kind not in _KINDS:
         raise OutOfRangeError(f"unknown sequence kind {kind!r}")
-    if kind == "from_file":
-        return sequence_from_file(path)
     if not 1 <= N <= _MAX_N:
         raise OutOfRangeError(f"sequence length must be in 1..{_MAX_N}")
     if kind == "ones":
@@ -158,8 +156,6 @@ def sequence_from_file(path: str) -> CoefficientSequence:
     pass fills the array.  A pipe, which cannot be rewound, and a file
     whose count changes between the passes are refused.
     """
-    if path is None:
-        raise SequenceFileError("no path given for from_file sequence")
     try:
         with open(path, encoding="utf-8") as fh:
             count = sum(1 for line in fh if line.strip())

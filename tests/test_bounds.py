@@ -592,6 +592,19 @@ def test_crowding_shape_keeps_one_partition(monkeypatch):
     assert [farey_crowding_shape(sets[i], b, r, z, 1e-4) for i, r, b, z in plan] == got
 
 
+def test_crowding_shape_refuses_before_it_builds(monkeypatch):
+    # sigma(720720) = 3,249,792 class-count rows at 4 entries of 16 bytes
+    # each pass 10^7 bytes
+    def fail(*args, **kwargs):
+        raise AssertionError("window counts built before the reservation")
+
+    monkeypatch.setattr(bounds_mod, "window_count_profile", fail)
+    monkeypatch.setattr(util, "CAPACITY", 10**7)
+    delta = 1.0 / (4 * 720720**2)
+    with pytest.raises(CapacityError, match="at r=720720 needs"):
+        farey_crowding_shape(squares_up_to(30), 1, 720720, delta, delta)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.floats(0.01, 0.5), st.data())
 def test_estimate_merge_facts(delta, data):
@@ -784,10 +797,19 @@ def test_bracket_reserves_its_terms_before_profiling(monkeypatch):
         raise AssertionError("window counts built before the reservation")
 
     monkeypatch.setattr(bounds_mod, "window_count_profile", fail)
-    # r = 1 holds 2^21 (class, z) entries and a gather of as many
+    # r = 1 holds one count row of 2^21 + 3 entries and a gather of 2^21
     monkeypatch.setattr(util, "CAPACITY", 5 * 10**7)
-    with pytest.raises(CapacityError, match="bracket terms at r=1 needs 4194304 "):
+    with pytest.raises(CapacityError, match="bracket terms at r=1 needs 4194307 "):
         sieve_bracket(squares_up_to(8), 4096, z_grid=2**21)
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_bracket_reserves_for_one_worker_below_one_thread(monkeypatch, threads):
+    # at one thread r = 1 needs 2 * 2^16 + 3 entries; a thread count below
+    # one must not scale that to nothing
+    monkeypatch.setattr(util, "CAPACITY", 2 * 10**6)
+    with pytest.raises(CapacityError, match="bracket terms at r=1 needs 131075 "):
+        sieve_bracket(squares_up_to(8), 16, z_grid=2**16, threads=threads)
 
 
 @pytest.mark.parametrize("s, n, z_grid", [
@@ -814,6 +836,31 @@ def test_bracket_peak_stays_under_its_reservation(monkeypatch, s, n, z_grid):
     finally:
         tracemalloc.stop()
     assert len(reserved) == math.isqrt(n) and peak <= max(reserved)
+
+
+def test_window_sum_peak_stays_under_its_reservation_at_a_wide_table(monkeypatch):
+    # sigma(720720) = 3,249,792 class-count rows at one z: the table, not
+    # the 30 class rows, sets the peak, at about 56 bytes a row
+    s, r = squares_up_to(30), 720720
+    part = bounds_mod._partition(s, r)
+    delta = 1.0 / (4 * r * r)
+    zs = np.array([delta])
+    reserved = []
+    reserve = util.reserve
+
+    def spy(what, count, unit, bytes_each):
+        reserved.append(count * bytes_each)
+        reserve(what, count, unit, bytes_each)
+
+    monkeypatch.setattr(util, "reserve", spy)
+    tracemalloc.start()
+    try:
+        bounds_mod._window_max(s, r, part, zs, lambda t: 2.0 * delta * s.Q / (t * zs),
+                               np.array([r - 1]))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(reserved) == 1 and peak <= reserved[0]
 
 
 def test_bracket_h_chunks_do_not_change_b(monkeypatch):
