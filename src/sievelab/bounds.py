@@ -29,10 +29,11 @@ farey_crowding_shape, which bounds how many fractions with moduli in
 the set crowd a rational point b/r, is the same sum at h = -b and one z,
 and keeps the last (set, r) partition across calls;
 crowding_shape_estimates gives closed-form estimates for that count.
-Both take the sum from one function, _window_max, which reserves its
-arrays before it builds any: 16 bytes a (row, z) entry for each of the
-sigma(r) class-count rows and for each frequency of a gather chunk, and
-48 bytes more a class-count row for its index columns.
+Both take the sum from one function, _window_max, which counts each
+class row's frequencies in closed form, at the rows and frequencies it
+gathers only, and reserves its arrays before it builds any: the
+window profile with its own temporaries, the (row, z) arrays and one
+chunk of the gather.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import window_count_profile
+from .counting import PROFILE_PAIRS, window_count_profile
 from .errors import (CapacityError, InvalidRegimeError, NotCoprimeError,
                      OutOfRangeError, ShapeDomainError)
 from .moduli import ModuliSet
@@ -64,7 +65,6 @@ _MIN_WIDTH = 1024  # the narrowest fold: below it numpy's per-row cost dominates
 _LATTICE_RTOL = 1e-12
 _POINT_BYTES = 32  # a candidate z of exact mode: built, held, concatenated, masked
 _INSIDE_BYTES = 64  # and one inside (1/N, z_hi): its copies through unique and the midpoints
-_TERM_BYTES = 16  # per (row, z) entry: a count and a temporary, or a gathered count and a window count
 
 SHAPE_NAMES = (
     "classical",
@@ -359,41 +359,18 @@ def _wolke_shape(n: float, q: float):
     return q * q * math.log(math.log(q)) / ((1.0 - d) * math.log(q))
 
 
-def _reduced_residues(k: int) -> np.ndarray:
-    return np.flatnonzero(np.gcd(np.arange(k), k) == 1)
-
-
-def _signed_class_counts(m_max, k) -> np.ndarray:
-    """How many m with 0 < |m| <= m_max fall in each class l mod k: a
-    block of k[j] rows, one per l, for each row j of m_max.
-
-    The positive m = l (mod k) up to M number (M - f)//k + 1, with f the
-    least positive member of the class (l, or k for l = 0); the negative
-    ones are the positive members of class -l.
-    """
-    ks = np.atleast_1d(k)
-    block = np.repeat(np.arange(ks.size), ks)  # each row's block
-    start, k_row = (np.cumsum(ks) - ks)[block], ks[block]
-    l = np.arange(block.size) - start
-    m_max = np.asarray(m_max, dtype=np.int64).reshape(ks.size, -1)
-    pos = (m_max[block] - ((l - 1) % k_row + 1)[:, None]) // k_row[:, None] + 1
-    return pos + pos[start + (-l) % k_row]
-
-
 def _partition(s: ModuliSet, r: int) -> tuple:
-    """(c, labels, t, l, k, off, ts): the set split over the divisors ts
-    of r.  q is in the t-dilate as c = q/t, coprime to k = r/t, exactly
-    when gcd(q, r) = t.  Each element's label t*r + (c mod k) orders the
-    window-count rows by divisor, then class; t, l and k are per row,
-    and off is the first row of t's block of k in the class-count table.
+    """(c, labels, t, l, k): the set split over the divisors of r.  q is
+    in the t-dilate as c = q/t, coprime to k = r/t, exactly when
+    gcd(q, r) = t.  Each element's label t*r + (c mod k) orders the
+    window-count rows by divisor, then class; t, l and k are per row.
     """
     g = np.gcd(s.elements, r)
     c = s.elements // g
     labels = g * r + c % (r // g)
     rows = np.unique(labels)
-    t, ts = rows // r, np.array(divisors(r), dtype=np.int64)
-    off = (np.cumsum(r // ts) - r // ts)[np.searchsorted(ts, t)]
-    return c, labels, t, rows % r, r // t, off, ts
+    t = rows // r
+    return c, labels, t, rows % r, r // t
 
 
 # farey_crowding_shape is asked at several (b, z) per (s, r) in turn, so
@@ -404,39 +381,51 @@ _last_partition = functools.lru_cache(maxsize=1)(_partition)
 def _window_max(s: ModuliSet, r: int, part: tuple, zs: np.ndarray, width, hs: np.ndarray,
                 workers: int = 1) -> int:
     """Max over the frequencies hs and the points zs of the dilate window
-    sum at r: the sum over the class rows of prof[row] * counts[off +
-    h*l mod k], 0 when there are no rows.
+    sum at r: the sum over the class rows of prof[row] times the number
+    of m with 0 < |m| <= M = floor(6*r*z*span/t) in class j = h*l mod k,
+    0 when there are no rows.
 
     prof holds a row of window counts per row of the partition part,
     over the widths width(t) with t a column of the rows' divisors (so
     each caller keeps its own float expression), from one grouped pass.
-    counts has sigma(r) rows: row off + m counts the frequencies
-    0 < |m'| <= 6*r*z*span/t in residue m mod k (closed form).  The
-    gather runs in chunks over hs that keep its (h, row, z) entries
-    bounded.  The table and a chunk are reserved for each of the
-    workers before anything is built.
+    With M = a*k + b, 0 <= b < k, a unit class j mod k (0 <= j < k)
+    holds 2a + [j <= b] + [j >= k - b] of those m, less 1 when k = 1.
+    So prof * (2a - [k = 1]) is summed once, free of h, and the gather
+    compares each h*l mod k with b and k - b, in chunks over hs that
+    keep its (h, row, z) entries bounded.  The profile, the (row, z)
+    arrays and a chunk are reserved for each of the workers before
+    anything is built.
     """
-    c, labels, t, l, k, off, ts = part
+    c, labels, t, l, k = part
     span = s.Q
     rows = t.size
     step = max(1, _BRACKET_CHUNK // max(1, rows * zs.size))
-    # a class-count row peaks at 40 bytes and 16 a z while it is built
-    # (its index columns, the counts and a temporary), charged as 3 + |zs|
-    # entries; a chunk of frequencies holds rows * |zs| entries for each
+    h_chunk = min(hs.size, step)
+    pairs = c.size * min(zs.size, max(1, PROFILE_PAIRS // max(1, c.size)))
+    # bytes, from tracemalloc peaks: 48 a (row, z) for the widths, the
+    # profile, a, b, k - b and the temporaries of the h-free sum; 128 a
+    # row and 128 an element for the partition and the profile's keys;
+    # 56 an (element, z) pair of one profile chunk; 2 an (h, row, z) of
+    # a gather chunk for the hits and a comparison, and 16 an (h, row)
+    # and an (h, z) of it; and 128 KiB for small arrays and einsum's
+    # cast buffer
     util.reserve(f"bracket terms at r={r}",
-                 workers * (int((r // ts).sum()) * (zs.size + 3)
-                            + min(hs.size, step) * rows * zs.size),
-                 "(row, z) entries", _TERM_BYTES)
+                 workers * (48 * rows * zs.size + 128 * (rows + c.size) + 56 * pairs
+                            + h_chunk * (2 * rows * zs.size + 16 * (rows + zs.size)) + 2**17),
+                 "bytes of window-sum arrays", 1)
     _, prof = window_count_profile(c, width(t[:, None]), s.M / t, (s.M + span) / t,
                                    labels)
-    m_max = np.floor(6.0 * r * zs * span / ts[:, None]).astype(np.int64)
-    counts = _signed_class_counts(m_max, r // ts)
+    a, b = np.divmod(np.floor(6.0 * r * zs * span / t[:, None]).astype(np.int64),
+                     k[:, None])
+    free = (prof * (2 * a - (k == 1)[:, None])).sum(axis=0)
+    kb = k[:, None] - b
     best = 0
     for start in range(0, hs.size, step):
-        gathered = counts[off + (hs[start : start + step, None] * l) % k]
-        gathered *= prof  # in place: the gather is the largest array a chunk makes
-        best = max(best, int(gathered.sum(axis=1).max()))
-        del gathered  # before the next chunk's gather, so one is held at a time
+        j = ((hs[start : start + step, None] * l) % k)[:, :, None]
+        hits = (j <= b).view(np.int8)  # a byte an entry: einsum casts it in buffers
+        hits += j >= kb
+        best = max(best, int((free + np.einsum("hrz,rz->hz", hits, prof)).max()))
+        del hits  # before the next chunk's, so one is held at a time
     return best
 
 
@@ -473,9 +462,9 @@ def _exact_z(s: ModuliSet, n: int, r: int, workers: int = 1) -> np.ndarray:
     span = s.Q
     z_lo = 1.0 / n
     z_hi = 1.0 / (r * math.sqrt(n))
-    c_all, labels, *_, ts = _partition(s, r)
+    c_all, labels, *_ = _partition(s, r)
     parts, need, mark_bytes = [], 0, 0
-    for t in ts.tolist():
+    for t in divisors(r):
         k, c = r // t, c_all[labels // r == t]
         jmax = int(math.floor(6.0 * r * z_hi * span / t))
         jlo = int(math.floor(6.0 * r * z_lo * span / t))
@@ -512,7 +501,9 @@ def sieve_bracket(s: ModuliSet, n: int, z_grid: int = 64, mode: str = "grid",
     and over z in [1/N, 1/(r*sqrt(N))] of the window sum: for each
     divisor t of r, with k = r/t, the window counts (width
     2*span/(t*z*N)) of the t-dilate's class h*m mod k over the
-    frequencies m coprime to k with 0 < |m| <= 6*r*z*span/t.  In grid mode z is sampled on a
+    frequencies m coprime to k with 0 < |m| <= 6*r*z*span/t.  That
+    range of m is symmetric, so h and r - h give the same sum and only
+    the units h <= r/2 are evaluated.  In grid mode z is sampled on a
     geometric grid of z_grid points including both endpoints, so B is a
     lower bound of the true supremum that never decreases under grid
     refinement (refined grids contain the coarse points exactly).  Exact
@@ -538,9 +529,12 @@ def sieve_bracket(s: ModuliSet, n: int, z_grid: int = 64, mode: str = "grid",
     def one(r: int) -> int:
         zs = _grid_z(r, n, z_grid) if mode == "grid" else _exact_z(s, n, r, workers)
         # class l meets the frequencies h^-1*l; over all units h mod r,
-        # gathering h*l instead leaves the maximum unchanged
+        # gathering h*l instead leaves the maximum unchanged.  The m-range
+        # is symmetric, so r - h meets the classes -h*l with the same
+        # counts as h: the units h <= r/2 reach every sum
+        hs = np.flatnonzero(np.gcd(np.arange(r // 2 + 1), r) == 1)
         return _window_max(s, r, _partition(s, r), zs, lambda t: 2.0 * span / (t * zs * n),
-                           _reduced_residues(r), workers)
+                           hs, workers)
 
     with _pool(workers) as pool:
         b = float(max(pool.map(one, rs) if pool else map(one, rs)))

@@ -28,6 +28,7 @@ from .moduli import _INT64_MAX, FareyList, FareySlabs, ModuliSet, derive_subset
 
 
 _KDELTA_AHEAD = 64  # built slabs k_delta keeps ahead of the left slab, at most
+PROFILE_PAIRS = 1 << 18  # (element, u) pairs one window_count_profile chunk holds
 
 
 @dataclass(frozen=True)
@@ -139,7 +140,7 @@ def window_count_profile(c: np.ndarray, u_vec, lo, hi, labels):
     upto_self = np.searchsorted(key, key, side="right")
     below = np.searchsorted(key, base + _edge_offset(ends, c_min, span), side="right")
     out = np.empty(u_vec.shape, dtype=np.int64)
-    chunk = max(1, (1 << 18) // c.size)
+    chunk = max(1, PROFILE_PAIRS // c.size)
     for start in range(0, u_vec.shape[1], chunk):
         u = u_vec[:, start : start + chunk].T  # (chunk, groups)
         ue = u[:, group]

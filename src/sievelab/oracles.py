@@ -265,7 +265,9 @@ def grid_bracket_oracle(s: ModuliSet, n: int, z_grid: int) -> tuple[float, float
     is counted into its class mod k by a plain loop, each class's window
     count comes from count_window_oracle, and every reduced h sums count
     times window over the classes h*m.  A reference for grid mode at
-    sizes the exhaustive bracket_oracle cannot reach.
+    sizes the exhaustive bracket_oracle cannot reach.  It takes every
+    unit h mod r, so it checks sieve_bracket's restriction to h <= r/2
+    independently.
     """
     span = s.Q
     best = 0

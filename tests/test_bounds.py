@@ -27,7 +27,7 @@ from sievelab import oracles
 from sievelab.arith import divisors, factorize, mod_inv
 from sievelab import bounds as bounds_mod
 from sievelab import util
-from sievelab.bounds import _grid_z, _signed_class_counts
+from sievelab.bounds import _grid_z
 from sievelab.util import seeded_rng
 
 
@@ -430,20 +430,16 @@ def test_exact_breakpoints_equal_a_loop_over_class_pairs(s, n):
 ], ids=["explicit", "explicit-composite", "octave", "primes", "squares"])
 def test_coprime_dilates_partition_the_set_over_the_divisors(s):
     for r in range(1, 65):
-        c, labels, t, l, k, off, ts = bounds_mod._partition(s, r)
-        assert ts.tolist() == divisors(r)
+        c, labels, t, l, k = bounds_mod._partition(s, r)
         for d in divisors(r):
             want = [q for q in derive_subset(s, d).elements.tolist()
                     if math.gcd(q, r // d) == 1]
             assert c[labels // r == d].tolist() == want
-        # one row per (divisor, class), in label order, its block's row
-        # in the class-count table at off
+        # one row per (divisor, class), in label order
         gs = [(math.gcd(q, r), q) for q in s.elements.tolist()]
         rows = sorted({(d, q // d % (r // d)) for d, q in gs})
         assert list(zip(t.tolist(), l.tolist())) == rows
         assert k.tolist() == [r // d for d, _ in rows]
-        starts = dict(zip(divisors(r), np.cumsum([0] + [r // d for d in divisors(r)])))
-        assert off.tolist() == [starts[d] for d, _ in rows]
 
 
 def test_exact_mode_refuses_a_span_past_capacity_before_building():
@@ -463,13 +459,14 @@ def test_exact_mode_counts_its_mark(monkeypatch):
 
 
 def test_exact_mode_reserves_for_every_worker(monkeypatch):
-    # r = 2 needs the most, 1,440,321 bytes per worker, and r = 4 the
-    # least, 840,385, so at two workers every r is refused
+    # the window sum at r = 1 needs the most, 4,137,006 bytes per worker
+    # (its exact-mode breakpoints need 1,210,352), so at two workers r = 1
+    # is refused
     s = explicit_moduli([1, 10**4])
     whole = sieve_bracket(s, 16, mode="exact")
-    monkeypatch.setattr(util, "CAPACITY", 1_440_321)
+    monkeypatch.setattr(util, "CAPACITY", 4_137_006)
     assert sieve_bracket(s, 16, mode="exact", threads=1) == whole
-    with pytest.raises(CapacityError, match="exact mode at r="):
+    with pytest.raises(CapacityError, match="bracket terms at r=1 needs 8274012 "):
         sieve_bracket(s, 16, mode="exact", threads=2)
 
 
@@ -538,15 +535,25 @@ def _crowding_by_frequencies(s, b, r, z, delta):
     return want
 
 
-@pytest.mark.parametrize("b, r", [(5, 12), (7, 12), (11, 30), (1, 30), (3, 8)])
-def test_crowding_shape_equals_loop_over_frequencies(b, r):
+@pytest.mark.parametrize("b, r, delta, z_frac", [
+    pytest.param(5, 12, 1e-6, 0.9, id="5-12"), pytest.param(7, 12, 1e-6, 0.9, id="7-12"),
+    pytest.param(11, 30, 1e-6, 0.9, id="11-30"), pytest.param(1, 30, 1e-6, 0.9, id="1-30"),
+    pytest.param(3, 8, 1e-6, 0.9, id="3-8"),
+    # k = 1 rows: every divisor at r = 1, the r-dilate at r = 2
+    pytest.param(0, 1, 1e-6, 0.9, id="0-1"), pytest.param(1, 2, 1e-6, 0.9, id="1-2"),
+    # M = floor(3.6/t) is below k = 30/t at every divisor, and 0 from t = 5
+    pytest.param(7, 30, 1e-6, 0.3, id="7-30-below-k"),
+    # M = floor(12.48/t) is 2k at every divisor of 6
+    pytest.param(5, 6, 4e-6, 0.52, id="5-6-multiple-of-k"),
+])
+def test_crowding_shape_equals_loop_over_frequencies(b, r, delta, z_frac):
     # uneven classes and windows narrower than a class, so both the
-    # class each frequency meets and the window width matter
+    # class each frequency meets and the window width matter; M =
+    # floor(6*r*z*span/t) = a*k + b takes each side of the closed form
     rng = seeded_rng(r * 100 + b)
     el = rng.choice(np.arange(1001, 3001), size=300, replace=False)
     s = explicit_moduli(el, M=1000.0, span=2000.0)
-    delta = 1e-6
-    z = 0.9 * math.sqrt(delta) / r
+    z = z_frac * math.sqrt(delta) / r
     assert farey_crowding_shape(s, b, r, z, delta) == _crowding_by_frequencies(s, b, r, z, delta)
 
 
@@ -593,16 +600,23 @@ def test_crowding_shape_keeps_one_partition(monkeypatch):
 
 
 def test_crowding_shape_refuses_before_it_builds(monkeypatch):
-    # sigma(720720) = 3,249,792 class-count rows at 4 entries of 16 bytes
-    # each pass 10^7 bytes
+    # squares_up_to(30) makes 30 class rows at r = 720,720, one z and one
+    # h: 48 * 30 + 128 * (30 + 30) + 56 * 30 + (2 * 30 + 16 * 31) + 2^17
+    # = 142,428 bytes, one byte past the capacity, and the profile is
+    # never built; at 10^6 bytes the call runs
     def fail(*args, **kwargs):
         raise AssertionError("window counts built before the reservation")
 
+    s, r = squares_up_to(30), 720720
+    delta = 1.0 / (4 * r * r)
+    profile = bounds_mod.window_count_profile
     monkeypatch.setattr(bounds_mod, "window_count_profile", fail)
-    monkeypatch.setattr(util, "CAPACITY", 10**7)
-    delta = 1.0 / (4 * 720720**2)
-    with pytest.raises(CapacityError, match="at r=720720 needs"):
-        farey_crowding_shape(squares_up_to(30), 1, 720720, delta, delta)
+    monkeypatch.setattr(util, "CAPACITY", 142_427)
+    with pytest.raises(CapacityError, match="at r=720720 needs 142428 "):
+        farey_crowding_shape(s, 1, r, delta, delta)
+    monkeypatch.setattr(bounds_mod, "window_count_profile", profile)
+    monkeypatch.setattr(util, "CAPACITY", 10**6)
+    assert farey_crowding_shape(s, 1, r, delta, delta) == 2.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -756,19 +770,6 @@ def test_grid_z_equals_the_fraction_form():
         assert j[-1] / d == float(Fraction(int(j[-1]), d))
 
 
-def test_signed_class_counts_equal_a_loop_over_m():
-    for k in range(1, 31):
-        m_max = np.arange(0, 75)
-        got = _signed_class_counts(m_max, k)
-        assert got.shape == (k, m_max.size)
-        for col, mm in enumerate(m_max.tolist()):
-            want = [0] * k
-            for m in range(-mm, mm + 1):
-                if m != 0:
-                    want[m % k] += 1
-            assert got[:, col].tolist() == want
-
-
 @pytest.mark.parametrize("s, n, z_grid", [
     (squares_in_octave(1000), 4096, 8),
     (primes_up_to_set(300), 4096, 3),
@@ -797,29 +798,32 @@ def test_bracket_reserves_its_terms_before_profiling(monkeypatch):
         raise AssertionError("window counts built before the reservation")
 
     monkeypatch.setattr(bounds_mod, "window_count_profile", fail)
-    # r = 1 holds one count row of 2^21 + 3 entries and a gather of 2^21
+    # r = 1 holds one class row at 2^21 z, 153,224,336 bytes
     monkeypatch.setattr(util, "CAPACITY", 5 * 10**7)
-    with pytest.raises(CapacityError, match="bracket terms at r=1 needs 4194307 "):
+    with pytest.raises(CapacityError, match="bracket terms at r=1 needs 153224336 "):
         sieve_bracket(squares_up_to(8), 4096, z_grid=2**21)
 
 
 @pytest.mark.parametrize("threads", [0, -3])
 def test_bracket_reserves_for_one_worker_below_one_thread(monkeypatch, threads):
-    # at one thread r = 1 needs 2 * 2^16 + 3 entries; a thread count below
-    # one must not scale that to nothing
+    # at one thread r = 1 needs 19,137,680 bytes at 2^16 z; a thread count
+    # below one must not scale that to nothing
     monkeypatch.setattr(util, "CAPACITY", 2 * 10**6)
-    with pytest.raises(CapacityError, match="bracket terms at r=1 needs 131075 "):
+    with pytest.raises(CapacityError, match="bracket terms at r=1 needs 19137680 "):
         sieve_bracket(squares_up_to(8), 16, z_grid=2**16, threads=threads)
 
 
-@pytest.mark.parametrize("s, n, z_grid", [
-    pytest.param(squares_up_to(8), 4096, 2**12, id="4096"),
-    pytest.param(squares_up_to(8), 4096, 2**14, id="16384"),
+@pytest.mark.parametrize("s, n, kw", [
+    pytest.param(squares_up_to(8), 4096, {"z_grid": 2**12}, id="4096"),
+    pytest.param(squares_up_to(8), 4096, {"z_grid": 2**14}, id="16384"),
     # r = 7 has 7 class rows (the primes in the 6 classes mod 7, and 7
     # itself in the 7-dilate) against phi(7) = 6, and its gather peaks
-    pytest.param(primes_up_to_set(300), 81, 2**16, id="primes-r7"),
+    pytest.param(primes_up_to_set(300), 81, {"z_grid": 2**16}, id="primes-r7"),
+    # two elements at 15,001 exact-mode z (r = 2): the window profile's
+    # own temporaries set the peak
+    pytest.param(explicit_moduli([1, 10**4]), 16, {"mode": "exact"}, id="exact"),
 ])
-def test_bracket_peak_stays_under_its_reservation(monkeypatch, s, n, z_grid):
+def test_bracket_peak_stays_under_its_reservation(monkeypatch, s, n, kw):
     reserved = []
     reserve = util.reserve
 
@@ -828,10 +832,11 @@ def test_bracket_peak_stays_under_its_reservation(monkeypatch, s, n, z_grid):
             reserved.append(count * bytes_each)
         reserve(what, count, unit, bytes_each)
 
+    sieve_bracket(squares_up_to(2), 16, mode="exact")  # numpy's first-call allocations
     monkeypatch.setattr(util, "reserve", spy)
     tracemalloc.start()
     try:
-        sieve_bracket(s, n, z_grid=z_grid)
+        sieve_bracket(s, n, **kw)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -839,12 +844,13 @@ def test_bracket_peak_stays_under_its_reservation(monkeypatch, s, n, z_grid):
 
 
 def test_window_sum_peak_stays_under_its_reservation_at_a_wide_table(monkeypatch):
-    # sigma(720720) = 3,249,792 class-count rows at one z: the table, not
-    # the 30 class rows, sets the peak, at about 56 bytes a row
+    # r = 720,720 has sigma(r) = 3,249,792 residues over its divisors,
+    # but squares_up_to(30) makes 30 class rows: the sum counts the
+    # frequencies at those rows alone, so it peaks under its reservation
+    # and under 10^6 bytes
     s, r = squares_up_to(30), 720720
-    part = bounds_mod._partition(s, r)
     delta = 1.0 / (4 * r * r)
-    zs = np.array([delta])
+    farey_crowding_shape(s, 1, 6, 1e-4, 1e-4)  # numpy's first-call allocations
     reserved = []
     reserve = util.reserve
 
@@ -855,12 +861,12 @@ def test_window_sum_peak_stays_under_its_reservation_at_a_wide_table(monkeypatch
     monkeypatch.setattr(util, "reserve", spy)
     tracemalloc.start()
     try:
-        bounds_mod._window_max(s, r, part, zs, lambda t: 2.0 * delta * s.Q / (t * zs),
-                               np.array([r - 1]))
+        got = farey_crowding_shape(s, 1, r, delta, delta)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(reserved) == 1 and peak <= reserved[0]
+    assert got == 2.0
+    assert len(reserved) == 1 and peak <= reserved[0] and peak < 10**6
 
 
 def test_bracket_h_chunks_do_not_change_b(monkeypatch):
