@@ -49,7 +49,7 @@ from .counting import PROFILE_PAIRS, window_count_profile
 from .errors import (CapacityError, InvalidRegimeError, NotCoprimeError,
                      OutOfRangeError, ShapeDomainError)
 from .moduli import ModuliSet
-from .sequences import CoefficientSequence
+from .sequences import CoefficientSequence, _folds
 from .arith import divisors, squarefree_divisors
 from . import util
 from .util import fmt17
@@ -79,43 +79,6 @@ SHAPE_NAMES = (
     "elliott",
     "wolke",
 )
-
-
-class _Fold:
-    """Residue-class sums of a sequence mod w, fed its pieces in order.
-
-    sum[i mod w] sums the a_{i+1}: the buckets of n mod w shifted
-    cyclically by one place, and every norm taken of a fold is invariant
-    under that shift.  The sums equal, bit for bit, numpy's whole-array
-    values.reshape(-1, w).sum(0) plus the last partial row, which adds
-    the rows in order: partial rows at piece edges are added in place,
-    and the running fold is added into a piece's first whole row (saved
-    and restored), so that sum(0) of its rows continues the same chain
-    of additions.
-    """
-
-    def __init__(self, w: int):
-        self.sum = np.zeros(w, dtype=np.complex128)
-        self._at = 0
-
-    def add(self, piece: np.ndarray) -> None:
-        """Fold in the next piece; piece is written to but restored."""
-        w = self.sum.size
-        at = self._at % w
-        head = min(w - at, piece.size) if at else 0
-        self.sum[at : at + head] += piece[:head]
-        rows = (piece.size - head) // w
-        if rows == 1:  # the same one addition, without the save and restore
-            self.sum += piece[head : head + w]
-        elif rows:
-            body = piece[head : head + rows * w].reshape(rows, w)
-            first = body[0].copy()
-            body[0] += self.sum
-            body.sum(0, out=self.sum)
-            body[0] = first
-        tail = piece[head + rows * w :]
-        self.sum[: tail.size] += tail
-        self._at += piece.size
 
 
 def _hosts(qs: list[int]) -> dict[int, int]:
@@ -157,35 +120,6 @@ def _refold(fold: np.ndarray, q: int) -> np.ndarray:
     """The length-q fold from a fold whose width q divides: the same
     array when the widths agree, else a new one."""
     return fold if fold.size == q else fold.reshape(-1, q).sum(0)
-
-
-def _folds(seq: CoefficientSequence, widths, pool=None, workers: int = 1) -> dict:
-    """The fold of seq at every width given, from one pass.
-
-    The pieces are drawn in order on this thread.  Each of the workers
-    folds every workers-th width, from its own copy of the piece, while
-    this thread draws the next one.
-    """
-    folds = [_Fold(w) for w in widths]
-    shares = [folds[i::workers] for i in range(min(workers, len(folds)))]
-
-    def fold_share(share: list, piece: np.ndarray) -> None:
-        own = piece.copy()
-        for f in share:
-            f.add(own)
-
-    pending = []
-    for piece in seq.pieces():
-        for task in pending:
-            task.result()
-        if pool is None:
-            for share in shares:
-                fold_share(share, piece)
-        else:
-            pending = [pool.submit(fold_share, share, piece) for share in shares]
-    for task in pending:
-        task.result()
-    return {f.sum.size: f.sum for f in folds}
 
 
 def _modulus_term(fold: np.ndarray) -> float:

@@ -24,10 +24,11 @@ import math
 import numpy as np
 
 from .errors import NotCoprimeError, OutOfRangeError, QuadratureError
-from .util import cexp
+from .util import cexp, reserve
 
 _QUAD_NODES = 16
 _PANEL_BUDGET = 1 << 20
+_GAUSS_TERM_BYTES = 89  # a term's arrays at the peak (tracemalloc at c = 10^6)
 
 
 def phi_value(x):
@@ -62,8 +63,9 @@ def gauss_sum(k: int, l: int, c: int) -> complex:
         raise NotCoprimeError(f"k={k} shares a factor with c={c}")
     k %= c
     l %= c
+    reserve("Gauss sum", c, "terms", _GAUSS_TERM_BYTES)
     d = np.arange(1, c + 1, dtype=np.int64)
-    ph = (k * d * d + l * d) % c
+    ph = (k * (d * d % c) + l * d) % c
     return complex(np.sum(cexp(ph / c)))
 
 
@@ -79,8 +81,9 @@ def gauss_sum_row(k: int, c: int) -> np.ndarray:
     if math.gcd(k, c) != 1:
         raise NotCoprimeError(f"k={k} shares a factor with c={c}")
     k %= c
+    reserve("Gauss sum row", c, "terms", _GAUSS_TERM_BYTES)
     d = np.arange(c, dtype=np.int64)
-    v = cexp(((k * d * d) % c) / c)
+    v = cexp(((k * (d * d % c)) % c) / c)
     return c * np.fft.ifft(v)
 
 

@@ -124,40 +124,19 @@ def _explicit(el: np.ndarray, M: float | None, span: float | None) -> ModuliSet:
 
 
 def moduli_from_file(path: str, M: float | None = None, span: float | None = None) -> ModuliSet:
-    """Explicit set from a text file, one integer per line, increasing.
+    """Explicit set from a text file, one integer per line, increasing."""
+    def parse(line: str, ln: int, done: np.ndarray) -> int:
+        try:
+            q = int(line)
+        except ValueError as exc:
+            raise SequenceFileError(f"{path}:{ln}: not an integer") from exc
+        if abs(q) > _INT64_MAX:
+            raise OutOfRangeError(f"{path}:{ln}: modulus past int64")
+        if done.size and q <= done[-1]:
+            raise SequenceFileError(f"{path}: moduli must be strictly increasing")
+        return q
 
-    A first pass counts the non-blank lines, so that their bytes are
-    reserved (_FILE_MODULUS_BYTES a modulus) before the file is rewound
-    and a second pass fills the array.  A pipe, which cannot be rewound,
-    and a file whose count changes between the passes are refused.
-    """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            count = sum(1 for line in fh if line.strip())
-            util.reserve(f"moduli file {path}", count, "moduli", _FILE_MODULUS_BYTES)
-            el = np.empty(count, dtype=np.int64)
-            fh.seek(0)
-            i = 0
-            for ln, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                if i == count:
-                    raise SequenceFileError(f"{path}: changed while being read")
-                try:
-                    q = int(line)
-                except ValueError as exc:
-                    raise SequenceFileError(f"{path}:{ln}: not an integer") from exc
-                if abs(q) > _INT64_MAX:
-                    raise OutOfRangeError(f"{path}:{ln}: modulus past int64")
-                if i and q <= el[i - 1]:
-                    raise SequenceFileError(f"{path}: moduli must be strictly increasing")
-                el[i] = q
-                i += 1
-            if i < count:
-                raise SequenceFileError(f"{path}: changed while being read")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise SequenceFileError(f"cannot read {path}: {exc}") from exc
+    el = util.read_lines(path, "moduli", "moduli", _FILE_MODULUS_BYTES, np.int64, parse)
     return _explicit(el, M, span)
 
 

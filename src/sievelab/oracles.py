@@ -47,7 +47,9 @@ def direct_fold(values: np.ndarray, q: int) -> np.ndarray:
 
 
 def dense_sieve_lhs(seq: CoefficientSequence, s: ModuliSet) -> float:
-    """Every S(a/q) from the dense root-table transform, reduced a kept."""
+    """Every S(a/q) from the dense root-table transform, reduced a kept;
+    its buckets are sieve_lhs's own fold (sequences._folds), which
+    verify's bounds-moebius group checks against direct_fold."""
     total = 0.0
     for q in s.elements:
         q = int(q)

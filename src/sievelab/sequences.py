@@ -1,20 +1,21 @@
-"""Complex coefficient sequences (a_n) for n = 1..N and their
-trigonometric sums S(alpha) = sum_n a_n e(n*alpha), e(x) = exp(2*pi*i*x).
+"""Complex coefficient sequences (a_n) for n = 1..N, their residue folds,
+and their trigonometric sums S(alpha) = sum_n a_n e(n*alpha), e(x) =
+exp(2*pi*i*x).
 
 A sequence is read in order, in pieces of at most _PIECE coefficients,
 so a pass over it holds one piece, never all N values.  The stock
 sequences of make_sequence draw each piece when a pass reaches it; an
 explicit array, such as sequence_from_file loads, is read as slices of
-itself.  The whole array (values) is built only on request, by the
-pointwise evaluators below and the oracles.
+itself.  The whole array (values) is built only on request, by
+eval_exp_sum and the oracles.  _folds folds one pass into residue
+buckets at every width asked; the sieve sum in bounds and
+eval_at_modulus both take their buckets from it.
 
-Two evaluation routes are provided.  eval_exp_sum is the direct O(N)
-evaluation at one real point, with the phase argument reduced mod 1
-before the exponential so large n*alpha does not destroy precision.
-eval_at_modulus computes S(a/q) for all a = 1..q at once by bucketing
-the coefficients into residue classes mod q and applying a length-q
-transform with exact rational phases; it serves per-fraction values.
-Sieve sums need only norms of the buckets and are formed in bounds.
+eval_exp_sum is the direct O(N) evaluation at one real point, with the
+phase argument reduced mod 1 before the exponential so large n*alpha
+does not destroy precision.  eval_at_modulus computes S(a/q) for all
+a = 1..q at once from the fold mod q by a length-q transform with exact
+rational phases; it serves per-fraction values.
 """
 
 from __future__ import annotations
@@ -24,11 +25,13 @@ import math
 import numpy as np
 
 from .errors import OutOfRangeError, SequenceFileError
-from .util import PairwiseSum, cexp, reserve, seeded_rng
+from .util import PairwiseSum, cexp, read_lines, reserve, seeded_rng
 
 _KINDS = ("ones", "delta", "random_signs", "random_phases", "focused")
 _MAX_N = int(np.iinfo(np.intp).max) // 16  # the most complex128 values one array holds
 _PIECE = 1 << 16  # coefficients per piece: the most any pass holds at once
+_PRODUCT_BYTES = 24  # a block entry: a*j, its residue mod q and the root it picks
+_RESIDUE_BYTES = 72  # a residue's O(q) arrays at their peak: 65 by tracemalloc
 
 
 class CoefficientSequence:
@@ -103,6 +106,72 @@ class _DrawnSequence(CoefficientSequence):
                 for lo in range(0, self.N, _PIECE))
 
 
+class _Fold:
+    """Residue-class sums of a sequence mod w, fed its pieces in order.
+
+    sum[i mod w] sums the a_{i+1}: the buckets of n mod w shifted
+    cyclically by one place, and every norm taken of a fold is invariant
+    under that shift.  The sums equal, bit for bit, numpy's whole-array
+    values.reshape(-1, w).sum(0) plus the last partial row, which adds
+    the rows in order: partial rows at piece edges are added in place,
+    and the running fold is added into a piece's first whole row (saved
+    and restored), so that sum(0) of its rows continues the same chain
+    of additions.
+    """
+
+    def __init__(self, w: int):
+        self.sum = np.zeros(w, dtype=np.complex128)
+        self._at = 0
+
+    def add(self, piece: np.ndarray) -> None:
+        """Fold in the next piece; piece is written to but restored."""
+        w = self.sum.size
+        at = self._at % w
+        head = min(w - at, piece.size) if at else 0
+        self.sum[at : at + head] += piece[:head]
+        rows = (piece.size - head) // w
+        if rows == 1:  # the same one addition, without the save and restore
+            self.sum += piece[head : head + w]
+        elif rows:
+            body = piece[head : head + rows * w].reshape(rows, w)
+            first = body[0].copy()
+            body[0] += self.sum
+            body.sum(0, out=self.sum)
+            body[0] = first
+        tail = piece[head + rows * w :]
+        self.sum[: tail.size] += tail
+        self._at += piece.size
+
+
+def _folds(seq: CoefficientSequence, widths, pool=None, workers: int = 1) -> dict:
+    """The fold of seq at every width given, from one pass.
+
+    The pieces are drawn in order on this thread.  Each of the workers
+    folds every workers-th width, from its own copy of the piece, while
+    this thread draws the next one.
+    """
+    folds = [_Fold(w) for w in widths]
+    shares = [folds[i::workers] for i in range(min(workers, len(folds)))]
+
+    def fold_share(share: list, piece: np.ndarray) -> None:
+        own = piece.copy()
+        for f in share:
+            f.add(own)
+
+    pending = []
+    for piece in seq.pieces():
+        for task in pending:
+            task.result()
+        if pool is None:
+            for share in shares:
+                fold_share(share, piece)
+        else:
+            pending = [pool.submit(fold_share, share, piece) for share in shares]
+    for task in pending:
+        task.result()
+    return {f.sum.size: f.sum for f in folds}
+
+
 def make_sequence(kind: str, N: int, *, n0: int | None = None, seed=0,
                   beta: float | None = None) -> CoefficientSequence:
     """Construct one of the stock test sequences.
@@ -149,42 +218,23 @@ def make_sequence(kind: str, N: int, *, n0: int | None = None, seed=0,
 
 
 def sequence_from_file(path: str) -> CoefficientSequence:
-    """Load a sequence from UTF-8 text, one "re im" pair per line.
+    """Load a sequence from UTF-8 text, one "re im" pair per line."""
+    def parse(line: str, ln: int, done) -> complex:
+        parts = line.split()
+        if len(parts) != 2:
+            raise SequenceFileError(f"{path}:{ln}: expected two fields, got {len(parts)}")
+        try:
+            re, im = float(parts[0]), float(parts[1])
+        except ValueError as exc:
+            raise SequenceFileError(f"{path}:{ln}: {exc}") from exc
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise SequenceFileError(f"{path}:{ln}: coefficient is not finite")
+        return complex(re, im)
 
-    A first pass counts the non-blank lines, so the 16 bytes a
-    coefficient are reserved before the file is rewound and a second
-    pass fills the array.  A pipe, which cannot be rewound, and a file
-    whose count changes between the passes are refused.
-    """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            count = sum(1 for line in fh if line.strip())
-            if not count:
-                raise SequenceFileError(f"{path}: no coefficients found")
-            reserve(f"sequence file {path}", count, "coefficients", 16)
-            values = np.empty(count, dtype=np.complex128)
-            fh.seek(0)
-            i = 0
-            for ln, line in enumerate(fh, start=1):
-                parts = line.split()
-                if not parts:
-                    continue
-                if i == count:
-                    raise SequenceFileError(f"{path}: changed while being read")
-                if len(parts) != 2:
-                    raise SequenceFileError(f"{path}:{ln}: expected two fields, got {len(parts)}")
-                try:
-                    values[i] = complex(float(parts[0]), float(parts[1]))
-                except ValueError as exc:
-                    raise SequenceFileError(f"{path}:{ln}: {exc}") from exc
-                if not np.isfinite(values[i]):
-                    raise SequenceFileError(f"{path}:{ln}: coefficient is not finite")
-                i += 1
-            if i < count:
-                raise SequenceFileError(f"{path}: changed while being read")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise SequenceFileError(f"cannot read {path}: {exc}") from exc
-    return CoefficientSequence(values=values, N=count)
+    values = read_lines(path, "sequence", "coefficients", 16, np.complex128, parse)
+    if not values.size:
+        raise SequenceFileError(f"{path}: no coefficients found")
+    return CoefficientSequence(values=values, N=values.size)
 
 
 def eval_exp_sum(seq: CoefficientSequence, alpha: float) -> complex:
@@ -198,22 +248,21 @@ def eval_exp_sum(seq: CoefficientSequence, alpha: float) -> complex:
 def eval_at_modulus(seq: CoefficientSequence, q: int) -> np.ndarray:
     """S(a/q) for a = 1..q as a complex array (index i holds a = i+1).
 
-    Coefficients are folded into residue buckets b_j = sum_{n = j (q)} a_n,
-    then S(a/q) = sum_j b_j e(a*j/q).  All phases come from one table of
-    q-th roots of unity indexed by a*j mod q, so they are exact rationals
-    of the circle and the result does not drift with N.
+    Coefficients are folded into residue buckets b_j = sum_{n = j (q)} a_n
+    by one _folds pass, then S(a/q) = sum_j b_j e(a*j/q).  All phases
+    come from one table of q-th roots of unity indexed by a*j mod q, so
+    they are exact rationals of the circle and the result does not drift
+    with N.  The O(q) arrays and one block of the product are reserved
+    before any of them is built.
     """
     if q < 1:
         raise OutOfRangeError("modulus must be positive")
-    idx = np.arange(1, seq.N + 1, dtype=np.int64) % q
-    br = np.bincount(idx, weights=seq.values.real, minlength=q)
-    bi = np.bincount(idx, weights=seq.values.imag, minlength=q)
-    buckets = br + 1j * bi
+    block = max(1, (1 << 22) // q)  # a-rows a block, so the index matrix stays small
+    reserve("modulus transform", q, "residues", _RESIDUE_BYTES + _PRODUCT_BYTES * min(block, q))
+    buckets = np.roll(_folds(seq, [q])[q], 1)  # the fold's sum[i] holds n = i + 1
     roots = cexp(np.arange(q, dtype=np.float64) / q)
     j = np.arange(q, dtype=np.int64)
     out = np.empty(q, dtype=np.complex128)
-    # block the a-rows so the index matrix stays small
-    block = max(1, (1 << 22) // max(q, 1))
     for start in range(1, q + 1, block):
         stop = min(q + 1, start + block)
         a = np.arange(start, stop, dtype=np.int64)

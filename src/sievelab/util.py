@@ -1,5 +1,5 @@
-"""Small shared helpers: the memory capacity, the complex exponential,
-streamed pairwise sums, sieves, deterministic RNG."""
+"""Small shared helpers: the memory capacity, the line-file reader, the
+complex exponential, streamed pairwise sums, sieves, deterministic RNG."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import CapacityError, SequenceFileError
 
 CAPACITY = 1_600_000_000  # bytes one large allocation may take: 10^8 complex128
 
@@ -19,6 +19,35 @@ def reserve(what: str, count: int, unit: str, bytes_each: float) -> None:
     if need > CAPACITY:
         raise CapacityError(f"{what} needs {count} {unit} ({need} bytes), "
                             f"over the {CAPACITY}-byte capacity")
+
+
+def read_lines(path: str, what: str, unit: str, bytes_each: int, dtype, parse) -> np.ndarray:
+    """One entry of dtype per non-blank line of a UTF-8 text file, as
+    parse(line, ln, done) gives it from line number ln and the entries
+    before it.  A first pass counts the lines, so bytes_each a line are
+    reserved before the file is rewound and a second pass fills the
+    array.  A pipe, which cannot be rewound, a file whose count changes
+    between the passes and an unreadable one are a SequenceFileError.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            count = sum(1 for line in fh if line.strip())
+            reserve(f"{what} file {path}", count, unit, bytes_each)
+            out = np.empty(count, dtype=dtype)
+            fh.seek(0)
+            i = 0
+            for ln, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                if i == count:
+                    raise SequenceFileError(f"{path}: changed while being read")
+                out[i] = parse(line, ln, out[:i])
+                i += 1
+            if i < count:
+                raise SequenceFileError(f"{path}: changed while being read")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SequenceFileError(f"cannot read {path}: {exc}") from exc
+    return out
 
 
 _QUARTER_TURNS = np.array([1.0 + 0j, 1j, -1.0 + 0j, -1j])

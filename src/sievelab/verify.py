@@ -363,7 +363,7 @@ _MOEBIUS_RTOL = 1e-12
 def _lattice_folds(seq: sequences.CoefficientSequence, qs: list[int]) -> dict:
     """q -> the length-q fold of seq, refolded from its host's, for q in qs."""
     lattice = bounds._lattice(qs)
-    folds = bounds._folds(seq, lattice)
+    folds = sequences._folds(seq, lattice)
     return {q: bounds._refold(folds[w], q) for w, riders in lattice.items() for q in riders}
 
 

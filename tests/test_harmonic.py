@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sievelab import util
 from sievelab import (gauss_sum, gauss_sum_row, linear_phase_integral,
                       oscillatory_integral, phi_hat_value, phi_value,
                       poisson_residual)
-from sievelab.errors import NotCoprimeError, QuadratureError
+from sievelab.errors import CapacityError, NotCoprimeError, QuadratureError
 from sievelab.harmonic import phi_pair
 from sievelab.oracles import phi_hat_by_quadrature
 
@@ -76,6 +77,25 @@ def test_gauss_row_agrees_with_single_sums():
                        for d in range(1, c + 1))
             assert abs(row[l] - want) <= 1e-9
             assert abs(gauss_sum(k, l, c) - want) <= 1e-9
+
+
+def test_gauss_sums_past_the_int64_square_are_exact():
+    # k*d^2 passes 2^63 here; G(-1, 0; c) is the conjugate of G(1, 0; c)
+    c = 3_000_017
+    want = gauss_sum(1, 0, c).conjugate()
+    assert abs(abs(want) - math.sqrt(c)) <= 1e-6
+    assert abs(gauss_sum(c - 1, 0, c) - want) <= 1e-6
+    assert abs(gauss_sum_row(c - 1, c)[0] - want) <= 1e-6
+
+
+@pytest.mark.parametrize("call", [lambda c: gauss_sum(1, 0, c), lambda c: gauss_sum_row(1, c)],
+                         ids=["gauss_sum", "gauss_sum_row"])
+def test_gauss_sums_over_the_capacity_are_refused(monkeypatch, call):
+    monkeypatch.setattr(util, "CAPACITY", 89 * 1000 - 1)
+    with pytest.raises(CapacityError, match=r"needs 1000 terms \(89000 bytes\)"):
+        call(1000)
+    monkeypatch.setattr(util, "CAPACITY", 89 * 1000)
+    assert np.all(np.isfinite(call(1000)))
 
 
 def test_poisson_residual_on_reference_points():

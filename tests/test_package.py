@@ -46,6 +46,13 @@ def test_commands_load_only_what_they_run(argv):
     assert not mods & set(OFF_PATH)
 
 
+def test_sequences_load_none_of_the_layers_above_them():
+    # bounds takes the fold from sequences, so sequences may not import back
+    mods = _loaded("-c", "import sievelab.sequences")
+    assert "sievelab.sequences" in mods
+    assert not mods & {"sievelab.bounds", "sievelab.moduli", "sievelab.counting"}
+
+
 def test_exports_resolve_to_their_home_objects(monkeypatch):
     # each name is listed once, under one home
     assert sum(map(len, sievelab._EXPORTS.values())) == len(sievelab.__all__)

@@ -11,9 +11,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sievelab import (CoefficientSequence, eval_at_modulus, eval_exp_sum,
-                      make_sequence, sequence_from_file)
-from sievelab import sequences
-from sievelab.errors import OutOfRangeError, SequenceFileError
+                      make_sequence, moduli_from_file, sequence_from_file)
+from sievelab import sequences, util
+from sievelab.errors import CapacityError, OutOfRangeError, SequenceFileError
 from sievelab.util import cexp, seeded_rng
 
 
@@ -83,13 +83,46 @@ def test_delta_single_term_at_quarter_turn():
 
 
 def test_modulus_evaluation_matches_pointwise_sums():
-    seq = make_sequence("random_phases", 40, seed=9)
-    for q in (1, 2, 7, 40, 41, 83):
+    n = 2 * sequences._PIECE + 5  # the fold's piece edges fall inside its rows
+    for seq in (make_sequence("random_phases", 40, seed=9),
+                make_sequence("random_phases", n, seed=9),
+                CoefficientSequence(seeded_rng(9).standard_normal(n) * 1j + 0.5, n)):
+        for q in (1, 2, 7, 40, 41, 83):
+            rows = eval_at_modulus(seq, q)
+            assert rows.shape == (q,)
+            for a in (1, q // 2 + 1, q):
+                direct = eval_exp_sum(seq, a / q)
+                assert abs(rows[a - 1] - direct) <= 1e-9 * (1 + abs(direct))
+
+
+def test_modulus_evaluation_memory_is_bounded_by_the_piece():
+    seq = make_sequence("random_phases", 2**22)  # values alone: 64 MB
+    tracemalloc.start()
+    try:
+        eval_at_modulus(seq, 97)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_a_modulus_over_the_capacity_is_refused_before_anything_is_built(monkeypatch):
+    seq = make_sequence("ones", 10)
+    q = 600  # the O(q) arrays and one block, which holds all q a-rows
+    need = q * (sequences._RESIDUE_BYTES + sequences._PRODUCT_BYTES * q)
+    monkeypatch.setattr(util, "CAPACITY", need - 1)
+    with pytest.raises(CapacityError, match=f"modulus transform needs {q} residues "
+                                            f"\\({need} bytes\\)"):
+        eval_at_modulus(seq, q)
+    monkeypatch.setattr(util, "CAPACITY", need)
+    tracemalloc.start()
+    try:
         rows = eval_at_modulus(seq, q)
-        assert rows.shape == (q,)
-        for a in (1, q // 2 + 1, q):
-            direct = eval_exp_sum(seq, a / q)
-            assert abs(rows[a - 1] - direct) <= 1e-9 * (1 + abs(direct))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows[-1] == 10.0
+    assert peak <= need
 
 
 @given(st.integers(1, 50))
@@ -196,22 +229,35 @@ class _Rewritten(io.StringIO):
         return super().seek(0)
 
 
-@pytest.mark.parametrize("after", ["1 0\n", "1 0\n2 0\n3 0\n"], ids=["shrunk", "grew"])
-def test_file_that_changes_between_passes_is_refused(monkeypatch, after):
+# each reader, a file of two entries and a blank line, and that file
+# after it shrank to one entry or grew to three
+_CHANGED = [
+    pytest.param(sequence_from_file, "1 0\n\n2 0\n", "1 0\n", id="shrunk"),
+    pytest.param(sequence_from_file, "1 0\n\n2 0\n", "1 0\n2 0\n3 0\n", id="grew"),
+    pytest.param(moduli_from_file, "1\n\n2\n", "1\n", id="moduli-shrunk"),
+    pytest.param(moduli_from_file, "1\n\n2\n", "1\n2\n3\n", id="moduli-grew"),
+]
+
+
+@pytest.mark.parametrize("reader, before, after", _CHANGED)
+def test_file_that_changes_between_passes_is_refused(monkeypatch, reader, before, after):
     # the reader counts in a first pass and fills in a second
-    monkeypatch.setattr(sequences, "open", lambda *a, **kw: _Rewritten("1 0\n\n2 0\n", after),
+    monkeypatch.setattr(util, "open", lambda *a, **kw: _Rewritten(before, after),
                         raising=False)
     with pytest.raises(SequenceFileError, match="changed while being read"):
-        sequence_from_file("seq.txt")
+        reader("seq.txt")
 
 
-def test_a_pipe_is_refused_with_one_error(monkeypatch):
+@pytest.mark.parametrize("reader, text", [(sequence_from_file, b"1 0\n2 0\n"),
+                                          (moduli_from_file, b"1\n2\n")],
+                         ids=["sequence", "moduli"])
+def test_a_pipe_is_refused_with_one_error(monkeypatch, reader, text):
     r, w = os.pipe()
-    os.write(w, b"1 0\n2 0\n")
+    os.write(w, text)
     os.close(w)
-    monkeypatch.setattr(sequences, "open", lambda *a, **kw: os.fdopen(r, **kw), raising=False)
+    monkeypatch.setattr(util, "open", lambda *a, **kw: os.fdopen(r, **kw), raising=False)
     with pytest.raises(SequenceFileError, match="cannot read seq.txt: .*not seekable"):
-        sequence_from_file("seq.txt")
+        reader("seq.txt")
 
 
 def test_modulus_grid_much_larger_than_length():
