@@ -124,7 +124,7 @@ def quad_cong_roots(g: int, l: int, k: int) -> tuple[int, list[int]]:
         raise OutOfRangeError("modulus must be positive")
     acc_mod = 1
     sols = [0]
-    for p, e in factorize(k):
+    for p, e in _factor_pairs(k):
         split = _split(g, l, p, e)
         if split is None:
             return 0, []
@@ -137,11 +137,14 @@ def quad_cong_roots(g: int, l: int, k: int) -> tuple[int, list[int]]:
             # x = p^h*w + j*p^(h+f); for units g and l (f = e) the w are the roots
             ph, step = p**h, p ** (h + f)
             roots = [ph * w + j for w in roots for j in range(0, pe, step)]
-        # by CRT, x mod acc_mod and y mod pe glue to x + acc_mod * d with
-        # d = (y - x) / acc_mod mod pe, already below acc_mod * pe; the
-        # inverse of acc_mod mod pe is taken once for every pair
-        inv = pow(acc_mod, -1, pe)
-        sols = [x + acc_mod * ((y - x) * inv % pe) for x in sols for y in roots]
+        if acc_mod == 1:
+            sols = roots
+        else:
+            # by CRT, x mod acc_mod and y mod pe glue to x + acc_mod * d with
+            # d = (y - x) / acc_mod mod pe, already below acc_mod * pe; the
+            # inverse of acc_mod mod pe is taken once for every pair
+            inv = pow(acc_mod, -1, pe)
+            sols = [x + acc_mod * ((y - x) * inv % pe) for x in sols for y in roots]
         acc_mod *= pe
     sols.sort()
     return len(sols), sols
@@ -238,15 +241,34 @@ def _unit_sqrt(g: int, l: int, p: int, f: int) -> list[int]:
     return [x, m - x]
 
 
-def _tonelli_shanks(a: int, p: int):
-    """A square root of a modulo an odd prime p, or None.  Assumes p ∤ a."""
-    if p == 2:
-        return a % 2
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
+def _tonelli_shanks(a: int, p: int) -> int | None:
+    """A square root of a modulo an odd prime p, or None.  Needs 0 < a < p.
+
+    For p = 3 (mod 4) the candidate a^((p+1)/4) is a root exactly when a
+    is a residue.  Otherwise a non-residue a shows itself in the first
+    squaring loop: t = a^q has order 2^s there, so i reaches m = s.
+    """
     if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # write p - 1 = q * 2^s with q odd
+        r = pow(a, (p + 1) // 4, p)
+        return r if r * r % p == a else None
+    q, s, c = _shanks_constants(p)
+    m, t, r = s, pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        t2, i = t, 0
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        if i == m:
+            return None
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return r
+
+
+@functools.lru_cache(maxsize=_FACTOR_CACHE)
+def _shanks_constants(p: int) -> tuple[int, int, int]:
+    """(q, s, z^q) with p - 1 = q * 2^s, q odd, z the least non-residue mod p."""
     q, s = p - 1, 0
     while q % 2 == 0:
         q //= 2
@@ -254,13 +276,4 @@ def _tonelli_shanks(a: int, p: int):
     z = 2
     while pow(z, (p - 1) // 2, p) != p - 1:
         z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        t2, i = t, 0
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
+    return q, s, pow(z, q, p)

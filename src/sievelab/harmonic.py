@@ -12,8 +12,11 @@ the modulus-c bound |G| <= sqrt(2*c) is attained (c=4, k=1, l=0 gives
 |2+2i| = sqrt(8)).
 
 The oscillatory integral here is int_{Q0}^{2*Q0} e(j*y*z - l*sqrt(y)/r) dy,
-evaluated by Gauss-Legendre panels sized to the total phase variation,
-with doubling until two refinements agree.
+evaluated by 16-point Gauss-Legendre on max(16, ceil(cycles)) equal
+panels, cycles being the phase's total variation in turns: no panel
+holds more than about 1.21 turns, where the rule's error term is far
+below double rounding.  The panels are then doubled until two
+refinements agree, which certifies the value.
 """
 
 from __future__ import annotations
@@ -115,20 +118,38 @@ def oscillatory_integral(j: int, l: int, r_star: int, z: float, q0: float,
                          tol: float | None = None) -> complex:
     """int_{Q0}^{2*Q0} e(j*y*z - l*sqrt(y)/r_star) dy.
 
-    Returns exactly Q0 when both frequencies vanish.  Otherwise panels
-    are sized so each holds a bounded amount of phase, integrated with
-    16-point Gauss-Legendre, and doubled until two successive answers
-    agree within tol (default 1e-6 * Q0 absolute, split across the
-    comparison).  Raises QuadratureError if the panel budget runs out.
+    Returns exactly Q0 when both frequencies vanish.  Otherwise the range
+    is cut into P = max(16, ceil(cycles)) equal panels, each integrated
+    with 16-point Gauss-Legendre, and P is doubled until two successive
+    answers agree within tol (default 1e-6 * Q0 absolute, split across
+    the comparison).
+
+    Why one panel per cycle suffices: on [Q0, 2*Q0] the phase's
+    derivative is at most |j*z| + |l|/(2*r_star*sqrt(Q0)), while
+    cycles = |j*z|*Q0 + |l|*(sqrt(2*Q0) - sqrt(Q0))/r_star.  So a panel
+    of width Q0/P spans at most 0.5/(sqrt(2) - 1) ~ 1.21 cycles, about
+    7.6 radians.  For a linear phase the 16-point rule's error term there,
+    width * 7.6^32 * (16!)^4 / (33 * (32!)^3), is about 5e-27 of the
+    width, many orders below double rounding; the sqrt term bends the
+    phase little over a panel at most Q0/16 wide.  The doubling stays as
+    the convergence certificate; in practice it stops at 2P.
+
+    Raises OutOfRangeError for a non-finite z or Q0, Q0 <= 0 or
+    r_star < 1, and QuadratureError, before any evaluation, when the
+    first doubling would pass the panel budget, or later when the budget
+    runs out.
     """
-    if q0 <= 0 or r_star < 1:
-        raise OutOfRangeError("need Q0 > 0 and r_star >= 1")
+    if not (math.isfinite(z) and math.isfinite(q0)) or q0 <= 0 or r_star < 1:
+        raise OutOfRangeError("need finite z, finite Q0 > 0 and r_star >= 1")
     if j == 0 and l == 0:
         return complex(q0)
     if tol is None:
         tol = 1e-6 * q0
     cycles = abs(j * z) * q0 + abs(l) * (math.sqrt(2 * q0) - math.sqrt(q0)) / r_star
-    panels = max(16, int(math.ceil(4.0 * cycles)))
+    if cycles > _PANEL_BUDGET // 2:
+        # the first doubling of max(16, ceil(cycles)) panels would pass the budget
+        raise QuadratureError(f"oscillatory integral needs more than {_PANEL_BUDGET} panels")
+    panels = max(16, math.ceil(cycles))
     prev = _osc_eval(j, l, r_star, z, q0, panels)
     while True:
         panels *= 2

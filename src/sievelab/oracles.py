@@ -203,6 +203,21 @@ def _cos_tail(omega: float, t: float) -> float:
             - 24.0 * c_ / (omega**4 * t**5))
 
 
+def sqrt_phase_integral(l: int, r: int, q0: float) -> complex:
+    """Closed form of int_{Q0}^{2*Q0} e(-l*sqrt(y)/r) dy for l != 0.
+
+    Through s = sqrt(y) the integral is int 2*s*e^(i*beta*s) ds with
+    beta = -2*pi*l/r, whose antiderivative is
+    2*e^(i*beta*s)*(s/(i*beta) + 1/beta^2), taken over sqrt(Q0)..sqrt(2*Q0).
+    """
+    beta = -2.0 * math.pi * l / r
+
+    def anti(s: float) -> complex:
+        return 2.0 * cmath.exp(1j * beta * s) * (s / (1j * beta) + 1.0 / beta**2)
+
+    return anti(math.sqrt(2.0 * q0)) - anti(math.sqrt(q0))
+
+
 def bracket_oracle(s: ModuliSet, n: int) -> tuple[float, float]:
     """Exhaustive bracket maximum for desk-scale sets.
 

@@ -670,6 +670,14 @@ def oscillatory_checks(instances: int, seed: int, per_regime: int = 100) -> Chec
                    f"linear phase {got} vs {want} on trial {i}")
         res.expect(abs(got) <= 1.0 / (abs(j) * z) + 1e-6 * q0,
                    f"linear magnitude cap on trial {i}")
+    for i in range(instances):
+        l = int(rng.integers(1, 41)) * (1 if rng.random() < 0.5 else -1)
+        r_star = int(rng.integers(1, 5))
+        q0 = float(rng.uniform(1.0, 5e4))
+        got = harmonic.oscillatory_integral(0, l, r_star, 0.0, q0)
+        want = oracles.sqrt_phase_integral(l, r_star, q0)
+        res.expect(abs(got - want) <= 1e-12 * q0,
+                   f"sqrt phase {got} vs {want} on trial {i}")
     measured = measure_vdc_constants(seed=20260822, per_regime=per_regime)
     for name, got in measured.items():
         cal = VDC_CALIBRATION[name]

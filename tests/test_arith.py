@@ -231,6 +231,28 @@ def test_quad_roots_known_cases():
     assert arith.quad_cong_roots(1, 4, 16) == (4, [2, 6, 10, 14])
 
 
+def _check_tonelli_shanks(p, avals):
+    squares = {x * x % p for x in range(1, p)}
+    for a in avals:
+        r = arith._tonelli_shanks(a, p)
+        assert (r is not None) == (a in squares), (a, p)
+        if r is not None:
+            assert r * r % p == a, (a, p)
+
+
+# p - 1 = q * 2^s with s = 4, 5, 6, 8, 9, 12: the squaring loop runs deep;
+# 7, 11, 19, 1019 and 10007 are 3 mod 4, where a non-residue's candidate fails
+@pytest.mark.parametrize("p", [17, 97, 193, 257, 7681, 12289, 7, 11, 19, 1019, 10007])
+def test_tonelli_shanks_roots_exactly_the_residues(p):
+    _check_tonelli_shanks(p, range(1, p))
+
+
+def test_tonelli_shanks_on_a_sample_mod_65537():
+    # p - 1 = 2^16: every non-residue has order 2^16 and is a generator
+    rng = np.random.default_rng(65537)
+    _check_tonelli_shanks(65537, [1, 2, 3, 65536] + rng.integers(1, 65537, 3000).tolist())
+
+
 @pytest.mark.parametrize("dtype", [np.int64, np.int32])
 def test_quad_roots_take_numpy_integers(dtype):
     # numpy scalars as g, l and k give the Python-int results, also

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sievelab import util
+from sievelab import harmonic, util, verify
 from sievelab import (gauss_sum, gauss_sum_row, linear_phase_integral,
                       oscillatory_integral, phi_hat_value, phi_value,
                       poisson_residual)
-from sievelab.errors import CapacityError, NotCoprimeError, QuadratureError
+from sievelab.errors import (CapacityError, NotCoprimeError, OutOfRangeError,
+                             QuadratureError)
 from sievelab.harmonic import phi_pair
-from sievelab.oracles import phi_hat_by_quadrature
+from sievelab.oracles import phi_hat_by_quadrature, sqrt_phase_integral
 
 
 def test_kernel_special_values():
@@ -134,3 +135,82 @@ def test_pure_sqrt_phase_decays_with_frequency():
     lo = abs(oscillatory_integral(0, 40, 1, 0.0, 200.0))
     hi = abs(oscillatory_integral(0, 2, 1, 0.0, 200.0))
     assert lo < hi
+
+
+def _count_osc_evals(monkeypatch, fake=None):
+    """Route harmonic._osc_eval through a counter; fake replaces its value."""
+    calls = []
+    real = harmonic._osc_eval
+
+    def counted(*args):
+        calls.append(args[-1])
+        return fake if fake is not None else real(*args)
+
+    monkeypatch.setattr(harmonic, "_osc_eval", counted)
+    return calls
+
+
+@pytest.mark.parametrize("z, q0", [(math.inf, 10.0), (-math.inf, 10.0), (math.nan, 10.0),
+                                   (0.01, math.inf), (0.01, math.nan), (0.0, -math.inf)])
+def test_non_finite_arguments_are_out_of_range(z, q0):
+    for j, l in ((1, 0), (0, 3), (0, 0)):
+        with pytest.raises(OutOfRangeError):
+            oscillatory_integral(j, l, 1, z, q0)
+
+
+def test_panel_budget_is_checked_before_any_evaluation(monkeypatch):
+    calls = _count_osc_evals(monkeypatch, fake=0j)
+    with pytest.raises(QuadratureError, match="more than 1048576 panels"):
+        oscillatory_integral(10**6, 0, 1, 1.0, 1e6)  # 10^12 cycles
+    with pytest.raises(QuadratureError):
+        oscillatory_integral(1, 0, 1, 1.0, 2.0**19 + 1)  # 2 * ceil(cycles) > 2^20
+    assert calls == []
+    # at 2^19 cycles the first doubling just fits the budget
+    assert oscillatory_integral(1, 0, 1, 1.0, 2.0**19) == 0j
+    assert calls == [2**19, 2**20]
+
+
+def test_panels_start_at_one_per_cycle(monkeypatch):
+    calls = _count_osc_evals(monkeypatch)
+    oscillatory_integral(3, 0, 1, 0.0625, 320.0)  # 60 cycles
+    oscillatory_integral(0, 1, 1, 0.0, 20.0)    # under 2 cycles: the floor of 16
+    assert calls == [60, 120, 16, 32]
+
+
+@pytest.mark.parametrize("q0", [1.0, 20.0, 517.3, 5e3, 5e4])
+def test_integrals_match_both_closed_forms(q0):
+    for l in (1, -3, 7, 40, -40):
+        for r in (1, 2, 3, 4):
+            got = oscillatory_integral(0, l, r, 0.0, q0)
+            assert abs(got - sqrt_phase_integral(l, r, q0)) <= 1e-12 * q0
+    for j in (1, -2, 7, 20):
+        for z in (1e-5, 3e-4, 0.013, 0.05):
+            got = oscillatory_integral(j, 0, 1, z, q0)
+            assert abs(got - linear_phase_integral(j, z, q0)) <= 1e-12 * q0
+
+
+def test_mixed_phase_with_a_stationary_point_matches_four_times_the_panels():
+    for j, l, r, q0 in ((3, 7, 2, 120.0), (-2, 9, 1, 60.0), (5, -12, 3, 300.0),
+                        (10, 40, 1, 1000.0), (-1, -1, 3, 50.0)):
+        # the phase's derivative vanishes at y = 1.5 * Q0
+        z = abs(l) / (2.0 * abs(j) * r * math.sqrt(1.5 * q0))
+        cycles = abs(j * z) * q0 + abs(l) * (math.sqrt(2 * q0) - math.sqrt(q0)) / r
+        panels = max(16, math.ceil(cycles))
+        fine = harmonic._osc_eval(j, l, r, z, q0, 4 * panels)
+        assert abs(oscillatory_integral(j, l, r, z, q0) - fine) <= 1e-12 * q0
+
+
+def test_calibration_families_take_two_evaluations_each(monkeypatch):
+    calls = _count_osc_evals(monkeypatch)
+    per_integral = []
+    real = harmonic.oscillatory_integral
+
+    def counted(*args):
+        before = len(calls)
+        value = real(*args)
+        per_integral.append(len(calls) - before)
+        return value
+
+    monkeypatch.setattr(harmonic, "oscillatory_integral", counted)
+    verify.measure_vdc_constants(seed=20260822)
+    assert per_integral == [2] * 300
