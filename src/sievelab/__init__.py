@@ -28,7 +28,7 @@ _EXPORTS = {
     "errors": ("CapacityError", "ConfigError", "InputError", "InvalidDeltaError",
                "InvalidRegimeError", "NotCoprimeError", "NotInvertibleError",
                "OutOfRangeError", "QuadratureError", "SequenceFileError",
-               "ShapeDomainError", "SieveLabError"),
+               "SieveLabError"),
     "harmonic": ("gauss_sum", "gauss_sum_row", "linear_phase_integral",
                  "oscillatory_integral", "phi_hat_value", "phi_value",
                  "poisson_residual"),

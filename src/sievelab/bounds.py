@@ -45,9 +45,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import PROFILE_PAIRS, window_count_profile
-from .errors import (CapacityError, InvalidRegimeError, NotCoprimeError,
-                     OutOfRangeError, ShapeDomainError)
+from .counting import (PROFILE_ELEMENT_BYTES, PROFILE_PAIR_BYTES, PROFILE_PAIRS,
+                       window_count_profile)
+from .errors import CapacityError, InvalidRegimeError, NotCoprimeError, OutOfRangeError
 from .moduli import ModuliSet
 from .sequences import CoefficientSequence, _folds
 from .arith import divisors, squarefree_divisors
@@ -222,8 +222,7 @@ def sieve_lhs(seq: CoefficientSequence, s: ModuliSet, threads: int = 1) -> float
     return total
 
 
-def bound_shapes(n, q, *, s_count=None, eps: float = 0.0, x=None,
-                 require=()) -> dict[str, float]:
+def bound_shapes(n, q, *, s_count=None, eps: float = 0.0, x=None) -> dict[str, float]:
     """Evaluate every applicable named shape at (n, q), per unit Z.
 
     n is the sequence length and q the headline modulus parameter of the
@@ -231,8 +230,8 @@ def bound_shapes(n, q, *, s_count=None, eps: float = 0.0, x=None,
     span).  s_count is the number of moduli in the set and feeds the
     sparse_ap and elliott shapes; x is the window well-distribution
     factor of sparse_ap.  Shapes whose inputs are missing or whose
-    domain conditions fail are left out of the map; listing a name in
-    require turns that omission into ShapeDomainError.
+    domain conditions fail are left out of the map, so a caller that
+    needs one tests `name in shapes`.
 
     All constants are 1 and eps exponents are applied literally, so the
     values are comparison shapes, not certified bounds.  Every value is
@@ -252,9 +251,6 @@ def bound_shapes(n, q, *, s_count=None, eps: float = 0.0, x=None,
         if not 0.0 < val < math.inf:
             raise OutOfRangeError(f"shape {name} = {val} is not a finite "
                                   f"positive float {where}")
-    missing = [name for name in require if name not in shapes]
-    if missing:
-        raise ShapeDomainError(f"required shapes unavailable here: {', '.join(missing)}")
     return shapes
 
 
@@ -338,13 +334,13 @@ def _window_max(s: ModuliSet, r: int, part: tuple, zs: np.ndarray, width, hs: np
     pairs = c.size * min(zs.size, max(1, PROFILE_PAIRS // max(1, c.size)))
     # bytes, from tracemalloc peaks: 48 a (row, z) for the widths, the
     # profile, a, b, k - b and the temporaries of the h-free sum; 128 a
-    # row and 128 an element for the partition and the profile's keys;
-    # 56 an (element, z) pair of one profile chunk; 2 an (h, row, z) of
-    # a gather chunk for the hits and a comparison, and 16 an (h, row)
-    # and an (h, z) of it; and 128 KiB for small arrays and einsum's
-    # cast buffer
+    # row for the partition; the profile's bytes an element and an
+    # (element, z) pair of one chunk; 2 an (h, row, z) of a gather chunk
+    # for the hits and a comparison, and 16 an (h, row) and an (h, z) of
+    # it; and 128 KiB for small arrays and einsum's cast buffer
     util.reserve(f"bracket terms at r={r}",
-                 workers * (48 * rows * zs.size + 128 * (rows + c.size) + 56 * pairs
+                 workers * (48 * rows * zs.size + 128 * rows + PROFILE_ELEMENT_BYTES * c.size
+                            + PROFILE_PAIR_BYTES * pairs
                             + h_chunk * (2 * rows * zs.size + 16 * (rows + zs.size)) + 2**17),
                  "bytes of window-sum arrays", 1)
     _, prof = window_count_profile(c, width(t[:, None]), s.M / t, (s.M + span) / t,
@@ -374,7 +370,7 @@ def _grid_z(r: int, n: int, points: int) -> np.ndarray:
     return np.fromiter((z_lo * ratio ** (j / (g - 1)) for j in range(g)), np.float64, g)
 
 
-def _exact_z(s: ModuliSet, n: int, r: int, workers: int = 1) -> np.ndarray:
+def _exact_z(s: ModuliSet, n: int, r: int, part: tuple, workers: int) -> np.ndarray:
     """Breakpoints of the bracket objective in z, plus midpoints.
 
     The objective is piecewise constant in z: window counts change only
@@ -385,7 +381,8 @@ def _exact_z(s: ModuliSet, n: int, r: int, workers: int = 1) -> np.ndarray:
     difference, so the widths are the differences c[i:] - c[:-i] that k
     divides, marked over [0, span] with no n x n array.  Evaluating at
     every breakpoint and between each adjacent pair covers every value
-    the objective takes, so the result is the exact maximum.
+    the objective takes, so the result is the exact maximum.  part is
+    the partition of s at r, as _partition builds it.
 
     Each divisor gives jmax m-breakpoints, at most jmax - jlo + 1 of
     them inside (z_lo, z_hi), at most one width per pair or per unit of
@@ -396,7 +393,7 @@ def _exact_z(s: ModuliSet, n: int, r: int, workers: int = 1) -> np.ndarray:
     span = s.Q
     z_lo = 1.0 / n
     z_hi = 1.0 / (r * math.sqrt(n))
-    c_all, labels, *_ = _partition(s, r)
+    c_all, labels, *_ = part
     parts, need, mark_bytes = [], 0, 0
     for t in divisors(r):
         k, c = r // t, c_all[labels // r == t]
@@ -461,14 +458,14 @@ def sieve_bracket(s: ModuliSet, n: int, z_grid: int = 64, mode: str = "grid",
     span = s.Q
 
     def one(r: int) -> int:
-        zs = _grid_z(r, n, z_grid) if mode == "grid" else _exact_z(s, n, r, workers)
+        part = _partition(s, r)
+        zs = _grid_z(r, n, z_grid) if mode == "grid" else _exact_z(s, n, r, part, workers)
         # class l meets the frequencies h^-1*l; over all units h mod r,
         # gathering h*l instead leaves the maximum unchanged.  The m-range
         # is symmetric, so r - h meets the classes -h*l with the same
         # counts as h: the units h <= r/2 reach every sum
         hs = np.flatnonzero(np.gcd(np.arange(r // 2 + 1), r) == 1)
-        return _window_max(s, r, _partition(s, r), zs, lambda t: 2.0 * span / (t * zs * n),
-                           hs, workers)
+        return _window_max(s, r, part, zs, lambda t: 2.0 * span / (t * zs * n), hs, workers)
 
     with _pool(workers) as pool:
         b = float(max(pool.map(one, rs) if pool else map(one, rs)))

@@ -23,12 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import util
 from .errors import InvalidDeltaError, NotCoprimeError, OutOfRangeError
 from .moduli import _INT64_MAX, FareyList, FareySlabs, ModuliSet, derive_subset
 
 
 _KDELTA_AHEAD = 64  # built slabs k_delta keeps ahead of the left slab, at most
 PROFILE_PAIRS = 1 << 18  # (element, u) pairs one window_count_profile chunk holds
+PROFILE_ELEMENT_BYTES = 128  # a profile's bytes an element at the peak (tracemalloc)
+PROFILE_PAIR_BYTES = 56  # and an (element, u) pair of its chunk
 
 
 @dataclass(frozen=True)
@@ -97,9 +100,11 @@ def count_window_ap(s: ModuliSet, query: WindowQuery) -> int:
     """Max elements of the t-dilate of s = l (mod k) in a window (y, y+u],
     y in the dilate's interval [M/t, (M+Q)/t].
 
-    t, k, l and u all come from the query.  Exact by candidate evaluation.
+    t, k, l and u all come from the query.  Exact by candidate evaluation;
+    the class's profile, of at most |s| elements, is reserved first.
     """
     t, k = query.t, query.k
+    util.reserve("window count", s.size, "moduli", PROFILE_ELEMENT_BYTES + PROFILE_PAIR_BYTES)
     el = derive_subset(s, t).elements
     c = el[el % k == query.l % k]
     _, rows = window_count_profile(c, [query.u], s.M / t, (s.M + s.Q) / t, labels=c % k)

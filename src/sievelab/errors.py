@@ -4,7 +4,8 @@ One rule decides whose fault a failure is.  An InputError means the
 caller's input is bad: an argument out of its domain, a malformed file,
 a bad configuration value.  It is also a ValueError, and the command
 line maps it to exit 2.  Every other SieveLabError (CapacityError,
-QuadratureError) is a runtime failure on valid input, exit 1.
+QuadratureError) is a runtime failure on valid input, exit 1.  A shape
+outside its domain is no failure: bound_shapes leaves it out.
 """
 
 
@@ -50,10 +51,6 @@ class SequenceFileError(InputError):
 
 class ConfigError(InputError):
     """Raised on an invalid experiment configuration."""
-
-
-class ShapeDomainError(InputError):
-    """Raised when a bound shape is requested outside its validity domain."""
 
 
 class EmptyModuliWarning(UserWarning):

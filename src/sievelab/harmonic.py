@@ -31,6 +31,7 @@ from .util import cexp, reserve
 
 _QUAD_NODES = 16
 _PANEL_BUDGET = 1 << 20
+_POISSON_TRUNC = 10**6  # poisson_residual's T: its direct side sums |n| <= T
 _GAUSS_TERM_BYTES = 89  # a term's arrays at the peak (tracemalloc at c = 10^6)
 
 
@@ -90,17 +91,17 @@ def gauss_sum_row(k: int, c: int) -> np.ndarray:
     return c * np.fft.ifft(v)
 
 
-def poisson_residual(scale: float, shift: float, trunc: int = 10**6) -> float:
+def poisson_residual(scale: float, shift: float) -> float:
     """|direct - transform| for Poisson summation of f(x) = phi((x-shift)/scale).
 
-    Direct side truncated at |n| <= trunc; with phi <= 1/(4*x^2) the
-    discarded tail is below scale^2/(2*(trunc - |shift|)), under 1e-6
-    for unit-order scale.  Transform side sum_n scale * e(n*shift) *
+    Direct side truncated at |n| <= T = 10^6; with phi <= 1/(4*x^2) the
+    discarded tail is below scale^2/(2*(T - |shift|)), under 1e-6 for
+    unit-order scale.  Transform side sum_n scale * e(n*shift) *
     phi_hat(n*scale) is finite because phi_hat has compact support.
     """
     if scale <= 0:
         raise OutOfRangeError("scale must be positive")
-    n = np.arange(-trunc, trunc + 1, dtype=np.float64)
+    n = np.arange(-_POISSON_TRUNC, _POISSON_TRUNC + 1, dtype=np.float64)
     direct = float(np.sum(phi_value((n - shift) / scale)))
     m_max = int(math.floor(1.0 / scale)) + 1
     m = np.arange(-m_max, m_max + 1, dtype=np.float64)
@@ -114,15 +115,14 @@ def linear_phase_integral(j: int, z: float, q0: float) -> complex:
     return complex((np.exp(om * 2 * q0) - np.exp(om * q0)) / om)
 
 
-def oscillatory_integral(j: int, l: int, r_star: int, z: float, q0: float,
-                         tol: float | None = None) -> complex:
+def oscillatory_integral(j: int, l: int, r_star: int, z: float, q0: float) -> complex:
     """int_{Q0}^{2*Q0} e(j*y*z - l*sqrt(y)/r_star) dy.
 
     Returns exactly Q0 when both frequencies vanish.  Otherwise the range
     is cut into P = max(16, ceil(cycles)) equal panels, each integrated
     with 16-point Gauss-Legendre, and P is doubled until two successive
-    answers agree within tol (default 1e-6 * Q0 absolute, split across
-    the comparison).
+    answers agree within 1e-6 * Q0 absolute, split across the
+    comparison.
 
     Why one panel per cycle suffices: on [Q0, 2*Q0] the phase's
     derivative is at most |j*z| + |l|/(2*r_star*sqrt(Q0)), while
@@ -134,18 +134,19 @@ def oscillatory_integral(j: int, l: int, r_star: int, z: float, q0: float,
     phase little over a panel at most Q0/16 wide.  The doubling stays as
     the convergence certificate; in practice it stops at 2P.
 
-    Raises OutOfRangeError for a non-finite z or Q0, Q0 <= 0 or
-    r_star < 1, and QuadratureError, before any evaluation, when the
-    first doubling would pass the panel budget, or later when the budget
-    runs out.
+    Raises OutOfRangeError for a non-finite z or Q0, Q0 <= 0, r_star < 1
+    or a j or l past float range, and QuadratureError, before any
+    evaluation, when the first doubling would pass the panel budget, or
+    later when the budget runs out.
     """
     if not (math.isfinite(z) and math.isfinite(q0)) or q0 <= 0 or r_star < 1:
         raise OutOfRangeError("need finite z, finite Q0 > 0 and r_star >= 1")
     if j == 0 and l == 0:
         return complex(q0)
-    if tol is None:
-        tol = 1e-6 * q0
-    cycles = abs(j * z) * q0 + abs(l) * (math.sqrt(2 * q0) - math.sqrt(q0)) / r_star
+    try:
+        cycles = abs(j * z) * q0 + abs(l) * (math.sqrt(2 * q0) - math.sqrt(q0)) / r_star
+    except OverflowError as exc:
+        raise OutOfRangeError("frequencies j and l must lie in float range") from exc
     if cycles > _PANEL_BUDGET // 2:
         # the first doubling of max(16, ceil(cycles)) panels would pass the budget
         raise QuadratureError(f"oscillatory integral needs more than {_PANEL_BUDGET} panels")
@@ -156,7 +157,7 @@ def oscillatory_integral(j: int, l: int, r_star: int, z: float, q0: float,
         if panels > _PANEL_BUDGET:
             raise QuadratureError(f"oscillatory integral needs more than {_PANEL_BUDGET} panels")
         cur = _osc_eval(j, l, r_star, z, q0, panels)
-        if abs(cur - prev) <= 0.5 * tol:
+        if abs(cur - prev) <= 0.5 * (1e-6 * q0):
             return cur
         prev = cur
 

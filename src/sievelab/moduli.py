@@ -123,8 +123,9 @@ def _explicit(el: np.ndarray, M: float | None, span: float | None) -> ModuliSet:
     return _warn_if_empty(ModuliSet(el, float(M), float(span), "explicit", None))
 
 
-def moduli_from_file(path: str, M: float | None = None, span: float | None = None) -> ModuliSet:
-    """Explicit set from a text file, one integer per line, increasing."""
+def moduli_from_file(path: str, M: float | None = None) -> ModuliSet:
+    """Explicit set from a text file, one integer per line, increasing,
+    in the interval (M, max] (M defaults to 0)."""
     def parse(line: str, ln: int, done: np.ndarray) -> int:
         try:
             q = int(line)
@@ -137,21 +138,21 @@ def moduli_from_file(path: str, M: float | None = None, span: float | None = Non
         return q
 
     el = util.read_lines(path, "moduli", "moduli", _FILE_MODULUS_BYTES, np.int64, parse)
-    return _explicit(el, M, span)
+    return _explicit(el, M, None)
 
 
 def build_moduli_set(kind: str, **kw) -> ModuliSet:
-    """String-keyed constructor used by the CLI and config files."""
+    """String-keyed constructor used by the CLI and config files: q for
+    "squares_up_to" and "primes_up_to", q0 for "squares_in_octave", and
+    a path and an optional offset M for "file"."""
     if kind == "squares_up_to":
         return squares_up_to(int(kw["q"]))
     if kind == "squares_in_octave":
         return squares_in_octave(float(kw["q0"]))
     if kind == "primes_up_to":
         return primes_up_to_set(int(kw["q"]))
-    if kind == "explicit":
-        return explicit_moduli(kw["elements"], M=kw.get("M"), span=kw.get("span"))
     if kind == "file":
-        return moduli_from_file(kw["path"], M=kw.get("M"), span=kw.get("span"))
+        return moduli_from_file(kw["path"], M=kw.get("M"))
     raise OutOfRangeError(f"unknown moduli kind {kind!r}")
 
 

@@ -37,18 +37,18 @@ _RESIDUE_BYTES = 72  # a residue's O(q) arrays at their peak: 65 by tracemalloc
 class CoefficientSequence:
     """Finitely supported coefficients a_1..a_N; values[i] holds a_{i+1}.
 
-    CoefficientSequence(values, N) wraps an explicit array.  pieces()
-    yields the coefficients in order, in arrays of at most _PIECE.  Z,
-    the power sum of |a_n|^2, is a by-product of the first complete
-    pass and equals np.sum(np.abs(values) ** 2) bit for bit.
+    CoefficientSequence(values) wraps a nonempty array, N = values.size.
+    pieces() yields the coefficients in order, in arrays of at most
+    _PIECE.  Z, the power sum of |a_n|^2, is a by-product of the first
+    complete pass and equals np.sum(np.abs(values) ** 2) bit for bit.
     """
 
-    def __init__(self, values, N: int):
+    def __init__(self, values):
         v = np.asarray(values, dtype=np.complex128)
         v.setflags(write=False)
-        if N != v.size or N < 1:
-            raise OutOfRangeError("N must equal len(values) and be >= 1")
-        self.N = N
+        if not v.size:
+            raise OutOfRangeError("a sequence needs at least one coefficient")
+        self.N = v.size
         self._values = v
         self._z = None
 
@@ -234,7 +234,7 @@ def sequence_from_file(path: str) -> CoefficientSequence:
     values = read_lines(path, "sequence", "coefficients", 16, np.complex128, parse)
     if not values.size:
         raise SequenceFileError(f"{path}: no coefficients found")
-    return CoefficientSequence(values=values, N=values.size)
+    return CoefficientSequence(values)
 
 
 def eval_exp_sum(seq: CoefficientSequence, alpha: float) -> complex:

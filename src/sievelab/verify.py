@@ -32,6 +32,7 @@ VDC_CALIBRATION = {
     "mixed_phase": 3.5467515130020053,
 }
 _VDC_HEADROOM = 1e-6
+_DILATE_T_MAX = 100  # check_moduli_structure tests the octave dilates by t <= this
 
 
 @dataclass
@@ -58,7 +59,7 @@ def _random_sequence(rng, n: int, flavor: int) -> sequences.CoefficientSequence:
     kinds = ("ones", "random_signs", "random_phases", "delta", "focused")
     if flavor % 6 == 5:
         vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        return sequences.CoefficientSequence(vals, n)
+        return sequences.CoefficientSequence(vals)
     kind = kinds[flavor % 6]
     kw = {}
     if kind == "delta":
@@ -179,14 +180,14 @@ def check_sequence_props(seed: int) -> CheckResult:
 # --------------------------------------------------------------- moduli
 
 def check_moduli_structure(seed: int, q0_list=(5, 48, 100, 999, 10**4, 10**6),
-                           t_max: int = 100, ft_limit: int = 10**4) -> CheckResult:
+                           ft_limit: int = 10**4) -> CheckResult:
     res = CheckResult("moduli-structure")
     for t in range(1, ft_limit + 1):
         f, g = moduli.square_divisor_profile(t)
         res.expect(f * f == g * t, f"f^2 = g*t at t={t}")
     for q0 in q0_list:
         s = moduli.squares_in_octave(q0)
-        for t in range(1, t_max + 1):
+        for t in range(1, _DILATE_T_MAX + 1):
             f, g = moduli.square_divisor_profile(t)
             got = moduli.derive_subset(s, t).elements.tolist()
             want, c = [], math.isqrt(int(q0)) // f
@@ -492,11 +493,6 @@ def shape_checks(seed: int) -> CheckResult:
     res.expect("wolke" not in bounds.bound_shapes(100, 5), "wolke domain gate")
     w = bounds.bound_shapes(10**6, 10**4)
     res.expect("wolke" in w and w["wolke"] > 0, "wolke inside domain")
-    try:
-        bounds.bound_shapes(100, 5, require=("wolke",))
-        res.expect(False, "missing required-shape error")
-    except bounds.ShapeDomainError:
-        res.expect(True)
     rng = seeded_rng(seed)
     seq = _random_sequence(rng, 32, 2)
     rep = bounds.build_report(seq, moduli.squares_up_to(3))

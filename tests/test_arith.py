@@ -116,8 +116,7 @@ def test_mod_inv_equals_the_xgcd_inverse():
     lambda: harmonic.oscillatory_integral(1, 1, 1, 0.1, 0.0),
     lambda: harmonic.oscillatory_integral(1, 1, 0, 0.1, 10.0),
     lambda: sequences.eval_at_modulus(sequences.make_sequence("ones", 8), 0),
-    lambda: sequences.CoefficientSequence([1.0, 2.0], 3),
-    lambda: sequences.CoefficientSequence([], 0),
+    lambda: sequences.CoefficientSequence([]),
     lambda: bounds.sieve_bracket(moduli.squares_up_to(3), 16, mode="fast"),
     lambda: moduli.build_moduli_set("cubes"),
 ], ids=["factorize", "mod_inv", "quad_cong_roots", "quad_cong_count",
@@ -125,7 +124,7 @@ def test_mod_inv_equals_the_xgcd_inverse():
         "dirichlet_approx-alpha", "pi_count", "gauss_sum", "gauss_sum_row",
         "poisson_residual", "oscillatory_integral-q0",
         "oscillatory_integral-r_star", "eval_at_modulus",
-        "CoefficientSequence-length", "CoefficientSequence-empty",
+        "CoefficientSequence-empty",
         "sieve_bracket", "build_moduli_set"])
 def test_argument_errors_are_out_of_range(call):
     with pytest.raises(OutOfRangeError):

@@ -21,8 +21,7 @@ from sievelab import (SHAPE_NAMES, BoundReport, CoefficientSequence,
                       primes_up_to_set, sieve_bracket, sieve_lhs,
                       squares_in_octave, squares_up_to)
 from sievelab.errors import (CapacityError, InvalidRegimeError,
-                             NotCoprimeError, OutOfRangeError,
-                             ShapeDomainError)
+                             NotCoprimeError, OutOfRangeError)
 from sievelab import oracles
 from sievelab.arith import divisors, factorize, mod_inv
 from sievelab import bounds as bounds_mod
@@ -157,7 +156,7 @@ def _stream_sequences():
             make_sequence("random_signs", n, seed=4),
             make_sequence("random_phases", n, seed=4),
             make_sequence("focused", n, beta=1 / 3),
-            CoefficientSequence(explicit, n)]
+            CoefficientSequence(explicit)]
 
 
 @pytest.mark.parametrize("seq", _stream_sequences(),
@@ -418,7 +417,8 @@ def test_exact_breakpoints_equal_a_loop_over_class_pairs(s, n):
             pts |= {z for z in zs if z_lo < z < z_hi}
         zs = sorted(pts)
         want = np.unique(zs + [0.5 * (a + b) for a, b in zip(zs, zs[1:])])
-        assert np.array_equal(bounds_mod._exact_z(s, n, r), want)
+        assert np.array_equal(bounds_mod._exact_z(s, n, r, bounds_mod._partition(s, r), 1),
+                              want)
 
 
 @pytest.mark.parametrize("s", [
@@ -453,7 +453,8 @@ def test_exact_mode_counts_its_mark(monkeypatch):
     # 10^8 bytes; with the mark's byte per unit of a 10^8 range they do not
     monkeypatch.setattr(util, "CAPACITY", 10**8)
     with pytest.raises(CapacityError, match="exact mode at r=1") as refused:
-        bounds_mod._exact_z(explicit_moduli([1, 10**8]), 2**20, 1)
+        s = explicit_moduli([1, 10**8])
+        bounds_mod._exact_z(s, 2**20, 1, bounds_mod._partition(s, 1), 1)
     need = int(str(refused.value).split(" needs ")[1].split()[0])
     assert 10**8 < need < 2 * 10**8
 
@@ -474,12 +475,28 @@ def test_exact_breakpoints_allocate_no_pair_matrix():
     s = primes_up_to_set(50000)
     tracemalloc.start()
     try:
-        zs = bounds_mod._exact_z(s, 16, 2)
+        zs = bounds_mod._exact_z(s, 16, 2, bounds_mod._partition(s, 2), 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert zs.size > 0 and np.all(np.diff(zs) > 0)
     assert peak < 20 * 2**20  # the 5133^2 differences of one class take 200 MB
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_exact_mode_builds_one_partition_per_r(monkeypatch, threads):
+    s = squares_in_octave(1000)
+    want = sieve_bracket(s, 256, mode="exact")
+    built = []
+    partition = bounds_mod._partition
+
+    def counted(s, r):
+        built.append(r)
+        return partition(s, r)
+
+    monkeypatch.setattr(bounds_mod, "_partition", counted)
+    assert sieve_bracket(s, 256, mode="exact", threads=threads) == want
+    assert sorted(built) == list(range(1, 17))
 
 
 # ------------------------------------------------------- crowding shapes
@@ -681,13 +698,6 @@ def test_shape_domain_gates():
     delta = math.log(10**6) / math.log(10**4) - 1
     want = 10**8 * math.log(math.log(10**4)) / ((1 - delta) * math.log(10**4))
     assert w["wolke"] == pytest.approx(want)
-
-
-def test_missing_required_shape_raises():
-    with pytest.raises(ShapeDomainError):
-        bound_shapes(100, 5, require=("elliott",))
-    sh = bound_shapes(100, 5, s_count=3, require=("elliott",))
-    assert "elliott" in sh
 
 
 def test_shapes_reject_nonsense():

@@ -18,7 +18,7 @@ from sievelab.errors import (CapacityError, ConfigError, InputError,
                              InvalidDeltaError, InvalidRegimeError,
                              NotCoprimeError, NotInvertibleError,
                              OutOfRangeError, QuadratureError,
-                             SequenceFileError, ShapeDomainError)
+                             SequenceFileError)
 from sievelab.verify import CheckResult
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -736,8 +736,7 @@ def test_memory_exhaustion_exits_1_with_one_line(capsys, monkeypatch, exc):
 
 @pytest.mark.parametrize("cls", [ConfigError, OutOfRangeError, InvalidDeltaError,
                                  NotCoprimeError, InvalidRegimeError,
-                                 ShapeDomainError, SequenceFileError,
-                                 NotInvertibleError])
+                                 SequenceFileError, NotInvertibleError])
 def test_input_errors_are_value_errors(cls):
     assert issubclass(cls, InputError) and issubclass(cls, ValueError)
 

@@ -11,12 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sievelab import (WindowQuery, count_window_ap, derive_subset,
+from sievelab import (WindowQuery, count_window_ap, counting, derive_subset,
                       dirichlet_approx, enumerate_farey, explicit_moduli,
                       k_delta, moduli, p_alpha, p_alpha_circular, pi_count,
-                      primes_up_to_set, squares_up_to)
+                      primes_up_to_set, squares_up_to, util)
 from sievelab.counting import window_count_profile
-from sievelab.errors import EmptyModuliWarning, InvalidDeltaError, OutOfRangeError
+from sievelab.errors import (CapacityError, EmptyModuliWarning, InvalidDeltaError,
+                             OutOfRangeError)
 from sievelab import oracles
 from sievelab.util import seeded_rng
 
@@ -361,3 +362,33 @@ def test_count_window_ap_builds_no_square_matrix():
         tracemalloc.stop()
     assert count == 95
     assert peak < 2 * 2**20  # a 5133^2 difference matrix would take 200 MB
+
+
+def test_count_window_ap_reserves_before_it_builds(monkeypatch):
+    s = primes_up_to_set(10**6)
+    query = WindowQuery(500.0, 1, 0, 1)
+    need = s.size * (counting.PROFILE_ELEMENT_BYTES + counting.PROFILE_PAIR_BYTES)
+    derived, profiled = [], []
+
+    def derive(s, t):
+        derived.append(t)
+        return derive_subset(s, t)
+
+    def profile(*args, **kwargs):
+        profiled.append(args[0].size)
+        return window_count_profile(*args, **kwargs)
+
+    monkeypatch.setattr(counting, "derive_subset", derive)
+    monkeypatch.setattr(counting, "window_count_profile", profile)
+    monkeypatch.setattr(util, "CAPACITY", need - 1)
+    with pytest.raises(CapacityError, match=f"window count needs {s.size} moduli"):
+        count_window_ap(s, query)
+    assert derived == profiled == []
+    monkeypatch.setattr(util, "CAPACITY", need)
+    tracemalloc.start()
+    try:
+        count_window_ap(s, query)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert profiled == [s.size] and peak <= need

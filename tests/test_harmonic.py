@@ -126,9 +126,19 @@ def test_mixed_phase_integral_obeys_trivial_cap():
         assert val <= q0 * (1 + 1e-9)
 
 
-def test_quadrature_refuses_unreachable_tolerance():
-    with pytest.raises(QuadratureError):
-        oscillatory_integral(3, 11, 1, 0.07, 50.0, tol=1e-300)
+def test_quadrature_refuses_unreachable_tolerance(monkeypatch):
+    # answers that never agree: each evaluation returns its panel count
+    panels = []
+
+    def disagreeing(*args):
+        panels.append(args[-1])
+        return complex(args[-1])
+
+    monkeypatch.setattr(harmonic, "_osc_eval", disagreeing)
+    with pytest.raises(QuadratureError, match="more than 1048576 panels"):
+        oscillatory_integral(3, 11, 1, 0.07, 50.0)
+    # ceil(cycles) = 43 panels, doubled until the next would pass 2^20
+    assert panels == [43 * 2**i for i in range(15)]
 
 
 def test_pure_sqrt_phase_decays_with_frequency():
@@ -156,6 +166,15 @@ def test_non_finite_arguments_are_out_of_range(z, q0):
     for j, l in ((1, 0), (0, 3), (0, 0)):
         with pytest.raises(OutOfRangeError):
             oscillatory_integral(j, l, 1, z, q0)
+
+
+@pytest.mark.parametrize("j, l, z", [(10**400, 0, 1.0), (10**400, 0, 0.0), (-10**400, 3, 0.5),
+                                     (1, 10**400, 0.0), (0, -10**400, 0.0)])
+def test_frequencies_past_float_range_are_out_of_range(monkeypatch, j, l, z):
+    calls = _count_osc_evals(monkeypatch, fake=0j)
+    with pytest.raises(OutOfRangeError, match="float range"):
+        oscillatory_integral(j, l, 1, z, 10.0)
+    assert calls == []
 
 
 def test_panel_budget_is_checked_before_any_evaluation(monkeypatch):

@@ -105,15 +105,16 @@ def test_moduli_file_round_trip(tmp_path):
     p.write_text("4\n9\n\n25\n", encoding="utf-8")
     s = moduli_from_file(str(p), M=2.0)
     assert s.elements.tolist() == [4, 9, 25]
-    assert s.M == 2.0
+    assert s.M == 2.0 and s.Q == 23.0  # the interval ends at the largest modulus
     with pytest.raises(SequenceFileError):
         moduli_from_file(str(tmp_path / "absent.txt"))
 
 
 def test_build_moduli_set_dispatch():
     assert build_moduli_set("squares_up_to", q=3).elements.tolist() == [1, 4, 9]
-    with pytest.raises(ValueError):
-        build_moduli_set("nope")
+    for kind in ("nope", "explicit"):  # an explicit list is explicit_moduli's
+        with pytest.raises(ValueError):
+            build_moduli_set(kind, elements=[2, 3])
 
 
 def test_derive_subset_divides_out_the_factor():

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -93,14 +94,47 @@ def test_a_value_set_on_the_package_is_what_it_returns(monkeypatch):
     assert sievelab.square_class_count is traced
 
 
+def _traced_layers(tree: ast.Module) -> dict:
+    """LAYERS of the tracer's source, read as a literal."""
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["LAYERS"])
+
+
 def test_every_traced_name_is_a_callable_of_its_layer():
-    # LAYERS read as a literal, so the benchmark's tracer is not imported
-    tree = ast.parse(LAYERTRACE.read_text(encoding="utf-8"))
-    layers = next(ast.literal_eval(node.value) for node in tree.body
-                  if isinstance(node, ast.Assign)
-                  and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["LAYERS"])
+    # the tracer's source is read, so the benchmark's tracer is not imported
+    layers = _traced_layers(ast.parse(LAYERTRACE.read_text(encoding="utf-8")))
     assert layers
     for layer, names in layers.items():
         module = importlib.import_module(f"sievelab.{layer}")
         for name in names:
             assert callable(getattr(module, name, None)), f"{layer}.{name}"
+
+
+def test_traced_counters_read_arguments_their_functions_take():
+    # the counters of layer.fn are the Tracer methods _work_layer_fn and
+    # _count_layer_fn; they read a call's arguments by position, through
+    # _arg(args, kwargs, i, key), or by name from its bound signature
+    tree = ast.parse(LAYERTRACE.read_text(encoding="utf-8"))
+    homes = {f"_{kind}_{layer}_{name}": (layer, name)
+             for layer, names in _traced_layers(tree).items()
+             for name in names for kind in ("work", "count")}
+    tracer = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "Tracer")
+    counters = [node for node in tracer.body if isinstance(node, ast.FunctionDef)
+                and node.name.startswith(("_work_", "_count_"))]
+    assert counters
+    for counter in counters:
+        assert counter.name in homes, f"{counter.name} counts no traced function"
+        layer, name = homes[counter.name]
+        fn = getattr(importlib.import_module(f"sievelab.{layer}"), name)
+        params = inspect.signature(fn).parameters
+        positional = [p for p in params.values()
+                      if p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD]
+        for node in ast.walk(counter):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_arg":
+                i = ast.literal_eval(node.args[2])
+                assert i < len(positional), f"{counter.name} reads argument {i} of {name}"
+            elif (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                  and isinstance(node.slice, ast.Constant)):
+                assert node.slice.value in params, f"{counter.name} reads {node.slice.value}"

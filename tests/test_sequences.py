@@ -86,7 +86,7 @@ def test_modulus_evaluation_matches_pointwise_sums():
     n = 2 * sequences._PIECE + 5  # the fold's piece edges fall inside its rows
     for seq in (make_sequence("random_phases", 40, seed=9),
                 make_sequence("random_phases", n, seed=9),
-                CoefficientSequence(seeded_rng(9).standard_normal(n) * 1j + 0.5, n)):
+                CoefficientSequence(seeded_rng(9).standard_normal(n) * 1j + 0.5)):
         for q in (1, 2, 7, 40, 41, 83):
             rows = eval_at_modulus(seq, q)
             assert rows.shape == (q,)
@@ -134,7 +134,7 @@ def test_modulus_evaluation_satisfies_parseval(n):
 
 
 def test_energy_is_computed_from_values():
-    seq = CoefficientSequence(np.array([3.0, 4.0j]), 2)
+    seq = CoefficientSequence(np.array([3.0, 4.0j]))
     assert seq.Z == 25.0
     assert seq.N == 2
 
@@ -156,7 +156,7 @@ def test_a_huge_sequence_is_built_at_once_without_its_values():
 def test_pieces_are_the_values_in_order():
     n = 2 * sequences._PIECE + 5
     for seq in (make_sequence("random_phases", n, seed=3),
-                CoefficientSequence(np.arange(n) * 1j, n)):
+                CoefficientSequence(np.arange(n) * 1j)):
         parts = list(seq.pieces())
         assert [p.size for p in parts] == [sequences._PIECE] * 2 + [5]
         assert np.array_equal(np.concatenate(parts), seq.values)
