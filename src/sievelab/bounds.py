@@ -49,7 +49,7 @@ from .counting import (PROFILE_ELEMENT_BYTES, PROFILE_PAIR_BYTES, PROFILE_PAIRS,
                        window_count_profile)
 from .errors import CapacityError, InvalidRegimeError, NotCoprimeError, OutOfRangeError
 from .moduli import ModuliSet
-from .sequences import CoefficientSequence, _folds
+from .sequences import CoefficientSequence, _folds, pass_bytes
 from .arith import divisors, squarefree_divisors
 from . import util
 from .util import fmt17
@@ -194,11 +194,13 @@ def sieve_lhs(seq: CoefficientSequence, s: ModuliSet, threads: int = 1) -> float
     its Moebius refolds.
 
     Memory rule: the host folds of one pass take at most util.CAPACITY
-    bytes; hosts whose folds together exceed it are taken in consecutive
-    batches, one pass over the sequence each, and a batch's folds are
-    dropped before the next pass.  Each worker's refold temporaries stay
-    within the widest fold, and the workers' together (the widest fold,
-    min(threads, |s|) times) must fit in util.CAPACITY, or nothing runs.
+    bytes less the pass's piece (sequences.pass_bytes); hosts whose
+    folds together exceed that are taken in consecutive batches, one
+    pass over the sequence each, and a batch's folds are dropped before
+    the next pass.  Each worker's refold temporaries stay within the
+    widest fold, and the workers' together (the widest fold,
+    min(threads, |s|) times) and the piece must fit in util.CAPACITY,
+    or nothing runs.
 
     Each host fold is built by one worker in element order, each refold
     is a fixed reshape sum, and the terms are reduced in element order,
@@ -210,11 +212,12 @@ def sieve_lhs(seq: CoefficientSequence, s: ModuliSet, threads: int = 1) -> float
     qs = [int(q) for q in s.elements]
     workers = max(1, min(threads, len(qs)))
     lattice = _lattice(qs)
+    piece = pass_bytes(seq.N, workers)
     util.reserve("sieve sum", max(lattice, default=0) * workers, "fold entries",
-                 _FOLD_BYTES)
+                 _FOLD_BYTES, piece)
     terms = {}
     with _pool(workers) as pool:
-        for batch in _batches(lattice, util.CAPACITY // _FOLD_BYTES):
+        for batch in _batches(lattice, (util.CAPACITY - piece) // _FOLD_BYTES):
             terms.update(_batch_terms(seq, batch, pool, workers))
     total = 0.0
     for q in qs:
@@ -289,6 +292,17 @@ def _wolke_shape(n: float, q: float):
     return q * q * math.log(math.log(q)) / ((1.0 - d) * math.log(q))
 
 
+def _unique(a: np.ndarray) -> np.ndarray:
+    """np.unique(a) of a 1-D array without NaN, by one sort.  numpy's
+    plain np.unique asks np.ma.is_masked, and importing numpy.ma costs a
+    bracket process some 10 ms."""
+    a = np.sort(a)
+    keep = np.empty(a.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
 def _partition(s: ModuliSet, r: int) -> tuple:
     """(c, labels, t, l, k): the set split over the divisors of r.  q is
     in the t-dilate as c = q/t, coprime to k = r/t, exactly when
@@ -298,7 +312,7 @@ def _partition(s: ModuliSet, r: int) -> tuple:
     g = np.gcd(s.elements, r)
     c = s.elements // g
     labels = g * r + c % (r // g)
-    rows = np.unique(labels)
+    rows = _unique(labels)
     t = rows // r
     return c, labels, t, rows % r, r // t
 
@@ -419,9 +433,9 @@ def _exact_z(s: ModuliSet, n: int, r: int, part: tuple, workers: int) -> np.ndar
         widths = np.concatenate([np.flatnonzero(mark), cf[cf > s.M / t] - s.M / t])
         pts.append(2.0 * span / (t * n * widths))
     z = np.concatenate(pts)
-    zs = np.unique(np.concatenate([[z_lo, z_hi], z[(z_lo < z) & (z < z_hi)]]))
+    zs = _unique(np.concatenate([[z_lo, z_hi], z[(z_lo < z) & (z < z_hi)]]))
     mids = 0.5 * (zs[1:] + zs[:-1])
-    return np.unique(np.concatenate([zs, mids]))
+    return _unique(np.concatenate([zs, mids]))
 
 
 def sieve_bracket(s: ModuliSet, n: int, z_grid: int = 64, mode: str = "grid",

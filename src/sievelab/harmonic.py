@@ -110,9 +110,16 @@ def poisson_residual(scale: float, shift: float) -> float:
 
 
 def linear_phase_integral(j: int, z: float, q0: float) -> complex:
-    """Closed form of int_{Q0}^{2*Q0} e(j*y*z) dy for j*z != 0."""
-    om = 2j * np.pi * j * z
-    return complex((np.exp(om * 2 * q0) - np.exp(om * q0)) / om)
+    """Closed form of int_{Q0}^{2*Q0} e(w*y) dy for w = j*z != 0.
+
+    With a = w*Q0 it is (e(2a) - e(a)) / (2*pi*i*w), which equals
+    e(3a/2) * sin(pi*a) / (pi*w): the product has no cancellation at
+    small a.  sin(pi*|a|) is the imaginary part of e(|a|/2), whose
+    reduction in cexp is exact for a phase that is not negative.
+    """
+    w = j * z
+    a = w * q0
+    return complex(cexp(1.5 * a) * (cexp(0.5 * abs(a)).imag / (math.pi * abs(w))))
 
 
 def oscillatory_integral(j: int, l: int, r_star: int, z: float, q0: float) -> complex:

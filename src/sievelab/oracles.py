@@ -25,6 +25,29 @@ from .harmonic import phi_value
 from .moduli import FareyList, ModuliSet, derive_subset
 from .sequences import CoefficientSequence, eval_at_modulus, eval_exp_sum
 
+# pi to 36 digits: np.pi is a double, 1.2e-16 short of pi
+_PI_LONG = np.longdouble("3.14159265358979323846264338327950288")
+
+
+def cexp_reference(x) -> np.ndarray:
+    """exp(2*pi*i*t) for t = x % 1.0, elementwise, as complex long double.
+
+    t is the double that numpy's remainder gives, the phase util.cexp
+    evaluates; its own rounding (at most 2^-54, for negative x) is not
+    counted here, as cexp's reduction is checked against x % 1.0 bit for
+    bit.  Needs an 80-bit (x87) or wider long double, with at least 63
+    mantissa bits: then 2*pi*t, cosl and sinl are each good to a few
+    parts in 10^19, far below cexp's 1.5e-16.  Where long double is a
+    plain double the reference is no better than cexp, so callers check
+    np.finfo(np.longdouble).nmant first.
+    """
+    t = np.remainder(np.asarray(x, dtype=np.float64), 1.0).astype(np.longdouble)
+    theta = 2 * _PI_LONG * t
+    out = np.empty(t.shape, dtype=np.clongdouble)
+    out.real = np.cos(theta)
+    out.imag = np.sin(theta)
+    return out
+
 
 def naive_sieve_lhs(seq: CoefficientSequence, s: ModuliSet) -> float:
     """Double loop over moduli and reduced numerators, direct S(a/q)."""

@@ -11,11 +11,11 @@ eval_exp_sum and the oracles.  _folds folds one pass into residue
 buckets at every width asked; the sieve sum in bounds and
 eval_at_modulus both take their buckets from it.
 
-eval_exp_sum is the direct O(N) evaluation at one real point, with the
-phase argument reduced mod 1 before the exponential so large n*alpha
-does not destroy precision.  eval_at_modulus computes S(a/q) for all
-a = 1..q at once from the fold mod q by a length-q transform with exact
-rational phases; it serves per-fraction values.
+eval_exp_sum is the direct O(N) evaluation at one real point, with alpha
+reduced mod 1 before the products n*alpha, so a large alpha does not
+destroy precision; cexp reduces each product.  eval_at_modulus computes
+S(a/q) for all a = 1..q at once from the fold mod q by a length-q
+transform with exact rational phases; it serves per-fraction values.
 """
 
 from __future__ import annotations
@@ -32,6 +32,10 @@ _MAX_N = int(np.iinfo(np.intp).max) // 16  # the most complex128 values one arra
 _PIECE = 1 << 16  # coefficients per piece: the most any pass holds at once
 _PRODUCT_BYTES = 24  # a block entry: a*j, its residue mod q and the root it picks
 _RESIDUE_BYTES = 72  # a residue's O(q) arrays at their peak: 65 by tracemalloc
+# a coefficient of a pass's piece, beside the workers' copies: the piece, the
+# draw's temporaries (cexp's among them) and Z's; at most 34 by tracemalloc
+# over the stock kinds
+_PIECE_BYTES = 40
 
 
 class CoefficientSequence:
@@ -143,6 +147,12 @@ class _Fold:
         self._at += piece.size
 
 
+def pass_bytes(N: int, workers: int) -> int:
+    """What a pass of _folds over N coefficients holds beside its folds:
+    one piece at _PIECE_BYTES a coefficient and each worker's copy of it."""
+    return min(N, _PIECE) * (_PIECE_BYTES + 16 * workers)
+
+
 def _folds(seq: CoefficientSequence, widths, pool=None, workers: int = 1) -> dict:
     """The fold of seq at every width given, from one pass.
 
@@ -238,11 +248,11 @@ def sequence_from_file(path: str) -> CoefficientSequence:
 
 
 def eval_exp_sum(seq: CoefficientSequence, alpha: float) -> complex:
-    """S(alpha) = sum_{n<=N} a_n e(n*alpha), argument reduced mod 1."""
+    """S(alpha) = sum_{n<=N} a_n e(n*alpha), alpha reduced mod 1 before
+    the products n*alpha, which cexp reduces again."""
     a = alpha - math.floor(alpha)
     n = np.arange(1, seq.N + 1, dtype=np.float64)
-    phases = (n * a) % 1.0
-    return complex(np.sum(seq.values * cexp(phases)))
+    return complex(np.sum(seq.values * cexp(n * a)))
 
 
 def eval_at_modulus(seq: CoefficientSequence, q: int) -> np.ndarray:
@@ -252,13 +262,14 @@ def eval_at_modulus(seq: CoefficientSequence, q: int) -> np.ndarray:
     by one _folds pass, then S(a/q) = sum_j b_j e(a*j/q).  All phases
     come from one table of q-th roots of unity indexed by a*j mod q, so
     they are exact rationals of the circle and the result does not drift
-    with N.  The O(q) arrays and one block of the product are reserved
-    before any of them is built.
+    with N.  The O(q) arrays, one block of the product and the pass's
+    piece are reserved before any of them is built.
     """
     if q < 1:
         raise OutOfRangeError("modulus must be positive")
     block = max(1, (1 << 22) // q)  # a-rows a block, so the index matrix stays small
-    reserve("modulus transform", q, "residues", _RESIDUE_BYTES + _PRODUCT_BYTES * min(block, q))
+    reserve("modulus transform", q, "residues", _RESIDUE_BYTES + _PRODUCT_BYTES * min(block, q),
+            pass_bytes(seq.N, 1))
     buckets = np.roll(_folds(seq, [q])[q], 1)  # the fold's sum[i] holds n = i + 1
     roots = cexp(np.arange(q, dtype=np.float64) / q)
     j = np.arange(q, dtype=np.int64)

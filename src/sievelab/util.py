@@ -12,12 +12,14 @@ from .errors import CapacityError, SequenceFileError
 CAPACITY = 1_600_000_000  # bytes one large allocation may take: 10^8 complex128
 
 
-def reserve(what: str, count: int, unit: str, bytes_each: float) -> None:
+def reserve(what: str, count: int, unit: str, bytes_each: float, piece: int = 0) -> None:
     """Refuse, before it allocates, a call whose peak of count units of
-    bytes_each bytes passes CAPACITY (read at each call)."""
-    need = math.ceil(count * bytes_each)
+    bytes_each bytes, plus the piece bytes of a pass over a sequence,
+    passes CAPACITY (read at each call)."""
+    need = math.ceil(count * bytes_each) + piece
     if need > CAPACITY:
-        raise CapacityError(f"{what} needs {count} {unit} ({need} bytes), "
+        held = f"{count} {unit} and a piece" if piece else f"{count} {unit}"
+        raise CapacityError(f"{what} needs {held} ({need} bytes), "
                             f"over the {CAPACITY}-byte capacity")
 
 
@@ -51,30 +53,53 @@ def read_lines(path: str, what: str, unit: str, bytes_each: int, dtype, parse) -
 
 
 _QUARTER_TURNS = np.array([1.0 + 0j, 1j, -1.0 + 0j, -1j])
+_SHIFTER = 1.5 * 2.0**52  # u + _SHIFTER is rint(u) in its last bits, for |u| < 2^51
+_BLOCK = 1 << 13  # phases a block: its temporaries stay in cache and in malloc's heap
 
 
 def cexp(x):
     """exp(2*pi*i*x), elementwise for arrays.
 
     Every phase in the package goes through this single function so that
-    identical arguments always produce identical floats.  Phases are
-    reduced mod 1, and the four quarter-circle points come out exact;
-    libm residue like sin(pi) ~ 1e-16 would otherwise leak into results
-    that are integers by symmetry.
+    identical arguments always produce identical floats.
 
-    The reduction t - floor(t) gives the bits of t % 1.0 for finite t,
-    at a quarter of its cost.  numpy's remainder is fmod, exact, plus one
-    rounded 1.0 for negative t; t - floor(t) rounds that same exact value
-    once, and both give +0.0 at integers and at -0.0.
+    The phase is reduced mod 1 as t = x - floor(x), which gives the bits
+    of x % 1.0 for finite x at a quarter of its cost (numpy's remainder
+    is fmod, exact, plus one rounded 1.0 for negative x; x - floor(x)
+    rounds that same exact value once).  Then it is reduced by quarter
+    turns, Cody-Waite style: u = 4t, n = rint(u) and f = u - n are all
+    exact, and |f| <= 1/2.  cos and sin are taken at (pi/2)*f, inside
+    [-pi/4, pi/4] where libm is fastest and most accurate, and the result
+    is turned by i^(n mod 4), a product with one of 1, i, -1, -i that
+    only moves and negates parts, so it is exact too.
+
+    Each part is within 1.5e-16 of exp(2*pi*i*t) (measured against
+    oracles.cexp_reference: at most 1.2e-16 on 2^20 uniform t); the
+    error is the rounding of (pi/2)*f and of libm.  At a quarter turn f
+    is 0, so the four points 1, i, -1, -i come out exact, and libm
+    residue like sin(pi) ~ 1e-16 cannot leak into results that are
+    integers by symmetry; -i is +0.0 - 1j, with a positive zero.
+    A non-finite x gives NaN.
+
+    The phases go in blocks of _BLOCK, so the temporaries stay in cache
+    and the peak is little more than the output, 16 bytes a phase.
     """
     x = np.asarray(x, dtype=float)
-    t = np.floor(x, out=np.empty_like(x))
-    np.subtract(x, t, out=t)  # in place: no third array at the peak
-    out = np.exp(2j * np.pi * t)
-    quarters = t * 4.0
-    hit = quarters == np.floor(quarters)
-    if np.any(hit):
-        out = np.where(hit, _QUARTER_TURNS[quarters.astype(np.int64) & 3], out)
+    out = np.empty(x.shape, dtype=np.complex128)
+    flat, flat_out = x.reshape(-1), out.reshape(-1)
+    for lo in range(0, flat.size, _BLOCK):
+        xs, part = flat[lo : lo + _BLOCK], flat_out[lo : lo + _BLOCK]
+        u = np.floor(xs)
+        np.subtract(xs, u, out=u)  # t, in place
+        u *= 4.0
+        n = u + _SHIFTER
+        turn = n.view(np.int64) & 3  # n mod 4, read from the bits: no cast of NaN
+        n -= _SHIFTER
+        u -= n
+        u *= np.pi / 2
+        np.cos(u, out=part.real)
+        np.sin(u, out=part.imag)
+        part *= _QUARTER_TURNS[turn]
     return out
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import arith, bounds, counting, harmonic, moduli, oracles, sequences
-from .util import seeded_rng
+from .util import cexp, seeded_rng
 
 # Frozen measured constants for the three oscillatory magnitude regimes
 # (linear phase, pure square-root phase, mixed phase), at the seeds used
@@ -33,6 +33,7 @@ VDC_CALIBRATION = {
 }
 _VDC_HEADROOM = 1e-6
 _DILATE_T_MAX = 100  # check_moduli_structure tests the octave dilates by t <= this
+_CEXP_BOUND = 1.5e-16  # util.cexp's error in each part, against oracles.cexp_reference
 
 
 @dataclass
@@ -136,6 +137,38 @@ def quad_roots_sweep(k_max: int, pairs_per_k: int, seed: int) -> CheckResult:
             if coprime_pair:
                 ok = ok and cnt <= cap
             res.expect(ok, f"quad_cong_roots({g},{l},{k})")
+    return res
+
+
+# ------------------------------------------------------------------ util
+
+def cexp_checks(count: int, seed: int) -> CheckResult:
+    """util.cexp against oracles.cexp_reference: each part within
+    _CEXP_BOUND on count uniform phases in [0, 1) and on edge inputs
+    (multiples of 1/8, thirds, just below integers, past 2^52), the
+    bits of cexp(x % 1.0), exact quarter turns, and NaN off the reals."""
+    res = CheckResult("util-cexp")
+    bits = np.finfo(np.longdouble).nmant
+    res.expect(bits >= 63, f"long double has {bits} mantissa bits; the reference needs 63")
+    k = np.arange(-64.0, 65.0)
+    edges = np.concatenate([
+        k / 8, k + 1 / 3, k - 1 / 3,
+        [-2.0**-54, -1e-20, -5e-324, 5 - 2.0**-51, 2.0**53 + 2, -2.0**60 - 2**8, 1e300,
+         2.0**52 + 0.5, -2.0**51 - 0.75],
+    ])
+    for name, x in (("uniform", seeded_rng(seed).random(count)), ("edge", edges)):
+        got, want = cexp(x), oracles.cexp_reference(x)
+        err = float(max(np.max(np.abs(got.real - want.real)),
+                        np.max(np.abs(got.imag - want.imag))))
+        res.expect(err <= _CEXP_BOUND, f"{name} phases: error {err} > {_CEXP_BOUND}")
+    res.expect(np.array_equal(cexp(edges).view(np.int64), cexp(edges % 1.0).view(np.int64)),
+               "cexp(x) differs from cexp(x % 1.0) in its bits")
+    quarters = np.arange(-256, 257)
+    res.expect(np.array_equal(cexp(quarters / 4.0), np.array([1, 1j, -1, -1j])[quarters % 4]),
+               "a quarter turn is not exactly 1, i, -1 or -i")
+    with np.errstate(invalid="ignore"):  # inf - floor(inf) is NaN
+        res.expect(bool(np.all(np.isnan(cexp([np.nan, np.inf, -np.inf])))),
+                   "a non-finite phase is not NaN")
     return res
 
 
@@ -705,6 +738,7 @@ def run_verify(quick: bool = True, seed: int = 0) -> list[CheckResult]:
     q0s_win = (10, 100, 1000, 10**4) if quick else (10, 50, 100, 500, 1000,
                                                     5000, 10**4, 5 * 10**4, 10**5)
     groups = [
+        cexp_checks(2**16 if quick else 2**20, seed + 20),
         check_factorize(20_000 if quick else 10**6),
         check_mod_inv(300 if quick else 10**4, 2000 if quick else 0, seed + 1),
         quad_roots_sweep(512 if quick else 4096, 4 if quick else 20, seed + 2),

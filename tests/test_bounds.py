@@ -3,6 +3,7 @@
 import concurrent.futures
 import json
 import math
+import re
 import sys
 import time
 import tracemalloc
@@ -25,7 +26,7 @@ from sievelab.errors import (CapacityError, InvalidRegimeError,
 from sievelab import oracles
 from sievelab.arith import divisors, factorize, mod_inv
 from sievelab import bounds as bounds_mod
-from sievelab import util
+from sievelab import sequences, util
 from sievelab.bounds import _grid_z
 from sievelab.util import seeded_rng
 
@@ -128,10 +129,11 @@ def test_lhs_capacity_counts_moduli_in_flight(monkeypatch):
     seq = make_sequence("ones", 4)
     s = explicit_moduli([100, 200])
     whole = sieve_lhs(seq, s)
-    # 200 hosts itself at the width 200 * ceil(1024 / 200) = 1200
-    monkeypatch.setattr(util, "CAPACITY", 16 * 1200)
+    # 200 hosts itself at the width 200 * ceil(1024 / 200) = 1200, and a
+    # piece of the four coefficients rides with it
+    monkeypatch.setattr(util, "CAPACITY", 16 * 1200 + sequences.pass_bytes(4, 1))
     assert sieve_lhs(seq, s) == whole
-    with pytest.raises(CapacityError, match="38400 bytes"):
+    with pytest.raises(CapacityError, match=f"\\({38400 + sequences.pass_bytes(4, 2)} bytes"):
         sieve_lhs(seq, s, threads=2)
 
 
@@ -208,12 +210,14 @@ def test_batched_passes_equal_one_pass(monkeypatch):
     held = sum(_STREAM_MODULI)
     for seq in _stream_sequences()[3:]:
         whole = sieve_lhs(seq, s)
+        # the folds of a pass get what its piece leaves of the capacity
+        piece = sequences.pass_bytes(seq.N, 1)
         with monkeypatch.context() as m:
-            m.setattr(util, "CAPACITY", 16 * (held - 1))
+            m.setattr(util, "CAPACITY", 16 * (held - 1) + piece)
             assert sieve_lhs(seq, s) == whole  # two batches
-            m.setattr(util, "CAPACITY", 16 * 100003)
+            m.setattr(util, "CAPACITY", 16 * 100003 + piece)
             assert sieve_lhs(seq, s) == whole
-            m.setattr(util, "CAPACITY", 16 * 2 * 100003)
+            m.setattr(util, "CAPACITY", 16 * 2 * 100003 + sequences.pass_bytes(seq.N, 2))
             assert sieve_lhs(seq, s, threads=2) == whole
 
 
@@ -226,6 +230,29 @@ def test_sieve_sum_memory_is_bounded_by_the_piece():
     finally:
         tracemalloc.stop()
     assert peak < 24 * 2**20
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("kind, kw", [("ones", {}), ("delta", {"n0": 7}), ("random_signs", {}),
+                                      ("random_phases", {}), ("focused", {"beta": 0.3})],
+                         ids=["ones", "delta", "random_signs", "random_phases", "focused"])
+def test_sieve_sum_reserves_the_piece_of_its_pass(monkeypatch, kind, kw, threads):
+    # 100 hosts itself and 50 at the width 1100, and the first pass's
+    # piece, which also takes Z, dwarfs that fold
+    s = explicit_moduli([100, 50])
+    seq = make_sequence(kind, 70_000, **kw)
+    with monkeypatch.context() as m:
+        m.setattr(util, "CAPACITY", 0)
+        with pytest.raises(CapacityError) as refused:
+            sieve_lhs(seq, s, threads=threads)
+    need = int(re.search(r"\((\d+) bytes\)", str(refused.value)).group(1))
+    tracemalloc.start()
+    try:
+        sieve_lhs(seq, s, threads=threads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= need + 16 * 1100
 
 
 def _brute_hosts(qs):
@@ -280,15 +307,16 @@ def test_sieve_sum_peak_stays_under_its_reservation(monkeypatch, threads):
     s = explicit_moduli(qs)
     seq = make_sequence("ones", 4096)
     whole = sieve_lhs(seq, s)
-    monkeypatch.setattr(util, "CAPACITY", 16 * 260_000)
+    piece = sequences.pass_bytes(seq.N, threads)
+    monkeypatch.setattr(util, "CAPACITY", 16 * 260_000 + piece)
     assert len(list(bounds_mod._batches(bounds_mod._lattice(qs), 260_000))) == 6
     reserved = []
     reserve = util.reserve
 
-    def spy(what, count, unit, bytes_each):
+    def spy(what, count, unit, bytes_each, piece=0):
         if what == "sieve sum":
-            reserved.append(count * bytes_each)
-        reserve(what, count, unit, bytes_each)
+            reserved.append(count * bytes_each + piece)
+        reserve(what, count, unit, bytes_each, piece)
 
     monkeypatch.setattr(util, "reserve", spy)
     tracemalloc.start()
@@ -299,9 +327,9 @@ def test_sieve_sum_peak_stays_under_its_reservation(monkeypatch, threads):
         tracemalloc.stop()
     assert got == whole
     # one batch's folds take at most the capacity, and the workers'
-    # refold temporaries what was reserved for them
-    assert reserved == [threads * 16 * max(qs)]
-    assert peak <= util.CAPACITY + reserved[0]
+    # refold temporaries and the piece what was reserved for them
+    assert reserved == [threads * 16 * max(qs) + piece]
+    assert peak <= util.CAPACITY - piece + reserved[0]
 
 
 # ------------------------------------------------------------ the bracket

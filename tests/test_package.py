@@ -16,9 +16,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 LAYERTRACE = SRC.parent / "bench" / "layertrace.py"
 SUBMODULES = ("arith", "bounds", "counting", "errors", "harmonic", "moduli",
               "oracles", "sequences", "util", "verify")
-# modules that neither a-count nor a sweep without sieve sums uses
+# modules that neither a-count, a sweep without sieve sums nor a grid
+# bracket uses
 OFF_PATH = ("sievelab.verify", "sievelab.oracles", "sievelab.harmonic",
-            "fractions", "json")
+            "fractions", "json", "numpy.ma")
 
 
 def _loaded(*args: str) -> set[str]:
@@ -40,7 +41,8 @@ def test_import_loads_no_submodule():
 @pytest.mark.parametrize("argv", [
     "--cmd a-count --moduli primes --q 50 --u 5 --k 1 --l 0 --t 1",
     "--cmd sweep --grid-n 4096 --grid-q 8 --moduli squares --no-lhs",
-], ids=["a-count", "sweep-no-lhs"])
+    "--cmd bracket --moduli octave --q0 64 --n 1024 --z-grid 8",
+], ids=["a-count", "sweep-no-lhs", "bracket"])
 def test_commands_load_only_what_they_run(argv):
     mods = _loaded("-m", "sievelab", *argv.split())
     assert {"sievelab.cli", "sievelab.bounds", "sievelab.moduli"} <= mods

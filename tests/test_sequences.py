@@ -2,6 +2,7 @@
 
 import io
 import os
+import re
 import time
 import tracemalloc
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from sievelab import (CoefficientSequence, eval_at_modulus, eval_exp_sum,
                       make_sequence, moduli_from_file, sequence_from_file)
-from sievelab import sequences, util
+from sievelab import oracles, sequences, util
 from sievelab.errors import CapacityError, OutOfRangeError, SequenceFileError
 from sievelab.util import cexp, seeded_rng
 
@@ -108,11 +109,12 @@ def test_modulus_evaluation_memory_is_bounded_by_the_piece():
 
 def test_a_modulus_over_the_capacity_is_refused_before_anything_is_built(monkeypatch):
     seq = make_sequence("ones", 10)
-    q = 600  # the O(q) arrays and one block, which holds all q a-rows
-    need = q * (sequences._RESIDUE_BYTES + sequences._PRODUCT_BYTES * q)
+    q = 600  # the O(q) arrays, one block, which holds all q a-rows, and the piece
+    need = (q * (sequences._RESIDUE_BYTES + sequences._PRODUCT_BYTES * q)
+            + sequences.pass_bytes(10, 1))
     monkeypatch.setattr(util, "CAPACITY", need - 1)
     with pytest.raises(CapacityError, match=f"modulus transform needs {q} residues "
-                                            f"\\({need} bytes\\)"):
+                                            f"and a piece \\({need} bytes\\)"):
         eval_at_modulus(seq, q)
     monkeypatch.setattr(util, "CAPACITY", need)
     tracemalloc.start()
@@ -122,6 +124,29 @@ def test_a_modulus_over_the_capacity_is_refused_before_anything_is_built(monkeyp
     finally:
         tracemalloc.stop()
     assert rows[-1] == 10.0
+    assert peak <= need
+
+
+_STOCK = [("ones", {}), ("delta", {"n0": 7}), ("random_signs", {}),
+          ("random_phases", {}), ("focused", {"beta": 0.3})]
+
+
+@pytest.mark.parametrize("kind, kw", _STOCK, ids=[k for k, _ in _STOCK])
+def test_modulus_evaluation_peaks_within_its_reservation(monkeypatch, kind, kw):
+    # a first call, whose pass also takes Z: its piece dwarfs q's arrays;
+    # the reservation is read from the refusal at capacity 0
+    seq = make_sequence(kind, 70_000, **kw)
+    with monkeypatch.context() as m:
+        m.setattr(util, "CAPACITY", 0)
+        with pytest.raises(CapacityError) as refused:
+            eval_at_modulus(seq, 100)
+    need = int(re.search(r"\((\d+) bytes\)", str(refused.value)).group(1))
+    tracemalloc.start()
+    try:
+        eval_at_modulus(seq, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert peak <= need
 
 
@@ -185,11 +210,16 @@ def test_cexp_reduction_gives_the_bits_of_mod_one():
         rng.standard_normal(4096) * 1e-12,
     ])
     t = x % 1.0
+    got = cexp(x)
+    assert np.array_equal(got.view(np.int64), cexp(t).view(np.int64))
     quarters = t * 4.0
-    want = np.where(quarters == np.floor(quarters),
-                    np.array([1.0 + 0j, 1j, -1.0 + 0j, -1j])[quarters.astype(np.int64) & 3],
-                    np.exp(2j * np.pi * t))
-    assert np.array_equal(cexp(x).view(np.int64), want.view(np.int64))
+    hit = quarters == np.floor(quarters)
+    assert np.array_equal(got[hit], np.array([1, 1j, -1, -1j])[quarters[hit].astype(np.int64) & 3])
+    # each part within 1.5e-16 of exp(2 pi i t), taken in long double
+    assert np.finfo(np.longdouble).nmant >= 63
+    want = oracles.cexp_reference(x)
+    assert np.max(np.abs(got.real - want.real)) <= 1.5e-16
+    assert np.max(np.abs(got.imag - want.imag)) <= 1.5e-16
 
 
 def test_file_errors_carry_the_line():
