@@ -32,7 +32,10 @@ from .util import cexp, reserve
 _QUAD_NODES = 16
 _PANEL_BUDGET = 1 << 20
 _POISSON_TRUNC = 10**6  # poisson_residual's T: its direct side sums |n| <= T
-_GAUSS_TERM_BYTES = 89  # a term's arrays at the peak (tracemalloc at c = 10^6)
+# a term's arrays at the peak: 40.3 by tracemalloc at c = 10^6 + 3 for
+# gauss_sum, 40.0 for gauss_sum_row.  Below about 10^5 terms cexp's block
+# of temporaries (320 KiB) adds more, but only far under the capacity
+_GAUSS_TERM_BYTES = 41
 
 
 def phi_value(x):

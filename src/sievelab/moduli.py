@@ -28,8 +28,8 @@ _INT64_MAX = int(np.iinfo(np.int64).max)  # every modulus is an int64
 _FAREY_Q_LIMIT = 1 << 26  # below it, distinct reduced fractions have distinct floats
 _FAREY_SLAB = 1 << 14  # fractions one Farey slab holds, about
 # a file modulus peaks at 9 bytes under tracemalloc, its int64 and the
-# order check's bool; the tenth covers the reader's buffers from 10^5 moduli
-_FILE_MODULUS_BYTES = 10
+# order check's bool; util.read_lines charges the reader's buffers
+_FILE_MODULUS_BYTES = 9
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,7 +23,7 @@ from .counting import WindowQuery
 from .errors import InvalidDeltaError, NotCoprimeError
 from .harmonic import phi_value
 from .moduli import FareyList, ModuliSet, derive_subset
-from .sequences import CoefficientSequence, eval_at_modulus, eval_exp_sum
+from .sequences import CoefficientSequence, eval_exp_sum
 
 # pi to 36 digits: np.pi is a double, 1.2e-16 short of pi
 _PI_LONG = np.longdouble("3.14159265358979323846264338327950288")
@@ -70,16 +70,40 @@ def direct_fold(values: np.ndarray, q: int) -> np.ndarray:
 
 
 def dense_sieve_lhs(seq: CoefficientSequence, s: ModuliSet) -> float:
-    """Every S(a/q) from the dense root-table transform, reduced a kept;
-    its buckets are sieve_lhs's own fold (sequences._folds), which
-    verify's bounds-moebius group checks against direct_fold."""
+    """Every |S(a/q)|^2 from one FFT of the whole array's direct_fold mod
+    q, reduced a kept.
+
+    Index i of the fold holds the a_n with n = i + 1 mod q, so numpy's
+    forward FFT, sum_i b_i e(-i*k/q), is e(-a/q) S(a/q) at k = -a mod q,
+    and a -> -a permutes the reduced residues: the sum runs over the
+    indices coprime to q.  O(N + q log q) a modulus; it shares direct_fold
+    and numpy with the library, and nothing of the sieve sum's fold,
+    lattice or Moebius refolds.  The FFT's twiddles are numpy's own, not
+    util.cexp's.
+    """
+    values = seq.values
     total = 0.0
     for q in s.elements:
         q = int(q)
-        vals = eval_at_modulus(seq, q)
-        a = np.arange(1, q + 1, dtype=np.int64)
-        total += float(np.sum(np.abs(vals[np.gcd(a, q) == 1]) ** 2))
+        spectrum = np.fft.fft(direct_fold(values, q))
+        total += float(np.sum(np.abs(spectrum[_units_mask(q)]) ** 2))
     return total
+
+
+def _units_mask(q: int) -> np.ndarray:
+    """mask[k] = gcd(k, q) == 1 for k = 0..q-1: the multiples of each
+    prime of q, found by trial division, struck out."""
+    mask = np.ones(q, dtype=bool)
+    m, p = q, 2
+    while p * p <= m:
+        if m % p == 0:
+            mask[::p] = False
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        mask[::m] = False
+    return mask
 
 
 def count_window_oracle(s_t: ModuliSet, query: WindowQuery, m_off: float,

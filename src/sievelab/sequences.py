@@ -6,16 +6,17 @@ A sequence is read in order, in pieces of at most _PIECE coefficients,
 so a pass over it holds one piece, never all N values.  The stock
 sequences of make_sequence draw each piece when a pass reaches it; an
 explicit array, such as sequence_from_file loads, is read as slices of
-itself.  The whole array (values) is built only on request, by
-eval_exp_sum and the oracles.  _folds folds one pass into residue
-buckets at every width asked; the sieve sum in bounds and
-eval_at_modulus both take their buckets from it.
+itself.  The whole array (values) is built only on request, by the
+oracles and verify.  _folds folds one pass into residue buckets at
+every width asked; the sieve sum in bounds and eval_at_modulus both
+take their buckets from it.
 
-eval_exp_sum is the direct O(N) evaluation at one real point, with alpha
-reduced mod 1 before the products n*alpha, so a large alpha does not
-destroy precision; cexp reduces each product.  eval_at_modulus computes
-S(a/q) for all a = 1..q at once from the fold mod q by a length-q
-transform with exact rational phases; it serves per-fraction values.
+eval_exp_sum is the direct O(N) evaluation at one real point, one pass
+over the pieces, with alpha reduced mod 1 before the products n*alpha,
+so a large alpha does not destroy precision; cexp reduces each product.
+eval_at_modulus computes S(a/q) for all a = 1..q at once from the fold
+mod q by a length-q transform with exact rational phases; it serves
+per-fraction values.
 """
 
 from __future__ import annotations
@@ -33,9 +34,14 @@ _PIECE = 1 << 16  # coefficients per piece: the most any pass holds at once
 _PRODUCT_BYTES = 24  # a block entry: a*j, its residue mod q and the root it picks
 _RESIDUE_BYTES = 72  # a residue's O(q) arrays at their peak: 65 by tracemalloc
 # a coefficient of a pass's piece, beside the workers' copies: the piece, the
-# draw's temporaries (cexp's among them) and Z's; at most 34 by tracemalloc
-# over the stock kinds
-_PIECE_BYTES = 40
+# one before it (held until the next is drawn), the draw's temporaries and
+# Z's.  At most 67.4 by tracemalloc over the stock kinds from 10^3
+# coefficients up: cexp's temporaries take 40 a phase below its 2^13 block
+_PIECE_BYTES = 72
+# an exponential sum's term beside its pass: n, n*alpha, the phase and its
+# product with a_n; at most 19 by tracemalloc over the stock kinds, as the
+# draw's temporaries are gone by then
+_TERM_BYTES = 24
 
 
 class CoefficientSequence:
@@ -82,7 +88,7 @@ class CoefficientSequence:
     def values(self) -> np.ndarray:
         """All N coefficients as one read-only array, built on first use."""
         if self._values is None:
-            reserve("sequence values", self.N, "coefficients", 16)
+            reserve("sequence values", self.N, "coefficients", 16, pass_bytes(self.N, 0))
             v = np.empty(self.N, dtype=np.complex128)
             i = 0
             for piece in self.pieces():
@@ -249,10 +255,23 @@ def sequence_from_file(path: str) -> CoefficientSequence:
 
 def eval_exp_sum(seq: CoefficientSequence, alpha: float) -> complex:
     """S(alpha) = sum_{n<=N} a_n e(n*alpha), alpha reduced mod 1 before
-    the products n*alpha, which cexp reduces again."""
+    the products n*alpha, which cexp reduces again.
+
+    One pass over the pieces: each piece's terms are summed by np.sum and
+    the piece sums added in order.  Up to _PIECE coefficients that is the
+    whole-array np.sum(values * cexp(n * alpha)) bit for bit; above it
+    each piece sum adds one rounding (measured: within 3 * 2^-53 * sum
+    |a_n| of the whole-array sum at N = 2^20).  The pass and one piece's
+    terms are reserved before either is built.
+    """
     a = alpha - math.floor(alpha)
-    n = np.arange(1, seq.N + 1, dtype=np.float64)
-    return complex(np.sum(seq.values * cexp(n * a)))
+    reserve("exponential sum", min(seq.N, _PIECE), "terms", _TERM_BYTES, pass_bytes(seq.N, 0))
+    sums, lo = [], 0
+    for piece in seq.pieces():
+        n = np.arange(lo + 1, lo + piece.size + 1, dtype=np.float64)
+        sums.append(np.sum(piece * cexp(n * a)))
+        lo += piece.size
+    return complex(sum(sums[1:], sums[0]))
 
 
 def eval_at_modulus(seq: CoefficientSequence, q: int) -> np.ndarray:

@@ -10,15 +10,19 @@ import numpy as np
 from .errors import CapacityError, SequenceFileError
 
 CAPACITY = 1_600_000_000  # bytes one large allocation may take: 10^8 complex128
+# a file reader's buffers and lines, beside its array: at most 22.1 KB by
+# tracemalloc, from 1 to 3*10^5 rows of either reader
+_READER_BYTES = 24 * 1024
 
 
-def reserve(what: str, count: int, unit: str, bytes_each: float, piece: int = 0) -> None:
+def reserve(what: str, count: int, unit: str, bytes_each: float, extra: int = 0,
+            beside: str = "a piece") -> None:
     """Refuse, before it allocates, a call whose peak of count units of
-    bytes_each bytes, plus the piece bytes of a pass over a sequence,
-    passes CAPACITY (read at each call)."""
-    need = math.ceil(count * bytes_each) + piece
+    bytes_each bytes, plus extra bytes held beside them (by default the
+    piece of a pass over a sequence), passes CAPACITY (read at each call)."""
+    need = math.ceil(count * bytes_each) + extra
     if need > CAPACITY:
-        held = f"{count} {unit} and a piece" if piece else f"{count} {unit}"
+        held = f"{count} {unit} and {beside}" if extra else f"{count} {unit}"
         raise CapacityError(f"{what} needs {held} ({need} bytes), "
                             f"over the {CAPACITY}-byte capacity")
 
@@ -26,15 +30,17 @@ def reserve(what: str, count: int, unit: str, bytes_each: float, piece: int = 0)
 def read_lines(path: str, what: str, unit: str, bytes_each: int, dtype, parse) -> np.ndarray:
     """One entry of dtype per non-blank line of a UTF-8 text file, as
     parse(line, ln, done) gives it from line number ln and the entries
-    before it.  A first pass counts the lines, so bytes_each a line are
-    reserved before the file is rewound and a second pass fills the
-    array.  A pipe, which cannot be rewound, a file whose count changes
-    between the passes and an unreadable one are a SequenceFileError.
+    before it.  A first pass counts the lines, so bytes_each a line and
+    the reader's buffers are reserved before the file is rewound and a
+    second pass fills the array.  A pipe, which cannot be rewound, a
+    file whose count changes between the passes and an unreadable one
+    are a SequenceFileError.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             count = sum(1 for line in fh if line.strip())
-            reserve(f"{what} file {path}", count, unit, bytes_each)
+            reserve(f"{what} file {path}", count, unit, bytes_each, _READER_BYTES,
+                    "the reader's buffers")
             out = np.empty(count, dtype=dtype)
             fh.seek(0)
             i = 0

@@ -392,6 +392,10 @@ def classical_bound_trials(trials: int, seed: int) -> CheckResult:
 # 1/3 over moduli divisible by 3) cancel most of them, so the result
 # itself is no scale for the rounding of its terms.
 _MOEBIUS_RTOL = 1e-12
+# the paper's square sets, squares up to floor(N^e), are checked at every
+# length up to their n_max; at N = 2^20, e = 0.42 holds 337 moduli and
+# its reference takes some 17 s (2 vCPUs)
+_PAPER_CAPS = ((0.29, 1 << 20), (0.42, 1 << 18))
 
 
 def _lattice_folds(seq: sequences.CoefficientSequence, qs: list[int]) -> dict:
@@ -409,19 +413,21 @@ def _moebius_scale(seq: sequences.CoefficientSequence, s: moduli.ModuliSet) -> f
 
 
 def moebius_checks(lengths, naive_trials: int, seed: int) -> CheckResult:
-    """sieve_lhs against the dense transform at every length given (up
-    to 2^16), over squares, an octave and composite moduli with up to
-    five prime factors, and every lattice fold against the direct fold
-    of the whole array (exact for integer sequences, else within
-    bounds._LATTICE_RTOL of the mass sum |a_n|); and sieve_lhs against
-    the naive loop at desk sizes."""
+    """sieve_lhs against the dense FFT reference at every length given,
+    over squares, an octave, composite moduli with up to five prime
+    factors and the paper's squares up to N^e (_PAPER_CAPS), and every
+    lattice fold against the direct fold of the whole array (exact for
+    integer sequences, else within bounds._LATTICE_RTOL of the mass sum
+    |a_n|); and sieve_lhs against the naive loop at desk sizes."""
     res = CheckResult("bounds-moebius")
     rng = seeded_rng(seed)
-    sets = (moduli.squares_up_to(16), moduli.squares_in_octave(300),
-            moduli.explicit_moduli([1, 2, 6, 30, 101, 210, 2310]))
+    fixed = (moduli.squares_up_to(16), moduli.squares_in_octave(300),
+             moduli.explicit_moduli([1, 2, 6, 30, 101, 210, 2310]))
     for n in lengths:
         seqs = [_random_sequence(rng, n, flavor) for flavor in range(6)]
         seqs += [sequences.make_sequence("focused", n, beta=b) for b in (1 / 3, 1e-7)]
+        sets = fixed + tuple(moduli.squares_up_to(math.floor(n ** e))
+                             for e, n_max in _PAPER_CAPS if n <= n_max)
         for seq in seqs:
             values = seq.values
             exact = np.array_equal(values, np.round(values))  # ones, signs, delta
@@ -431,7 +437,7 @@ def moebius_checks(lengths, naive_trials: int, seed: int) -> CheckResult:
                 dense = oracles.dense_sieve_lhs(seq, s)
                 tol = _MOEBIUS_RTOL * _moebius_scale(seq, s)
                 res.expect(abs(fast - dense) <= tol,
-                           f"N={n} {s.kind}: lhs {fast} vs dense {dense}")
+                           f"N={n} {s.kind} Q={s.Q:g}: lhs {fast} vs dense {dense}")
                 for q, fold in _lattice_folds(seq, [int(q) for q in s.elements]).items():
                     gap = float(np.max(np.abs(fold - oracles.direct_fold(values, q))))
                     res.expect(gap <= lattice_tol,
@@ -755,7 +761,8 @@ def run_verify(quick: bool = True, seed: int = 0) -> list[CheckResult]:
         dirichlet_trials(10**3 if quick else 10**4, seed + 10),
         square_window_sweep(q0s_win, 8 if quick else 20, 16 if quick else 50),
         classical_bound_trials(40 if quick else 200, seed + 11),
-        moebius_checks((1000, 2**16) if quick else (1, 7, 100, 1000, 2**12, 2**14, 2**16),
+        moebius_checks((1000, 2**16) if quick else
+                       (1, 7, 100, 1000, 2**12, 2**14, 2**16, 2**18, 2**20),
                        20 if quick else 100, seed + 18),
         bracket_checks(6 if quick else 20, seed + 12),
         bracket_grid_checks(6 if quick else 40, seed + 19),

@@ -447,11 +447,12 @@ def test_an_interval_offset_on_a_built_in_family_exits_2(capsys, tmp_path, via, 
 def test_a_moduli_file_over_the_capacity_exits_1(capsys, monkeypatch, tmp_path):
     mod = tmp_path / "mod.txt"
     mod.write_text("4\n9\nnine\n", encoding="utf-8")
-    monkeypatch.setattr(util, "CAPACITY", 29)
+    need = 3 * 9 + util._READER_BYTES
+    monkeypatch.setattr(util, "CAPACITY", need - 1)
     code, out, err = run_cli(capsys, "--cmd", "k-delta", "--moduli", f"file:{mod}")
     assert (code, out) == (1, "")
-    assert err == (f"error: moduli file {mod} needs 3 moduli (30 bytes), "
-                   "over the 29-byte capacity\n")
+    assert err == (f"error: moduli file {mod} needs 3 moduli and the reader's buffers "
+                   f"({need} bytes), over the {need - 1}-byte capacity\n")
 
 
 @pytest.mark.parametrize("cmd", ["sieve-sum", "shapes"])

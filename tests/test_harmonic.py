@@ -92,10 +92,10 @@ def test_gauss_sums_past_the_int64_square_are_exact():
 @pytest.mark.parametrize("call", [lambda c: gauss_sum(1, 0, c), lambda c: gauss_sum_row(1, c)],
                          ids=["gauss_sum", "gauss_sum_row"])
 def test_gauss_sums_over_the_capacity_are_refused(monkeypatch, call):
-    monkeypatch.setattr(util, "CAPACITY", 89 * 1000 - 1)
-    with pytest.raises(CapacityError, match=r"needs 1000 terms \(89000 bytes\)"):
+    monkeypatch.setattr(util, "CAPACITY", 41 * 1000 - 1)
+    with pytest.raises(CapacityError, match=r"needs 1000 terms \(41000 bytes\)"):
         call(1000)
-    monkeypatch.setattr(util, "CAPACITY", 89 * 1000)
+    monkeypatch.setattr(util, "CAPACITY", 41 * 1000)
     assert np.all(np.isfinite(call(1000)))
 
 

@@ -9,14 +9,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import numpy.random  # numpy loads it lazily: loaded here, no traced call counts it
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from sievelab import moduli, util
-from sievelab import (derive_subset, enumerate_farey, explicit_moduli,
-                      make_sequence, moduli_from_file, primes_up_to_set,
-                      quad_cong_roots, sequence_from_file, sieve_lhs,
+from sievelab import (derive_subset, enumerate_farey, eval_exp_sum, explicit_moduli,
+                      gauss_sum, gauss_sum_row, make_sequence, moduli_from_file,
+                      primes_up_to_set, quad_cong_roots, sequence_from_file, sieve_lhs,
                       square_class_count, square_divisor_profile,
                       squares_in_octave, squares_up_to)
 from sievelab.arith import quad_cong_count
@@ -252,22 +253,34 @@ def test_farey_capacity_refused_before_allocating():
     (lambda: primes_up_to_set(10**4), "10001 slots", 20904, True),
     (lambda: enumerate_farey(squares_up_to(100)), "203085 fractions", 203085 * 50, True),
     # the widest fold of squares to 8 is 36's, at 36 * ceil(1024 / 36) = 1044,
-    # with a piece of the 64 coefficients
+    # with a piece of the 64 coefficients.  The peak goes unchecked: only
+    # the widest fold is reserved, and sieve_lhs budgets its folds by batching
     (lambda: sieve_lhs(make_sequence("ones", 64), squares_up_to(8), threads=2),
      "2088 fold entries and a piece", 2088 * 16 + pass_bytes(64, 2), False),
-    (lambda: make_sequence("ones", 1001).values, "1001 coefficients", 1001 * 16, False),
-    (lambda: sequence_from_file("seq.txt"), "1001 coefficients", 1001 * 16, False),
-    (lambda: moduli_from_file("mods.txt"), "100000 moduli", 10**5 * 10, True),
+    (lambda: make_sequence("ones", 1001).values, "1001 coefficients and a piece",
+     1001 * 16 + pass_bytes(1001, 0), True),
+    # two pieces of 2^16 terms at 24 bytes a term
+    (lambda: eval_exp_sum(make_sequence("random_phases", 2**17), 0.3),
+     "65536 terms and a piece", 65536 * 24 + pass_bytes(2**17, 0), True),
+    (lambda: gauss_sum(1, 0, 10**6 + 3), "1000003 terms", 1000003 * 41, True),
+    (lambda: gauss_sum_row(1, 10**6 + 3), "1000003 terms", 1000003 * 41, True),
+    (lambda: sequence_from_file("seq.txt"), "1001 coefficients and the reader's buffers",
+     1001 * 16 + util._READER_BYTES, True),
+    (lambda: moduli_from_file("mods.txt"), "100000 moduli and the reader's buffers",
+     10**5 * 9 + util._READER_BYTES, True),
+    (lambda: moduli_from_file("mods1k.txt"), "1000 moduli and the reader's buffers",
+     1000 * 9 + util._READER_BYTES, True),
 ], ids=["squares", "octave", "primes", "primes-small", "farey", "sieve-sum", "values",
-        "file-sequence", "file-moduli"])
+        "exp-sum", "gauss-sum", "gauss-row", "file-sequence", "file-moduli", "file-moduli-1k"])
 def test_one_byte_capacity_bounds_every_large_allocation(monkeypatch, tmp_path, call, count,
                                                           need, bounds_peak):
     # the file cases read seq.txt here, 1001 rows with blank lines between,
-    # and mods.txt, 10^5 moduli
+    # and mods.txt and mods1k.txt, 10^5 and 1000 moduli
     monkeypatch.chdir(tmp_path)
     (tmp_path / "seq.txt").write_text("1 0\n\n" * 1001, encoding="utf-8")
-    mods = range(10**12, 10**12 + 3 * 10**5, 3)
-    (tmp_path / "mods.txt").write_text("".join(f"{q}\n" for q in mods), encoding="utf-8")
+    for name, rows in (("mods.txt", 10**5), ("mods1k.txt", 1000)):
+        mods = range(10**12, 10**12 + 3 * rows, 3)
+        (tmp_path / name).write_text("".join(f"{q}\n" for q in mods), encoding="utf-8")
     monkeypatch.setattr(util, "CAPACITY", need - 1)
     start = time.perf_counter()
     with pytest.raises(CapacityError) as refused:

@@ -83,6 +83,20 @@ def test_delta_single_term_at_quarter_turn():
     assert eval_exp_sum(seq, 0.25) == -1j
 
 
+def test_exp_sum_streams_the_whole_array_sum():
+    # one piece gives the whole-array sum bit for bit; each further piece
+    # adds one rounding of the running sum
+    for n in (1000, sequences._PIECE, 4 * sequences._PIECE + 5):
+        seq = make_sequence("random_phases", n, seed=3)
+        for alpha in (0.123, 1 / 3, 12345.678):
+            t = np.arange(1, n + 1, dtype=np.float64) * (alpha - np.floor(alpha))
+            whole = complex(np.sum(seq.values * cexp(t)))
+            if n <= sequences._PIECE:
+                assert eval_exp_sum(seq, alpha) == whole
+            else:  # the mass sum |a_n| is n
+                assert abs(eval_exp_sum(seq, alpha) - whole) <= 1e-14 * n
+
+
 def test_modulus_evaluation_matches_pointwise_sums():
     n = 2 * sequences._PIECE + 5  # the fold's piece edges fall inside its rows
     for seq in (make_sequence("random_phases", 40, seed=9),
