@@ -45,8 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import (PROFILE_ELEMENT_BYTES, PROFILE_PAIR_BYTES, PROFILE_PAIRS,
-                       window_count_profile)
+from .counting import profile_bytes, window_count_profile
 from .errors import CapacityError, InvalidRegimeError, NotCoprimeError, OutOfRangeError
 from .moduli import ModuliSet
 from .sequences import CoefficientSequence, _folds, pass_bytes
@@ -345,16 +344,14 @@ def _window_max(s: ModuliSet, r: int, part: tuple, zs: np.ndarray, width, hs: np
     rows = t.size
     step = max(1, _BRACKET_CHUNK // max(1, rows * zs.size))
     h_chunk = min(hs.size, step)
-    pairs = c.size * min(zs.size, max(1, PROFILE_PAIRS // max(1, c.size)))
     # bytes, from tracemalloc peaks: 48 a (row, z) for the widths, the
     # profile, a, b, k - b and the temporaries of the h-free sum; 128 a
-    # row for the partition; the profile's bytes an element and an
-    # (element, z) pair of one chunk; 2 an (h, row, z) of a gather chunk
-    # for the hits and a comparison, and 16 an (h, row) and an (h, z) of
-    # it; and 128 KiB for small arrays and einsum's cast buffer
+    # row for the partition; the profile's own (counting.profile_bytes);
+    # 2 an (h, row, z) of a gather chunk for the hits and a comparison,
+    # and 16 an (h, row) and an (h, z) of it; and 128 KiB for small
+    # arrays and einsum's cast buffer
     util.reserve(f"bracket terms at r={r}",
-                 workers * (48 * rows * zs.size + 128 * rows + PROFILE_ELEMENT_BYTES * c.size
-                            + PROFILE_PAIR_BYTES * pairs
+                 workers * (48 * rows * zs.size + 128 * rows + profile_bytes(c.size, zs.size)
                             + h_chunk * (2 * rows * zs.size + 16 * (rows + zs.size)) + 2**17),
                  "bytes of window-sum arrays", 1)
     _, prof = window_count_profile(c, width(t[:, None]), s.M / t, (s.M + span) / t,
@@ -376,12 +373,12 @@ def _window_max(s: ModuliSet, r: int, part: tuple, zs: np.ndarray, width, hs: np
 def _grid_z(r: int, n: int, points: int) -> np.ndarray:
     z_lo = 1.0 / n
     z_hi = 1.0 / (r * math.sqrt(n))
-    g = max(2, points)
     ratio = z_hi / z_lo
-    # int/int true division is correctly rounded, so j/(g-1) and
-    # (65*j)/(65*(g-1)) are the same float and coarse grids are exact
+    # int/int true division is correctly rounded, so j/(points-1) and
+    # (65*j)/(65*(points-1)) are the same float and coarse grids are exact
     # subsets of their refinements: bit-identical z values.
-    return np.fromiter((z_lo * ratio ** (j / (g - 1)) for j in range(g)), np.float64, g)
+    return np.fromiter((z_lo * ratio ** (j / (points - 1)) for j in range(points)),
+                       np.float64, points)
 
 
 def _exact_z(s: ModuliSet, n: int, r: int, part: tuple, workers: int) -> np.ndarray:
@@ -463,6 +460,8 @@ def sieve_bracket(s: ModuliSet, n: int, z_grid: int = 64, mode: str = "grid",
         raise OutOfRangeError("bracket needs N >= 4")
     if mode not in ("grid", "exact"):
         raise OutOfRangeError(f"unknown mode {mode!r}")
+    if mode == "grid" and z_grid < 2:
+        raise OutOfRangeError(f"a z-grid needs at least 2 points, not {z_grid}")
     if mode == "grid" and z_grid > _MAX_Z_GRID:
         raise CapacityError(f"a z-grid of {z_grid} points needs {8 * z_grid} bytes "
                             f"per (h, row), over the {_MAX_Z_GRID} entries "
@@ -529,8 +528,8 @@ def crowding_shape_estimates(r: int, z: float, delta: float, q0: float,
     farey_crowding_shape.
     """
     _check_regime(r, z, delta)
-    if q0 <= 0:
-        raise OutOfRangeError("q0 must be positive")
+    if not (0 < q0 < math.inf and all(map(math.isfinite, (s_count, x, eps)))):
+        raise OutOfRangeError("need a finite positive q0 and finite s_count, x and eps")
     damp = delta ** (-eps)
     return {
         "well_distributed": 1.0 + q0 * x * damp * (r * z + delta * s_count),

@@ -265,6 +265,8 @@ def _sweep(cfg) -> str:
     grid_n = cfg["grid_n"]
     if not grid_n:
         raise ConfigError("sweep needs a non-empty --grid-n")
+    if cfg["grid_q"] is not None and cfg["q_exp"] is not None:
+        raise ConfigError("--grid-q and --q-exp both set Q: give one")
     if cfg["grid_q"] is not None:
         grid_q = cfg["grid_q"]
         if len(grid_q) == 1:

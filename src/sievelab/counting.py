@@ -29,9 +29,9 @@ from .moduli import _INT64_MAX, FareyList, FareySlabs, ModuliSet, derive_subset
 
 
 _KDELTA_AHEAD = 64  # built slabs k_delta keeps ahead of the left slab, at most
-PROFILE_PAIRS = 1 << 18  # (element, u) pairs one window_count_profile chunk holds
-PROFILE_ELEMENT_BYTES = 128  # a profile's bytes an element at the peak (tracemalloc)
-PROFILE_PAIR_BYTES = 56  # and an (element, u) pair of its chunk
+_PROFILE_PAIRS = 1 << 18  # (element, u) pairs one window_count_profile chunk holds
+_PROFILE_ELEMENT_BYTES = 128  # a profile's bytes an element at the peak (tracemalloc)
+_PROFILE_PAIR_BYTES = 56  # and an (element, u) pair of its chunk
 
 
 @dataclass(frozen=True)
@@ -104,11 +104,25 @@ def count_window_ap(s: ModuliSet, query: WindowQuery) -> int:
     the class's profile, of at most |s| elements, is reserved first.
     """
     t, k = query.t, query.k
-    util.reserve("window count", s.size, "moduli", PROFILE_ELEMENT_BYTES + PROFILE_PAIR_BYTES)
+    util.reserve("window count", s.size, "moduli", profile_bytes(1, 1))
     el = derive_subset(s, t).elements
     c = el[el % k == query.l % k]
     _, rows = window_count_profile(c, [query.u], s.M / t, (s.M + s.Q) / t, labels=c % k)
     return int(rows.sum())  # the class's one row, or none when it is empty
+
+
+def _profile_chunk(elements: int) -> int:
+    """The widths one window_count_profile chunk takes over `elements`
+    elements: its (element, u) pairs stay within _PROFILE_PAIRS."""
+    return max(1, _PROFILE_PAIRS // max(1, elements))
+
+
+def profile_bytes(elements: int, widths: int) -> int:
+    """The peak bytes of a window_count_profile call over `elements`
+    elements and `widths` widths: each element's, and each (element, u)
+    pair's of its widest chunk."""
+    pairs = elements * min(widths, _profile_chunk(elements))
+    return _PROFILE_ELEMENT_BYTES * elements + _PROFILE_PAIR_BYTES * pairs
 
 
 def window_count_profile(c: np.ndarray, u_vec, lo, hi, labels):
@@ -145,7 +159,7 @@ def window_count_profile(c: np.ndarray, u_vec, lo, hi, labels):
     upto_self = np.searchsorted(key, key, side="right")
     below = np.searchsorted(key, base + _edge_offset(ends, c_min, span), side="right")
     out = np.empty(u_vec.shape, dtype=np.int64)
-    chunk = max(1, PROFILE_PAIRS // c.size)
+    chunk = _profile_chunk(c.size)
     for start in range(0, u_vec.shape[1], chunk):
         u = u_vec[:, start : start + chunk].T  # (chunk, groups)
         ue = u[:, group]
@@ -258,13 +272,15 @@ def pi_count(s: ModuliSet, b: int, r: int, z: float, delta: float, y: float) -> 
     """
     if r < 1:
         raise OutOfRangeError("need r >= 1")
+    jlo = (y - 4.0 * delta) * r * z
+    jhi = (y + 4.0 * delta) * r * z
+    if not (math.isfinite(jlo) and math.isfinite(jhi)):
+        raise OutOfRangeError(f"m-interval [{jlo}, {jhi}] is not finite")
+    if jhi < jlo:
+        return 0
     el = s.elements
     qlo = np.searchsorted(el, y - delta, side="left")
     qhi = np.searchsorted(el, y + delta, side="right")
-    jlo = (y - 4.0 * delta) * r * z
-    jhi = (y + 4.0 * delta) * r * z
-    if jhi < jlo:
-        return 0
     lo, hi = math.ceil(jlo), math.floor(jhi)
     total = 0
     for q in el[qlo:qhi]:

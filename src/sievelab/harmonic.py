@@ -102,8 +102,8 @@ def poisson_residual(scale: float, shift: float) -> float:
     unit-order scale.  Transform side sum_n scale * e(n*shift) *
     phi_hat(n*scale) is finite because phi_hat has compact support.
     """
-    if scale <= 0:
-        raise OutOfRangeError("scale must be positive")
+    if not (0 < scale < math.inf and math.isfinite(shift)):
+        raise OutOfRangeError("need a finite positive scale and a finite shift")
     n = np.arange(-_POISSON_TRUNC, _POISSON_TRUNC + 1, dtype=np.float64)
     direct = float(np.sum(phi_value((n - shift) / scale)))
     m_max = int(math.floor(1.0 / scale)) + 1

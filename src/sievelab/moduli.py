@@ -111,8 +111,17 @@ def primes_up_to_set(q: int) -> ModuliSet:
 
 
 def explicit_moduli(elements, M: float | None = None, span: float | None = None) -> ModuliSet:
-    """A set given by an explicit element list, default interval (0, max]."""
-    return _explicit(np.array(sorted(int(x) for x in elements), dtype=np.int64), M, span)
+    """A set given by an explicit list of integers, default interval (0, max]."""
+    el = []
+    for x in elements:
+        try:
+            q = operator.index(x)
+        except TypeError:
+            raise OutOfRangeError(f"modulus {x!r} is not an integer") from None
+        if abs(q) > _INT64_MAX:
+            raise OutOfRangeError(f"modulus {q} past int64")
+        el.append(q)
+    return _explicit(np.array(sorted(el), dtype=np.int64), M, span)
 
 
 def _explicit(el: np.ndarray, M: float | None, span: float | None) -> ModuliSet:

@@ -69,25 +69,19 @@ def direct_fold(values: np.ndarray, q: int) -> np.ndarray:
     return fold
 
 
-def dense_sieve_lhs(seq: CoefficientSequence, s: ModuliSet) -> float:
-    """Every |S(a/q)|^2 from one FFT of the whole array's direct_fold mod
-    q, reduced a kept.
+def reduced_power(fold: np.ndarray) -> float:
+    """Sum of |S(a/q)|^2 over a mod q coprime to q, from one FFT of the
+    length-q fold: the transform counterpart of bounds._modulus_term.
 
     Index i of the fold holds the a_n with n = i + 1 mod q, so numpy's
     forward FFT, sum_i b_i e(-i*k/q), is e(-a/q) S(a/q) at k = -a mod q,
     and a -> -a permutes the reduced residues: the sum runs over the
-    indices coprime to q.  O(N + q log q) a modulus; it shares direct_fold
-    and numpy with the library, and nothing of the sieve sum's fold,
-    lattice or Moebius refolds.  The FFT's twiddles are numpy's own, not
-    util.cexp's.
+    indices coprime to q.  O(q log q); given direct_fold's fold it shares
+    nothing with the sieve sum's streamed fold, lattice or Moebius
+    refolds.  The FFT's twiddles are numpy's own, not util.cexp's.
     """
-    values = seq.values
-    total = 0.0
-    for q in s.elements:
-        q = int(q)
-        spectrum = np.fft.fft(direct_fold(values, q))
-        total += float(np.sum(np.abs(spectrum[_units_mask(q)]) ** 2))
-    return total
+    x = np.fft.fft(fold)[_units_mask(fold.size)].view(np.float64)
+    return float(np.sum(x * x))
 
 
 def _units_mask(q: int) -> np.ndarray:

@@ -204,8 +204,8 @@ def make_sequence(kind: str, N: int, *, n0: int | None = None, seed=0,
     """
     if kind not in _KINDS:
         raise OutOfRangeError(f"unknown sequence kind {kind!r}")
-    if not 1 <= N <= _MAX_N:
-        raise OutOfRangeError(f"sequence length must be in 1..{_MAX_N}")
+    if not (isinstance(N, (int, np.integer)) and 1 <= N <= _MAX_N):
+        raise OutOfRangeError(f"sequence length must be an integer in 1..{_MAX_N}")
     if kind == "ones":
         def piece(rng, lo, hi):
             return np.ones(hi - lo, dtype=np.complex128)
@@ -264,6 +264,8 @@ def eval_exp_sum(seq: CoefficientSequence, alpha: float) -> complex:
     |a_n| of the whole-array sum at N = 2^20).  The pass and one piece's
     terms are reserved before either is built.
     """
+    if not math.isfinite(alpha):
+        raise OutOfRangeError(f"alpha={alpha} is not finite")
     a = alpha - math.floor(alpha)
     reserve("exponential sum", min(seq.N, _PIECE), "terms", _TERM_BYTES, pass_bytes(seq.N, 0))
     sums, lo = [], 0

@@ -398,27 +398,24 @@ _MOEBIUS_RTOL = 1e-12
 _PAPER_CAPS = ((0.29, 1 << 20), (0.42, 1 << 18))
 
 
-def _lattice_folds(seq: sequences.CoefficientSequence, qs: list[int]) -> dict:
-    """q -> the length-q fold of seq, refolded from its host's, for q in qs."""
-    lattice = bounds._lattice(qs)
-    folds = sequences._folds(seq, lattice)
-    return {q: bounds._refold(folds[w], q) for w, riders in lattice.items() for q in riders}
-
-
-def _moebius_scale(seq: sequences.CoefficientSequence, s: moduli.ModuliSet) -> float:
-    """Sum over q in s and squarefree m | q of (q/m) * ||fold_{q/m}||^2."""
-    ds = [q // m for q in map(int, s.elements) for m, _ in arith.squarefree_divisors(q)]
-    folds = _lattice_folds(seq, ds)
-    return sum(d * float(np.sum(np.abs(folds[d]) ** 2)) for d in ds)
+def _term_scale(fold: np.ndarray) -> float:
+    """Sum over squarefree m | q of (q/m) * ||fold_{q/m}||^2 for a length-q
+    fold, each fold_{q/m} refolded from it."""
+    total = 0.0
+    for m, _ in arith.squarefree_divisors(fold.size):
+        x = oracles.direct_fold(fold, fold.size // m).view(np.float64)
+        total += fold.size // m * float(np.sum(x * x))
+    return total
 
 
 def moebius_checks(lengths, naive_trials: int, seed: int) -> CheckResult:
-    """sieve_lhs against the dense FFT reference at every length given,
-    over squares, an octave, composite moduli with up to five prime
-    factors and the paper's squares up to N^e (_PAPER_CAPS), and every
-    lattice fold against the direct fold of the whole array (exact for
-    integer sequences, else within bounds._LATTICE_RTOL of the mass sum
-    |a_n|); and sieve_lhs against the naive loop at desk sizes."""
+    """sieve_lhs against the FFT reference at every length given, over
+    squares, an octave, composite moduli with up to five prime factors
+    and the paper's squares up to N^e (_PAPER_CAPS); each modulus's direct
+    fold gives its reference term and scale, and bounds._modulus_term and
+    the lattice fold are checked against it (the fold exactly for integer
+    sequences, else within bounds._LATTICE_RTOL of the mass sum |a_n|);
+    and sieve_lhs against the naive loop at desk sizes."""
     res = CheckResult("bounds-moebius")
     rng = seeded_rng(seed)
     fixed = (moduli.squares_up_to(16), moduli.squares_in_octave(300),
@@ -433,22 +430,31 @@ def moebius_checks(lengths, naive_trials: int, seed: int) -> CheckResult:
             exact = np.array_equal(values, np.round(values))  # ones, signs, delta
             lattice_tol = 0.0 if exact else bounds._LATTICE_RTOL * float(np.sum(np.abs(values)))
             for s in sets:
-                fast = bounds.sieve_lhs(seq, s)
-                dense = oracles.dense_sieve_lhs(seq, s)
-                tol = _MOEBIUS_RTOL * _moebius_scale(seq, s)
-                res.expect(abs(fast - dense) <= tol,
-                           f"N={n} {s.kind} Q={s.Q:g}: lhs {fast} vs dense {dense}")
-                for q, fold in _lattice_folds(seq, [int(q) for q in s.elements]).items():
-                    gap = float(np.max(np.abs(fold - oracles.direct_fold(values, q))))
+                qs = [int(q) for q in s.elements]
+                fast, lattice = bounds.sieve_lhs(seq, s), bounds._lattice(qs)
+                folds = sequences._folds(seq, lattice)  # the lattice check's one pass
+                host = {q: w for w, riders in lattice.items() for q in riders}
+                dense = scale = 0.0
+                for q in qs:
+                    fold = oracles.direct_fold(values, q)
+                    term, term_scale = oracles.reduced_power(fold), _term_scale(fold)
+                    dense, scale = dense + term, scale + term_scale
+                    moebius = bounds._modulus_term(fold)
+                    res.expect(abs(moebius - term) <= _MOEBIUS_RTOL * term_scale,
+                               f"N={n} {s.kind}: Moebius term at q={q} {moebius} vs {term}")
+                    gap = float(np.max(np.abs(bounds._refold(folds[host[q]], q) - fold)))
                     res.expect(gap <= lattice_tol,
                                f"N={n} {s.kind}: lattice fold at q={q} off by {gap}")
+                res.expect(abs(fast - dense) <= _MOEBIUS_RTOL * scale,
+                           f"N={n} {s.kind} Q={s.Q:g}: lhs {fast} vs dense {dense}")
     for i in range(naive_trials):
         n = int(rng.integers(1, 129))
         seq = _random_sequence(rng, n, i)
         s = _random_set(rng, 96, 8)
         fast = bounds.sieve_lhs(seq, s)
         slow = oracles.naive_sieve_lhs(seq, s)
-        tol = _MOEBIUS_RTOL * _moebius_scale(seq, s)
+        tol = _MOEBIUS_RTOL * sum(_term_scale(oracles.direct_fold(seq.values, q))
+                                  for q in s.elements)
         res.expect(abs(fast - slow) <= tol, f"N={n}: lhs {fast} vs naive {slow}")
     return res
 

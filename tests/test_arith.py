@@ -119,13 +119,36 @@ def test_mod_inv_equals_the_xgcd_inverse():
     lambda: sequences.CoefficientSequence([]),
     lambda: bounds.sieve_bracket(moduli.squares_up_to(3), 16, mode="fast"),
     lambda: moduli.build_moduli_set("cubes"),
+    lambda: sequences.make_sequence("ones", 10.5),
+    lambda: sequences.make_sequence("ones", 10.0),
+    lambda: moduli.explicit_moduli([2.5, 3]),
+    lambda: moduli.explicit_moduli([2**70]),
+    lambda: moduli.explicit_moduli([math.nan]),
+    lambda: sequences.eval_exp_sum(sequences.make_sequence("ones", 8), math.nan),
+    lambda: sequences.eval_exp_sum(sequences.make_sequence("ones", 8), math.inf),
+    lambda: counting.pi_count(moduli.squares_up_to(3), 1, 2, math.nan, 0.1, 3.0),
+    lambda: counting.pi_count(moduli.squares_up_to(3), 1, 2, 0.1, math.nan, 3.0),
+    lambda: counting.pi_count(moduli.squares_up_to(3), 1, 2, 0.1, 0.1, math.inf),
+    lambda: harmonic.poisson_residual(math.nan, 0.0),
+    lambda: harmonic.poisson_residual(1.0, math.nan),
+    lambda: harmonic.poisson_residual(math.inf, 0.0),
+    lambda: bounds.crowding_shape_estimates(1, 0.2, 0.1, math.nan, 3, 1.0),
+    lambda: bounds.crowding_shape_estimates(1, 0.2, 0.1, 5.0, 3, math.nan),
+    lambda: bounds.sieve_bracket(moduli.squares_up_to(3), 16, z_grid=0),
+    lambda: bounds.sieve_bracket(moduli.squares_up_to(3), 16, z_grid=-5),
 ], ids=["factorize", "mod_inv", "quad_cong_roots", "quad_cong_count",
         "square_divisor_profile", "derive_subset", "dirichlet_approx-tau",
         "dirichlet_approx-alpha", "pi_count", "gauss_sum", "gauss_sum_row",
         "poisson_residual", "oscillatory_integral-q0",
         "oscillatory_integral-r_star", "eval_at_modulus",
         "CoefficientSequence-empty",
-        "sieve_bracket", "build_moduli_set"])
+        "sieve_bracket", "build_moduli_set", "make_sequence-fraction",
+        "make_sequence-float", "explicit_moduli-fraction", "explicit_moduli-past-int64",
+        "explicit_moduli-nan", "eval_exp_sum-nan", "eval_exp_sum-inf", "pi_count-z-nan",
+        "pi_count-delta-nan", "pi_count-y-inf", "poisson_residual-scale-nan",
+        "poisson_residual-shift-nan", "poisson_residual-scale-inf",
+        "crowding_shape_estimates-q0-nan", "crowding_shape_estimates-x-nan",
+        "sieve_bracket-z_grid-0", "sieve_bracket-z_grid-negative"])
 def test_argument_errors_are_out_of_range(call):
     with pytest.raises(OutOfRangeError):
         call()

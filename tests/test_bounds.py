@@ -300,6 +300,24 @@ def test_lattice_widths_are_multiples_of_their_riders():
     assert bounds_mod._lattice([3, 19]) == {1026: [3, 19]}  # hosts sharing a width
 
 
+def test_moebius_check_makes_two_library_passes_a_pair(monkeypatch):
+    # sieve_lhs's own and the lattice check's; the reference and its
+    # tolerance read only the direct fold of the whole array
+    from sievelab import verify
+
+    passes, fold = [], sequences._folds
+
+    def folds(*args, **kwargs):
+        passes.append(args[1])
+        return fold(*args, **kwargs)
+
+    monkeypatch.setattr(bounds_mod, "_folds", folds)
+    monkeypatch.setattr(sequences, "_folds", folds)
+    res = verify.moebius_checks((1000,), 0, 18)
+    assert res.ok
+    assert len(passes) == 2 * 8 * 5  # 8 sequences, 3 fixed sets and both paper caps
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_sieve_sum_peak_stays_under_its_reservation(monkeypatch, threads):
     # 24 primes near 60000 host themselves: four folds a batch

@@ -393,6 +393,10 @@ def test_no_lhs_sweep_leaves_measured_cells_blank(capsys):
     pytest.param(None, ["--cmd", "farey", "--q", "8192"], id="farey-q-2-26"),
     pytest.param(None, ["--cmd", "bracket", "--threads", "65"], id="threads-past-bound"),
     pytest.param({"cmd": "bracket", "threads": 65}, [], id="config-threads-past-bound"),
+    pytest.param(None, ["--cmd", "sweep", "--grid-n", "64", "--grid-q", "2",
+                        "--q-exp", "0.5"], id="grid-q-and-q-exp"),
+    pytest.param({"cmd": "sweep", "grid_n": [64], "grid_q": [2], "q_exp": 0.5}, [],
+                 id="config-grid-q-and-q-exp"),
 ])
 def test_bad_inputs_exit_2_with_one_line(capsys, tmp_path, config, argv):
     if config is not None:

@@ -367,7 +367,7 @@ def test_count_window_ap_builds_no_square_matrix():
 def test_count_window_ap_reserves_before_it_builds(monkeypatch):
     s = primes_up_to_set(10**6)
     query = WindowQuery(500.0, 1, 0, 1)
-    need = s.size * (counting.PROFILE_ELEMENT_BYTES + counting.PROFILE_PAIR_BYTES)
+    need = counting.profile_bytes(s.size, 1)
     derived, profiled = [], []
 
     def derive(s, t):
