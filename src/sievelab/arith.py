@@ -3,9 +3,10 @@ squarefree divisors, modular inverses, and the quadratic congruence
 g*x^2 = l (mod k).
 
 Everything here works on Python ints and is exact.  Per prime power p^e
-of k, _split takes the p-adic valuations of g and l once and puts the roots
-at x = p^h*w + j*p^(h+f), w a unit root mod p^f; _unit_sqrt lists the w,
-quad_cong_roots glues them by CRT and quad_cong_count multiplies closed forms.
+of k, _split takes the p-adic valuations of g and l once, puts the roots
+at x = p^h*w + j*p^(h+f), w a unit root mod p^f, and decides whether there
+are any and how many w; _unit_sqrt lists the w, quad_cong_roots glues them
+by CRT and quad_cong_count multiplies the counts.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 import operator
 
 from .errors import NotInvertibleError, OutOfRangeError
+from .util import index
 
 _FACTOR_CACHE = 256  # factorizations kept: callers step through n in order
 
@@ -25,9 +27,9 @@ def factorize(n: int) -> list[tuple[int, int]]:
     Pairs are sorted by prime.  factorize(1) == [].  Trial division with
     a 2,3,5 wheel; fine for the word-sized inputs this package handles.
     The last _FACTOR_CACHE results are kept, keyed on operator.index(n);
-    each call returns a fresh list.
+    each call returns a fresh list.  A non-integer n is an OutOfRangeError.
     """
-    return list(_factor_pairs(operator.index(n)))
+    return list(_factor_pairs(index(n, "n")))
 
 
 @functools.lru_cache(maxsize=_FACTOR_CACHE)
@@ -102,12 +104,13 @@ def squarefree_divisors(n: int) -> list[tuple[int, int]]:
 
 def mod_inv(a: int, m: int) -> int:
     """Inverse of a modulo m, in [0, m).  mod_inv(a, 1) == 0 by convention."""
+    a, m = index(a, "a"), index(m, "m")
     if m < 1:
         raise OutOfRangeError("modulus must be positive")
     if m == 1:
         return 0
     try:
-        return pow(operator.index(a), -1, operator.index(m))
+        return pow(a, -1, m)
     except ValueError:
         raise NotInvertibleError(
             f"{a} has no inverse mod {m} (gcd={math.gcd(a, m)})") from None
@@ -116,22 +119,18 @@ def mod_inv(a: int, m: int) -> int:
 def quad_cong_roots(g: int, l: int, k: int) -> tuple[int, list[int]]:
     """Count and list the roots of g*x^2 = l (mod k), k >= 1.
 
-    Returns (count, sorted list of roots in [0, k)).  The roots mod each
-    prime power of k come from _split and _unit_sqrt and are glued by CRT.
+    Returns (count, sorted list of roots in [0, k)).  Every prime power
+    of k is split first, so an unsolvable one returns (0, []) before any
+    root is listed; then _unit_sqrt lists each one's unit roots and CRT
+    glues them.
     """
-    g, l, k = operator.index(g), operator.index(l), operator.index(k)
-    if k < 1:
-        raise OutOfRangeError("modulus must be positive")
+    splits = _splits(g, l, k)
+    if splits is None:
+        return 0, []
     acc_mod = 1
     sols = [0]
-    for p, e in _factor_pairs(k):
-        split = _split(g, l, p, e)
-        if split is None:
-            return 0, []
-        h, f, gu, lu = split
+    for p, e, h, f, gu, lu, _ in splits:
         roots = _unit_sqrt(gu, lu, p, f)
-        if not roots:
-            return 0, []
         pe = p**e
         if f < e:
             # x = p^h*w + j*p^(h+f); for units g and l (f = e) the w are the roots
@@ -154,85 +153,98 @@ def quad_cong_count(g: int, l: int, k: int) -> int:
     """Number of roots of g*x^2 = l (mod k), k >= 1, without listing them.
 
     By CRT, the product over the prime powers p^e of k of p^(e-h-f) times
-    the closed-form count of _split's unit roots w (one when f = 0).
+    the number of _split's unit roots w.
     """
-    g, l, k = operator.index(g), operator.index(l), operator.index(k)
-    if k < 1:
-        raise OutOfRangeError("modulus must be positive")
+    splits = _splits(g, l, k)
+    if splits is None:
+        return 0
     count = 1
-    for p, e in factorize(k):
-        split = _split(g, l, p, e)
-        if split is None:
-            return 0
-        h, f, gu, lu = split
-        if f and p == 2:
-            # an odd square is 1 mod 8: g'w^2 = l' (mod 2^f) has 1, 2 or 4
-            # roots for f = 1, 2, >= 3 when l' = g' mod 2^min(f, 3), else none
-            c = f if f < 3 else 3
-            if (lu - gu) % (1 << c):
-                return 0
-            count <<= c - 1
-        elif f:
-            # two roots when l'/g' is a square mod p: Euler's criterion on l'g'
-            if pow(lu * gu, (p - 1) // 2, p) != 1:
-                return 0
-            count *= 2
-        count *= p ** (e - h - f)
+    for p, e, h, f, _, _, n in splits:
+        count *= n * p ** (e - h - f)
     return count
 
 
-def _split(g: int, l: int, p: int, e: int) -> tuple[int, int, int, int] | None:
-    """Where the roots of g*x^2 = l (mod p^e) lie: (h, f, g', l'), or None.
+def _splits(g: int, l: int, k: int) -> list[tuple] | None:
+    """_split(g, l, p, e) for each prime power p^e of k, in order of p,
+    or None as soon as one has no root."""
+    try:
+        g, l, k = operator.index(g), operator.index(l), operator.index(k)
+    except TypeError:
+        raise OutOfRangeError(f"g={g!r}, l={l!r} and k={k!r} must be integers") from None
+    if k < 1:
+        raise OutOfRangeError("modulus must be positive")
+    out = []
+    for p, e in _factor_pairs(k):
+        split = _split(g, l, p, e)
+        if split is None:
+            return None
+        out.append(split)
+    return out
+
+
+def _split(g: int, l: int, p: int, e: int) -> tuple[int, ...] | None:
+    """Where the roots of g*x^2 = l (mod p^e) lie: (p, e, h, f, g', l', n),
+    or None when there are none.  This is the one solvability test.
 
     The roots are x = p^h*w + j*p^(h+f) for 0 <= j < p^(e-h-f), where w
-    runs over the units mod p^f with g'*w^2 = l' (mod p^f).  With
+    runs over the n units mod p^f with g'*w^2 = l' (mod p^f).  With
     s = v_p(g) and v = v_p(l), g and l taken mod p^e and s capped at e:
     - p^e | l: x needs only p^ceil((e-s)/2) | x, so h = ceil((e-s)/2),
-      f = 0 and w = 0; g = 0 (mod p^e) makes s = e, so every x is a root.
+      f = 0 and w = 0 (n = 1); g = 0 (mod p^e) makes s = e, so every x
+      is a root.
     - otherwise a root needs v - s even and >= 0; then h = (v-s)/2,
-      f = e - v, and g', l' are the unit parts of g and l.
+      f = e - v, and g', l' are the unit parts of g and l.  For odd p
+      there are n = 2 unit roots when l'/g' is a square mod p (Euler's
+      criterion on l'g'), else none.  For p = 2 an odd square is 1 mod 8,
+      so there are n = 1, 2 or 4 for f = 1, 2, >= 3 when
+      l' = g' (mod 2^min(f, 3)), else none.
     """
     pe = p**e
     g %= pe
     l %= pe
-    if g % p and l % p:  # units: s = v = 0
-        return 0, e, g, l
     s = v = 0
-    while g % p == 0 and s < e:
-        g //= p
-        s += 1
-    if l == 0:
-        return (e - s + 1) // 2, 0, g, l
-    while l % p == 0:
-        l //= p
-        v += 1
-    if v < s or (v - s) % 2:
+    if g % p == 0 or l % p == 0:
+        while g % p == 0 and s < e:
+            g //= p
+            s += 1
+        if l == 0:
+            return p, e, (e - s + 1) // 2, 0, g, l, 1
+        while l % p == 0:
+            l //= p
+            v += 1
+        if v < s or (v - s) % 2:
+            return None
+    f = e - v
+    if p == 2:
+        c = f if f < 3 else 3
+        if (l - g) % (1 << c):
+            return None
+        n = 1 << (c - 1)
+    elif pow(l * g, (p - 1) // 2, p) != 1:
         return None
-    return (v - s) // 2, e - v, g, l
+    else:
+        n = 2
+    return p, e, (v - s) // 2, f, g, l, n
 
 
 def _unit_sqrt(g: int, l: int, p: int, f: int) -> list[int]:
-    """The w in [0, p^f) with g*w^2 = l (mod p^f), for units g and l."""
+    """The w in [0, p^f) with g*w^2 = l (mod p^f), for units g and l of
+    which _split has found that there are some."""
     if f == 0:
         return [0]
     m = p**f
     a = l * pow(g, -1, m) % m
     if p == 2:
-        # an odd square is 1 mod 2^min(f, 3).  Lift a root x < 2^(f-1) of
-        # w^2 = a one bit at a time; the roots are the first 1, 2 or 4 of
-        # x, -x, 2^(f-1) + x, 2^(f-1) - x for f = 1, 2, >= 3
-        c = min(f, 3)
-        if a % (1 << c) != 1:
-            return []
+        # lift a root x < 2^(f-1) of w^2 = a one bit at a time; the roots
+        # are the first 1, 2 or 4 of x, -x, 2^(f-1) + x, 2^(f-1) - x for
+        # f = 1, 2, >= 3
         x = 1
         for i in range(3, f):
             if (x * x - a) % (1 << (i + 1)):
                 x += 1 << (i - 1)
         half = m >> 1
-        return [x, m - x, half + x, half - x][:1 << (c - 1)]
+        return [x, m - x, half + x, half - x][:1 << (min(f, 3) - 1)]
     x = _tonelli_shanks(a % p, p)
-    if x is None:
-        return []
     # Hensel lifting by Newton steps, each doubling the p-adic precision
     pk = p
     while pk < m:

@@ -27,13 +27,14 @@ exact mode finds the breakpoints in z from the element differences
 that k divides.
 farey_crowding_shape, which bounds how many fractions with moduli in
 the set crowd a rational point b/r, is the same sum at h = -b and one z,
-and keeps the last (set, r) partition across calls;
+and keeps the last (set, r) partition across calls, with its sorted
+window-profile keys, so a further (b, z) only counts windows;
 crowding_shape_estimates gives closed-form estimates for that count.
 Both take the sum from one function, _window_max, which counts each
 class row's frequencies in closed form, at the rows and frequencies it
-gathers only, and reserves its arrays before it builds any: the
-window profile with its own temporaries, the (row, z) arrays and one
-chunk of the gather.
+gathers only, and reserves its arrays before it counts a window: the
+window profile with its own temporaries and the partition's keys, the
+(row, z) arrays and one chunk of the gather.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import profile_bytes, window_count_profile
+from .counting import _ProfileKeys, profile_bytes, window_count_profile
 from .errors import CapacityError, InvalidRegimeError, NotCoprimeError, OutOfRangeError
 from .moduli import ModuliSet
 from .sequences import CoefficientSequence, _folds, pass_bytes
@@ -303,21 +304,24 @@ def _unique(a: np.ndarray) -> np.ndarray:
 
 
 def _partition(s: ModuliSet, r: int) -> tuple:
-    """(c, labels, t, l, k): the set split over the divisors of r.  q is
-    in the t-dilate as c = q/t, coprime to k = r/t, exactly when
+    """(c, labels, t, l, k, keys): the set split over the divisors of r.
+    q is in the t-dilate as c = q/t, coprime to k = r/t, exactly when
     gcd(q, r) = t.  Each element's label t*r + (c mod k) orders the
-    window-count rows by divisor, then class; t, l and k are per row.
+    window-count rows by divisor, then class; t, l and k are per row, and
+    keys are the rows' window-profile keys over the dilates' intervals,
+    which any widths then count (_window_max charges their bytes).
     """
     g = np.gcd(s.elements, r)
     c = s.elements // g
     labels = g * r + c % (r // g)
     rows = _unique(labels)
     t = rows // r
-    return c, labels, t, rows % r, r // t
+    keys = _ProfileKeys(c, s.M / t, (s.M + s.Q) / t, labels)
+    return c, labels, t, rows % r, r // t, keys
 
 
 # farey_crowding_shape is asked at several (b, z) per (s, r) in turn, so
-# it keeps the last partition; a ModuliSet hashes by identity
+# it keeps the last partition, keys and all; a ModuliSet hashes by identity
 _last_partition = functools.lru_cache(maxsize=1)(_partition)
 
 
@@ -330,23 +334,25 @@ def _window_max(s: ModuliSet, r: int, part: tuple, zs: np.ndarray, width, hs: np
 
     prof holds a row of window counts per row of the partition part,
     over the widths width(t) with t a column of the rows' divisors (so
-    each caller keeps its own float expression), from one grouped pass.
+    each caller keeps its own float expression), counted on the
+    partition's keys.
     With M = a*k + b, 0 <= b < k, a unit class j mod k (0 <= j < k)
     holds 2a + [j <= b] + [j >= k - b] of those m, less 1 when k = 1.
     So prof * (2a - [k = 1]) is summed once, free of h, and the gather
     compares each h*l mod k with b and k - b, in chunks over hs that
     keep its (h, row, z) entries bounded.  The profile, the (row, z)
-    arrays and a chunk are reserved for each of the workers before
-    anything is built.
+    arrays and a chunk are reserved for each of the workers before any
+    window is counted.
     """
-    c, labels, t, l, k = part
+    c, _, t, l, k, keys = part
     span = s.Q
     rows = t.size
     step = max(1, _BRACKET_CHUNK // max(1, rows * zs.size))
     h_chunk = min(hs.size, step)
     # bytes, from tracemalloc peaks: 48 a (row, z) for the widths, the
     # profile, a, b, k - b and the temporaries of the h-free sum; 128 a
-    # row for the partition; the profile's own (counting.profile_bytes);
+    # row for the partition; the profile's own (counting.profile_bytes),
+    # which the partition's keys are part of;
     # 2 an (h, row, z) of a gather chunk for the hits and a comparison,
     # and 16 an (h, row) and an (h, z) of it; and 128 KiB for small
     # arrays and einsum's cast buffer
@@ -354,8 +360,7 @@ def _window_max(s: ModuliSet, r: int, part: tuple, zs: np.ndarray, width, hs: np
                  workers * (48 * rows * zs.size + 128 * rows + profile_bytes(c.size, zs.size)
                             + h_chunk * (2 * rows * zs.size + 16 * (rows + zs.size)) + 2**17),
                  "bytes of window-sum arrays", 1)
-    _, prof = window_count_profile(c, width(t[:, None]), s.M / t, (s.M + span) / t,
-                                   labels)
+    prof = keys.counts(width(t[:, None]))
     a, b = np.divmod(np.floor(6.0 * r * zs * span / t[:, None]).astype(np.int64),
                      k[:, None])
     free = (prof * (2 * a - (k == 1)[:, None])).sum(axis=0)
@@ -455,7 +460,7 @@ def sieve_bracket(s: ModuliSet, n: int, z_grid: int = 64, mode: str = "grid",
     anything is built, and each r reserves its terms for every worker
     before building them.
     """
-    n = int(n)
+    n, z_grid = int(n), util.index(z_grid, "z_grid")
     if n < 4:
         raise OutOfRangeError("bracket needs N >= 4")
     if mode not in ("grid", "exact"):
@@ -506,6 +511,7 @@ def farey_crowding_shape(s: ModuliSet, b: int, r: int, z: float,
     coprime to k with 0 < |m| <= 6*r*z*span/t.  Class c meets the
     frequencies m = -b*c (mod k), which is h*c mod k as k divides r.
     """
+    b, r = util.index(b, "b"), util.index(r, "r")
     if math.gcd(b, r) != 1:
         raise NotCoprimeError(f"b={b} shares a factor with r={r}")
     _check_regime(r, z, delta)
@@ -525,20 +531,28 @@ def crowding_shape_estimates(r: int, z: float, delta: float, q0: float,
     factor x; window_route and fourier_route are the two unconditional
     routes for square moduli in an octave (Q0, 2*Q0], and combined is
     their balanced merge.  Same regime requirements as
-    farey_crowding_shape.
+    farey_crowding_shape.  Inputs that take an estimate outside the
+    floats raise OutOfRangeError, as in bound_shapes.
     """
     _check_regime(r, z, delta)
     if not (0 < q0 < math.inf and all(map(math.isfinite, (s_count, x, eps)))):
         raise OutOfRangeError("need a finite positive q0 and finite s_count, x and eps")
-    damp = delta ** (-eps)
-    return {
-        "well_distributed": 1.0 + q0 * x * damp * (r * z + delta * s_count),
-        "window_route": damp * (1.0 + q0 * r * z + q0**1.5 * delta),
-        "fourier_route": damp * (q0**1.5 * delta
-                                 + math.sqrt(q0) * delta / (math.sqrt(r) * z)
-                                 + delta**-0.25),
-        "combined": damp * (q0**1.5 * delta + delta**-0.25),
-    }
+    where = f"at q0={q0:g}, s_count={s_count:g}, x={x:g}, eps={eps:g}"
+    try:
+        damp = delta ** (-eps)
+        est = {
+            "well_distributed": 1.0 + q0 * x * damp * (r * z + delta * s_count),
+            "window_route": damp * (1.0 + q0 * r * z + q0**1.5 * delta),
+            "fourier_route": damp * (q0**1.5 * delta
+                                     + math.sqrt(q0) * delta / (math.sqrt(r) * z)
+                                     + delta**-0.25),
+            "combined": damp * (q0**1.5 * delta + delta**-0.25),
+        }
+    except OverflowError as exc:
+        raise OutOfRangeError(f"crowding estimates overflow the floats {where}") from exc
+    if not all(map(math.isfinite, est.values())):
+        raise OutOfRangeError(f"crowding estimates overflow the floats {where}")
+    return est
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,8 @@ class WindowQuery:
     t: int = 1
 
     def __post_init__(self):
+        for name in ("k", "l", "t"):
+            util.index(getattr(self, name), name)
         if not (1 <= self.k <= _INT64_MAX and 1 <= self.t <= _INT64_MAX):
             raise OutOfRangeError(f"need 1 <= k, t <= {_INT64_MAX}")
         if not self.u >= 0:
@@ -132,54 +134,80 @@ def window_count_profile(c: np.ndarray, u_vec, lo, hi, labels):
     The result is (groups, rows): the distinct labels in ascending order
     and one row of counts per label, all from one sorted pass.  u_vec
     broadcasts to (groups, |u|) and lo, hi to (groups,), so each group
-    may take its own widths and interval.  The elements are keyed by
-    (group, value) so that one searchsorted serves every group, and
-    np.maximum.reduceat takes each group's maximum.
+    may take its own widths and interval.  The work that does not depend
+    on u is done once, by _ProfileKeys, and _ProfileKeys.counts counts
+    the windows of every u.
     """
-    c = np.asarray(c, dtype=np.int64)
-    groups, rank = np.unique(np.asarray(labels, dtype=np.int64), return_inverse=True)
-    u_vec = np.asarray(u_vec, dtype=np.float64)
-    u_vec = np.broadcast_to(u_vec, (groups.size, u_vec.shape[-1]))
-    if c.size == 0:
-        return groups, np.zeros(u_vec.shape, dtype=np.int64)
-    ends = np.empty((2, groups.size))
-    ends[0], ends[1] = lo, hi
-    # key = group * stride + (c - c_min): a key shifted down by at most
-    # span + 1 (the whole array's span) still lies above every key of
-    # the group before
-    c_min, span = int(c.min()), int(c.max()) - int(c.min())
-    stride = 2 * span + 2
-    if groups.size * stride > _INT64_MAX:
-        raise OutOfRangeError(f"{groups.size} groups over a span of {span} pass the int64 keys")
-    key = np.sort(rank.reshape(-1) * stride + (c - c_min))
-    group = key // stride
-    cf = (key % stride + c_min).astype(np.float64)
-    base = np.arange(groups.size) * stride
-    starts = np.searchsorted(key, base)
-    upto_self = np.searchsorted(key, key, side="right")
-    below = np.searchsorted(key, base + _edge_offset(ends, c_min, span), side="right")
-    out = np.empty(u_vec.shape, dtype=np.int64)
-    chunk = _profile_chunk(c.size)
-    for start in range(0, u_vec.shape[1], chunk):
-        u = u_vec[:, start : start + chunk].T  # (chunk, groups)
-        ue = u[:, group]
-        # windows (c_i - u, c_i] hold the c_j > c_i - ceil(u) of the group
-        width = np.ceil(np.fmax(np.fmin(ue, span + 1.0), 0.0)).astype(np.int64)
-        counts = upto_self - np.searchsorted(key, key - width, side="right")
-        anchored = (cf - ue >= ends[0, group]) & (cf - ue <= ends[1, group])
-        best = np.maximum.reduceat(np.where(anchored, counts, 0), starts, axis=1)
-        # windows (y, y+u] at y = lo and y = hi hold the c > y, c <= y + u
-        top = np.searchsorted(key, base + _edge_offset(ends + u[:, None], c_min, span),
-                              side="right")
-        best = np.maximum(best, (top - below).max(axis=1))
-        out[:, start : start + chunk] = np.where(u > 0, best, 0).T
-    return groups, out
+    keys = _ProfileKeys(c, lo, hi, labels)
+    return keys.groups, keys.counts(u_vec)
 
 
-def _edge_offset(y, c_min: int, span: int) -> np.ndarray:
-    """floor(y) - c_min clipped to [-1, span]: for an integer c, the float
-    test c <= y holds exactly when c - c_min <= this offset."""
-    return np.fmax(np.fmin(np.floor(y) - c_min, float(span)), -1.0).astype(np.int64)
+class _ProfileKeys:
+    """The sorted keys of a window profile, which do not depend on u.
+
+    The elements are keyed by (group, value) so that one searchsorted
+    serves every group: the labels are ranked, the keys sorted, and the
+    group starts, each element's count of keys up to itself and the
+    counts up to each group's lo and hi looked up, once.  counts(u_vec)
+    then counts the windows of any widths, and a caller that asks at
+    many u over the same elements keeps the keys.
+    """
+
+    def __init__(self, c: np.ndarray, lo, hi, labels):
+        c = np.asarray(c, dtype=np.int64)
+        self.groups, rank = np.unique(np.asarray(labels, dtype=np.int64),
+                                      return_inverse=True)
+        self.size = c.size
+        if c.size == 0:
+            return
+        self.ends = np.empty((2, self.groups.size))
+        self.ends[0], self.ends[1] = lo, hi
+        # key = group * stride + (c - c_min): a key shifted down by at most
+        # span + 1 (the whole array's span) still lies above every key of
+        # the group before
+        self.c_min, self.span = int(c.min()), int(c.max()) - int(c.min())
+        stride = 2 * self.span + 2
+        if self.groups.size * stride > _INT64_MAX:
+            raise OutOfRangeError(f"{self.groups.size} groups over a span of {self.span} "
+                                  f"pass the int64 keys")
+        self.key = key = np.sort(rank.reshape(-1) * stride + (c - self.c_min))
+        self.group = key // stride
+        self.cf = (key % stride + self.c_min).astype(np.float64)
+        self.base = np.arange(self.groups.size) * stride
+        self.starts = np.searchsorted(key, self.base)
+        self.upto_self = np.searchsorted(key, key, side="right")
+        self.below = np.searchsorted(key, self.base + self._edge(self.ends), side="right")
+
+    def _edge(self, y) -> np.ndarray:
+        """floor(y) - c_min clipped to [-1, span]: for an integer c, the
+        float test c <= y holds exactly when c - c_min <= this offset."""
+        return np.fmax(np.fmin(np.floor(y) - self.c_min, float(self.span)),
+                       -1.0).astype(np.int64)
+
+    def counts(self, u_vec) -> np.ndarray:
+        """One row of window counts per group, over the widths u_vec,
+        which broadcasts to (groups, |u|)."""
+        u_vec = np.asarray(u_vec, dtype=np.float64)
+        u_vec = np.broadcast_to(u_vec, (self.groups.size, u_vec.shape[-1]))
+        if self.size == 0:
+            return np.zeros(u_vec.shape, dtype=np.int64)
+        key, group, cf, ends = self.key, self.group, self.cf, self.ends
+        out = np.empty(u_vec.shape, dtype=np.int64)
+        chunk = _profile_chunk(self.size)
+        for start in range(0, u_vec.shape[1], chunk):
+            u = u_vec[:, start : start + chunk].T  # (chunk, groups)
+            ue = u[:, group]
+            # windows (c_i - u, c_i] hold the c_j > c_i - ceil(u) of the group
+            width = np.ceil(np.fmax(np.fmin(ue, self.span + 1.0), 0.0)).astype(np.int64)
+            counts = self.upto_self - np.searchsorted(key, key - width, side="right")
+            anchored = (cf - ue >= ends[0, group]) & (cf - ue <= ends[1, group])
+            best = np.maximum.reduceat(np.where(anchored, counts, 0), self.starts, axis=1)
+            # windows (y, y+u] at y = lo and y = hi hold the c > y, c <= y + u
+            top = np.searchsorted(key, self.base + self._edge(ends + u[:, None]),
+                                  side="right")
+            best = np.maximum(best, (top - self.below).max(axis=1))
+            out[:, start : start + chunk] = np.where(u > 0, best, 0).T
+        return out
 
 
 def k_delta(s: ModuliSet, delta: float) -> int:
@@ -270,6 +298,7 @@ def pi_count(s: ModuliSet, b: int, r: int, z: float, delta: float, y: float) -> 
     them.  The m-interval is taken literally, so it is empty when its
     endpoints are out of order.
     """
+    b, r = util.index(b, "b"), util.index(r, "r")
     if r < 1:
         raise OutOfRangeError("need r >= 1")
     jlo = (y - 4.0 * delta) * r * z

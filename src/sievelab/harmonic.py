@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .errors import NotCoprimeError, OutOfRangeError, QuadratureError
-from .util import cexp, reserve
+from .util import cexp, index, reserve
 
 _QUAD_NODES = 16
 _PANEL_BUDGET = 1 << 20
@@ -64,6 +64,7 @@ def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def gauss_sum(k: int, l: int, c: int) -> complex:
     """G(k, l; c) = sum_{d=1}^{c} e((k*d^2 + l*d)/c), gcd(k, c) = 1."""
+    k, l, c = index(k, "k"), index(l, "l"), index(c, "c")
     if c < 1:
         raise OutOfRangeError("modulus must be positive")
     if math.gcd(k, c) != 1:
@@ -83,6 +84,7 @@ def gauss_sum_row(k: int, c: int) -> np.ndarray:
     vector e(k*d^2/c), which keeps full-sweep checks affordable.  Agrees
     with gauss_sum entry by entry.
     """
+    k, c = index(k, "k"), index(c, "c")
     if c < 1:
         raise OutOfRangeError("modulus must be positive")
     if math.gcd(k, c) != 1:

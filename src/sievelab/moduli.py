@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import util
-from .arith import _FACTOR_CACHE, factorize, quad_cong_count, squarefree_divisors
+from .arith import _FACTOR_CACHE, factorize, squarefree_divisors
 from .errors import EmptyModuliWarning, OutOfRangeError, SequenceFileError
 
 _REL_SLACK = 1e-9  # containment checks allow this much relative float slack
@@ -30,6 +30,11 @@ _FAREY_SLAB = 1 << 14  # fractions one Farey slab holds, about
 # a file modulus peaks at 9 bytes under tracemalloc, its int64 and the
 # order check's bool; util.read_lines charges the reader's buffers
 _FILE_MODULUS_BYTES = 9
+# a class-count vector peaks at 24 bytes an entry, its own and two local
+# arrays', plus at most 21 KB of numpy's buffers (tracemalloc, k < 5000
+# and k up to 6.3*10^6)
+_CLASS_COUNT_BYTES = 24
+_CLASS_COUNT_EXTRA = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,6 +83,7 @@ def _warn_if_empty(s: ModuliSet) -> ModuliSet:
 
 def squares_up_to(qmax: int) -> ModuliSet:
     """{q^2 : 1 <= q <= qmax} in (0, qmax^2]."""
+    qmax = util.index(qmax, "qmax")
     if not 1 <= qmax <= math.isqrt(_INT64_MAX):
         raise OutOfRangeError(f"need 1 <= qmax <= {math.isqrt(_INT64_MAX)}")
     el = _squares(1, qmax + 1)
@@ -102,6 +108,7 @@ def _squares(lo: int, hi: int) -> np.ndarray:
 
 def primes_up_to_set(q: int) -> ModuliSet:
     """The primes inside (0, q]."""
+    q = util.index(q, "q")
     if not 1 <= q <= _INT64_MAX:
         raise OutOfRangeError(f"need 1 <= q <= {_INT64_MAX}")
     # a byte a slot, 8 a prime; pi(q) < 1.25506 q / ln q (Rosser-Schoenfeld)
@@ -167,6 +174,7 @@ def build_moduli_set(kind: str, **kw) -> ModuliSet:
 
 def derive_subset(s: ModuliSet, t: int) -> ModuliSet:
     """The dilate {q : t*q in S}, living in (M/t, (M+Q)/t]."""
+    t = util.index(t, "t")
     if t < 1:
         raise OutOfRangeError("need t >= 1")
     el = s.elements[s.elements % t == 0] // t
@@ -181,7 +189,7 @@ def square_divisor_profile(t: int) -> tuple[int, int]:
     with odd exponent.  Like factorize, the last _FACTOR_CACHE profiles
     are kept, keyed on operator.index(t), as tuples of Python ints.
     """
-    return _profile(operator.index(t))
+    return _profile(util.index(t, "t"))
 
 
 @functools.lru_cache(maxsize=_FACTOR_CACHE)
@@ -199,10 +207,46 @@ def square_class_count(t: int, k: int, l: int) -> int:
 
     This counts the classes mod k that the dilated square moduli can
     occupy; it vanishes when gcd(g, k) > 1 and gcd(k, l) = 1, and is
-    never more than 2^{omega(k)+1}.
+    never more than 2^{omega(k)+1}.  The count is read from the vector
+    of the counts of every l mod k (_class_counts), which is kept for the
+    last (g, k): a caller asks for all l of one (t, k) in turn.
     """
-    _, g = square_divisor_profile(t)
-    return quad_cong_count(g, l, k)
+    try:  # inline, not util.index: a caller asks once for each class
+        t, k, l = operator.index(t), operator.index(k), operator.index(l)
+    except TypeError:
+        raise OutOfRangeError(f"t={t!r}, k={k!r} and l={l!r} must be integers") from None
+    if k < 1:
+        raise OutOfRangeError("modulus must be positive")
+    return _class_counts(_profile(t)[1], k).item(l % k)
+
+
+@functools.lru_cache(maxsize=1)
+def _class_counts(g: int, k: int) -> np.ndarray:
+    """The read-only vector of the numbers of x mod k with g*x^2 = l
+    (mod k), indexed by l mod k.
+
+    The count is multiplicative over the prime powers p^e of k (CRT), and
+    the count of every l mod p^e is one bincount of g*x^2 mod p^e over
+    x < p^e; l = i*p^e + j takes entry j of that local vector.
+    _CLASS_COUNT_BYTES an entry and numpy's buffers are reserved before
+    anything is built.
+    """
+    util.reserve("square class counts", k, "classes", _CLASS_COUNT_BYTES,
+                 _CLASS_COUNT_EXTRA, "numpy's buffers")
+    counts = np.ones(k, dtype=np.int64)
+    for p, e in factorize(k):
+        pe = p**e
+        x = np.arange(pe, dtype=np.int64)
+        # x^2 and (x^2 mod pe) * g stay below pe^2, under 2^63 for any k
+        # whose 24 bytes an entry fit in less than 7*10^10 bytes
+        x *= x
+        x %= pe
+        x *= g % pe
+        x %= pe
+        rows = counts.reshape(-1, pe)  # l = i*pe + j is row i, column j
+        rows *= np.bincount(x, minlength=pe)
+    counts.setflags(write=False)
+    return counts
 
 
 @dataclass(frozen=True, eq=False)

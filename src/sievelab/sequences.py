@@ -100,18 +100,20 @@ class CoefficientSequence:
 
 
 class _DrawnSequence(CoefficientSequence):
-    """A stock sequence: every pass draws its pieces afresh, from a new
-    generator on the same seed, so all passes read the same values."""
+    """A stock sequence: every pass draws its pieces afresh.  A random
+    kind draws from a new generator on the same seed, so all passes read
+    the same values; the others build no generator."""
 
-    def __init__(self, N: int, seed, piece):
+    def __init__(self, N: int, seed, piece, random: bool):
         self.N = N
         self._values = None
         self._z = None
         self._seed = seed
         self._piece = piece  # piece(rng, lo, hi) -> a_{lo+1} .. a_hi
+        self._random = random
 
     def _draw(self):
-        rng = seeded_rng(self._seed)
+        rng = seeded_rng(self._seed) if self._random else None
         return (self._piece(rng, lo, min(lo + _PIECE, self.N))
                 for lo in range(0, self.N, _PIECE))
 
@@ -210,7 +212,7 @@ def make_sequence(kind: str, N: int, *, n0: int | None = None, seed=0,
         def piece(rng, lo, hi):
             return np.ones(hi - lo, dtype=np.complex128)
     elif kind == "delta":
-        if n0 is None or not 1 <= n0 <= N:
+        if not (isinstance(n0, (int, np.integer)) and 1 <= n0 <= N):
             raise OutOfRangeError(f"delta position n0={n0} outside 1..{N}")
 
         def piece(rng, lo, hi):
@@ -230,7 +232,7 @@ def make_sequence(kind: str, N: int, *, n0: int | None = None, seed=0,
 
         def piece(rng, lo, hi):
             return cexp(-beta * np.arange(lo + 1, hi + 1))
-    return _DrawnSequence(N, seed, piece)
+    return _DrawnSequence(N, seed, piece, kind in ("random_signs", "random_phases"))
 
 
 def sequence_from_file(path: str) -> CoefficientSequence:

@@ -1,18 +1,29 @@
-"""Small shared helpers: the memory capacity, the line-file reader, the
-complex exponential, streamed pairwise sums, sieves, deterministic RNG."""
+"""Small shared helpers: integer arguments, the memory capacity, the
+line-file reader, the complex exponential, streamed pairwise sums, sieves,
+deterministic RNG."""
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
-from .errors import CapacityError, SequenceFileError
+from .errors import CapacityError, OutOfRangeError, SequenceFileError
 
 CAPACITY = 1_600_000_000  # bytes one large allocation may take: 10^8 complex128
 # a file reader's buffers and lines, beside its array: at most 22.1 KB by
 # tracemalloc, from 1 to 3*10^5 rows of either reader
 _READER_BYTES = 24 * 1024
+
+
+def index(x, what: str) -> int:
+    """operator.index(x): an integer argument as a Python int.  Anything
+    else, a float of integer value too, is an OutOfRangeError naming it."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise OutOfRangeError(f"{what}={x!r} is not an integer") from None
 
 
 def reserve(what: str, count: int, unit: str, bytes_each: float, extra: int = 0,

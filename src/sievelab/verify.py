@@ -33,6 +33,7 @@ VDC_CALIBRATION = {
 }
 _VDC_HEADROOM = 1e-6
 _DILATE_T_MAX = 100  # check_moduli_structure tests the octave dilates by t <= this
+_CLASS_T_MAX = 40  # quad_roots_sweep tests square_class_count at t <= this
 _CEXP_BOUND = 1.5e-16  # util.cexp's error in each part, against oracles.cexp_reference
 
 
@@ -113,10 +114,21 @@ def check_mod_inv(m_full: int, samples: int, seed: int) -> CheckResult:
     return res
 
 
-def quad_roots_sweep(k_max: int, pairs_per_k: int, seed: int) -> CheckResult:
+def quad_roots_sweep(k_max: int, pairs_per_k: int, seed: int,
+                     class_k_max: int) -> CheckResult:
     """Fast quadratic-congruence roots and root count vs exhaustive scan,
-    plus the 2^(omega(k)+1) cap for coprime g and l."""
+    plus the 2^(omega(k)+1) cap for coprime g and l; and the class counts
+    of square_class_count vs the scan for every l mod k, at every
+    t <= _CLASS_T_MAX and k <= class_k_max."""
     res = CheckResult("arith-quad-roots")
+    scans = {}
+    for t in range(1, _CLASS_T_MAX + 1):
+        g = moduli.square_divisor_profile(t)[1]
+        for k in range(1, class_k_max + 1):
+            if (g, k) not in scans:
+                scans[g, k] = [oracles.quad_cong_roots_scan(g, l, k)[0] for l in range(k)]
+            res.expect([moduli.square_class_count(t, k, l) for l in range(k)] == scans[g, k],
+                       f"square_class_count({t},{k},l)")
     rng = seeded_rng(seed)
     for k in range(1, k_max + 1):
         cap = 2 ** (arith.omega(k) + 1)
@@ -753,7 +765,8 @@ def run_verify(quick: bool = True, seed: int = 0) -> list[CheckResult]:
         cexp_checks(2**16 if quick else 2**20, seed + 20),
         check_factorize(20_000 if quick else 10**6),
         check_mod_inv(300 if quick else 10**4, 2000 if quick else 0, seed + 1),
-        quad_roots_sweep(512 if quick else 4096, 4 if quick else 20, seed + 2),
+        quad_roots_sweep(512 if quick else 4096, 4 if quick else 20, seed + 2,
+                         24 if quick else 100),
         parseval_trials(10 if quick else 50, seed + 3),
         check_sequence_props(seed + 4),
         check_moduli_structure(seed + 5,

@@ -97,8 +97,9 @@ def test_criterion_03_parseval():
 
 def test_criterion_04_quadratic_roots():
     _crit_group(4, "fast quadratic congruence root counts agree with "
-                   "exhaustive scans for moduli up to 4096",
-                quad_roots_sweep(4096, 20, SEED + 4))
+                   "exhaustive scans for moduli up to 4096, and square class "
+                   "counts up to 100",
+                quad_roots_sweep(4096, 20, SEED + 4, 100))
 
 
 def test_criterion_05_counting_oracles():

@@ -136,6 +136,20 @@ def test_mod_inv_equals_the_xgcd_inverse():
     lambda: bounds.crowding_shape_estimates(1, 0.2, 0.1, 5.0, 3, math.nan),
     lambda: bounds.sieve_bracket(moduli.squares_up_to(3), 16, z_grid=0),
     lambda: bounds.sieve_bracket(moduli.squares_up_to(3), 16, z_grid=-5),
+    lambda: arith.factorize(2.5),
+    lambda: arith.mod_inv(3, 7.0),
+    lambda: arith.quad_cong_roots(1, 1, 2.0),
+    lambda: moduli.square_class_count(1.5, 4, 1),
+    lambda: harmonic.gauss_sum(1, 0, 2.5),
+    lambda: bounds.sieve_bracket(moduli.squares_up_to(3), 16, z_grid=2.5),
+    lambda: sequences.make_sequence("delta", 10, n0=2.5),
+    lambda: counting.pi_count(moduli.squares_up_to(3), 1, 2.5, 0.1, 0.1, 3.0),
+    lambda: bounds.crowding_shape_estimates(1, 0.2, 0.1, 1e300, 3, 1.0),
+    lambda: moduli.derive_subset(moduli.squares_up_to(5), 2.5),
+    lambda: moduli.squares_up_to(3.0),
+    lambda: moduli.primes_up_to_set(30.5),
+    lambda: counting.WindowQuery(5.0, 2.5, 1),
+    lambda: bounds.farey_crowding_shape(moduli.squares_up_to(5), 1.5, 2, 0.01, 0.01),
 ], ids=["factorize", "mod_inv", "quad_cong_roots", "quad_cong_count",
         "square_divisor_profile", "derive_subset", "dirichlet_approx-tau",
         "dirichlet_approx-alpha", "pi_count", "gauss_sum", "gauss_sum_row",
@@ -148,7 +162,13 @@ def test_mod_inv_equals_the_xgcd_inverse():
         "pi_count-delta-nan", "pi_count-y-inf", "poisson_residual-scale-nan",
         "poisson_residual-shift-nan", "poisson_residual-scale-inf",
         "crowding_shape_estimates-q0-nan", "crowding_shape_estimates-x-nan",
-        "sieve_bracket-z_grid-0", "sieve_bracket-z_grid-negative"])
+        "sieve_bracket-z_grid-0", "sieve_bracket-z_grid-negative",
+        "factorize-fraction", "mod_inv-float", "quad_cong_roots-float",
+        "square_class_count-fraction", "gauss_sum-fraction", "sieve_bracket-z_grid-fraction",
+        "make_sequence-n0-fraction", "pi_count-r-fraction",
+        "crowding_shape_estimates-q0-overflow", "derive_subset-fraction",
+        "squares_up_to-float", "primes_up_to_set-fraction", "WindowQuery-fraction",
+        "farey_crowding_shape-fraction"])
 def test_argument_errors_are_out_of_range(call):
     with pytest.raises(OutOfRangeError):
         call()
@@ -253,6 +273,29 @@ def test_quad_roots_known_cases():
     assert arith.quad_cong_roots(1, 4, 16) == (4, [2, 6, 10, 14])
 
 
+def test_unsolvable_congruences_list_no_unit_roots(monkeypatch):
+    # _split decides solvability for every prime power before any is
+    # listed: a congruence without roots never reaches _unit_sqrt
+    calls = []
+    unit_sqrt = arith._unit_sqrt
+
+    def counted(*args):
+        calls.append(args)
+        return unit_sqrt(*args)
+
+    monkeypatch.setattr(arith, "_unit_sqrt", counted)
+    unsolvable = 0
+    for k in range(1, 65):
+        for g in range(k):
+            for l in range(k):
+                before = len(calls)
+                got = arith.quad_cong_roots(g, l, k)
+                if oracles.quad_cong_roots_scan(g, l, k)[0] == 0:
+                    unsolvable += 1
+                    assert got == (0, []) and len(calls) == before, (g, l, k)
+    assert unsolvable > 40000 and calls
+
+
 def _check_tonelli_shanks(p, avals):
     squares = {x * x % p for x in range(1, p)}
     for a in avals:
@@ -278,7 +321,7 @@ def test_tonelli_shanks_on_a_sample_mod_65537():
 @pytest.mark.parametrize("dtype", [np.int64, np.int32])
 def test_quad_roots_take_numpy_integers(dtype):
     # numpy scalars as g, l and k give the Python-int results, also
-    # through square_class_count, which hands quad_cong_count its g
+    # through square_class_count, which keys its kept vector on Python ints
     for k in (1, 2, 8, 9, 12, 25, 97, 360):
         for g in (-3, 0, 1, 3, 4, 12):
             for l in (-1, 0, 1, 5, 9, 36):

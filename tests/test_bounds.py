@@ -26,7 +26,7 @@ from sievelab.errors import (CapacityError, InvalidRegimeError,
 from sievelab import oracles
 from sievelab.arith import divisors, factorize, mod_inv
 from sievelab import bounds as bounds_mod
-from sievelab import sequences, util
+from sievelab import counting, sequences, util
 from sievelab.bounds import _grid_z
 from sievelab.util import seeded_rng
 
@@ -476,7 +476,7 @@ def test_exact_breakpoints_equal_a_loop_over_class_pairs(s, n):
 ], ids=["explicit", "explicit-composite", "octave", "primes", "squares"])
 def test_coprime_dilates_partition_the_set_over_the_divisors(s):
     for r in range(1, 65):
-        c, labels, t, l, k = bounds_mod._partition(s, r)
+        c, labels, t, l, k, _ = bounds_mod._partition(s, r)
         for d in divisors(r):
             want = [q for q in derive_subset(s, d).elements.tolist()
                     if math.gcd(q, r // d) == 1]
@@ -660,6 +660,51 @@ def test_crowding_shape_keeps_one_partition(monkeypatch):
     assert got[1] != got[3] and got[4] != got[6]  # the spans tell the sets apart
     monkeypatch.setattr(bounds_mod, "_last_partition", bounds_mod._partition)
     assert [farey_crowding_shape(sets[i], b, r, z, 1e-4) for i, r, b, z in plan] == got
+
+
+def test_crowding_shape_on_kept_keys_equals_a_fresh_partition():
+    # five (b, z, delta) in turn on each (set, r) count on the kept keys;
+    # each equals, bit for bit, the value from a partition built afresh
+    rng = seeded_rng(2028)
+    sets = [squares_in_octave(10**4), primes_up_to_set(3000),
+            explicit_moduli(np.arange(501, 1400, 7), M=500.0, span=900.0)]
+    cache = bounds_mod._last_partition
+    draws, kept = [], []
+    for s in sets:
+        for r in range(1, 68):
+            cache.cache_clear()
+            for _ in range(5):
+                b = int(rng.choice([b for b in range(max(r, 2)) if math.gcd(b, r) == 1]))
+                delta = 10.0 ** rng.uniform(-7.0, math.log10(0.5 / (r * r)))
+                z = min(delta * (math.sqrt(delta) / (r * delta)) ** rng.random(),
+                        math.sqrt(delta) / r)
+                draws.append((s, b, r, z, delta))
+                kept.append(farey_crowding_shape(s, b, r, z, delta))
+            assert cache.cache_info().hits == 4
+    fresh = []
+    for args in draws:
+        cache.cache_clear()
+        fresh.append(farey_crowding_shape(*args))
+    assert len(draws) >= 1000 and fresh == kept
+    assert len(set(kept)) > 100
+
+
+@pytest.mark.parametrize("call, capacity, need", [
+    (lambda: farey_crowding_shape(squares_up_to(30), 1, 720720, 1 / (4 * 720720**2),
+                                  1 / (4 * 720720**2)), 142_427, "r=720720 needs 142428 "),
+    (lambda: sieve_bracket(squares_up_to(8), 4096, z_grid=2**21), 5 * 10**7,
+     "r=1 needs 153224336 "),
+], ids=["crowding", "bracket"])
+def test_window_sums_reserve_before_they_count(monkeypatch, call, capacity, need):
+    # the partition holds the window keys, but no window is counted
+    # before the window sum's reservation refuses
+    def fail(self, u_vec):
+        raise AssertionError("windows counted before the reservation")
+
+    monkeypatch.setattr(counting._ProfileKeys, "counts", fail)
+    monkeypatch.setattr(util, "CAPACITY", capacity)
+    with pytest.raises(CapacityError, match=f"bracket terms at {need}"):
+        call()
 
 
 def test_crowding_shape_refuses_before_it_builds(monkeypatch):

@@ -14,10 +14,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sievelab import moduli, util
+from sievelab import moduli, oracles, util
 from sievelab import (derive_subset, enumerate_farey, eval_exp_sum, explicit_moduli,
                       gauss_sum, gauss_sum_row, make_sequence, moduli_from_file,
-                      primes_up_to_set, quad_cong_roots, sequence_from_file, sieve_lhs,
+                      primes_up_to_set, sequence_from_file, sieve_lhs,
                       square_class_count, square_divisor_profile,
                       squares_in_octave, squares_up_to)
 from sievelab.arith import quad_cong_count
@@ -186,14 +186,45 @@ def test_square_class_count_totals_to_modulus(t, k):
 
 
 def test_square_class_counts_equal_a_full_scan():
+    # every l mod k <= 100 for every t <= 40, against the scan oracle and
+    # the closed-form count; the scan is taken once for each (g, k)
+    scans = {}
     for t in range(1, 41):
         g = square_divisor_profile(t)[1]
-        for k in range(1, 61):
-            x = np.arange(k, dtype=np.int64)
-            want = np.bincount(g * x * x % k, minlength=k).tolist()
-            assert [square_class_count(t, k, l) for l in range(k)] == want
-            assert [quad_cong_count(g, l, k) for l in range(k)] == \
-                [len(quad_cong_roots(g, l, k)[1]) for l in range(k)]
+        for k in range(1, 101):
+            if (g, k) not in scans:
+                scans[g, k] = [oracles.quad_cong_roots_scan(g, l, k)[0] for l in range(k)]
+                assert [quad_cong_count(g, l, k) for l in range(k)] == scans[g, k]
+            assert [square_class_count(t, k, l) for l in range(k)] == scans[g, k]
+            vector = moduli._class_counts(g, k)
+            assert not vector.flags.writeable and vector.tolist() == scans[g, k]
+
+
+def test_class_counts_of_numpy_and_python_ints_share_one_entry():
+    cache = moduli._class_counts
+    cache.cache_clear()
+    got = [square_class_count(np.int64(12), np.int32(30), np.int64(l)) for l in range(30)]
+    assert cache.cache_info().misses == 1
+    # t = 12 and t = 3 have the same g = 3; l may be any integer
+    assert [square_class_count(3, 30, l + 30) for l in range(30)] == got
+    assert square_class_count(12, 30, -27) == got[3]
+    info = cache.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 60, 1)
+    assert all(type(n) is int for n in got)
+
+
+def test_class_counts_refuse_a_modulus_past_capacity_before_building():
+    k = util.CAPACITY + 1
+    moduli._class_counts.cache_clear()
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=f"square class counts needs {k} classes"):
+            square_class_count(1, k, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+    assert square_class_count(1, 4, 1) == 2
 
 
 def test_dilated_squares_follow_the_profile():

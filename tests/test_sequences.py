@@ -47,6 +47,22 @@ def test_seed_controls_random_draws():
     assert not np.array_equal(a.values, c.values)
 
 
+def test_only_the_random_kinds_build_a_generator(monkeypatch):
+    def refuse(seed):
+        raise AssertionError("a deterministic kind built a generator")
+
+    n = 2 * sequences._PIECE + 5
+    kinds = {"ones": {}, "delta": {"n0": sequences._PIECE + 3}, "focused": {"beta": 0.3}}
+    want = {kind: make_sequence(kind, n, **kw).values for kind, kw in kinds.items()}
+    monkeypatch.setattr(sequences, "seeded_rng", refuse)
+    for kind, kw in kinds.items():
+        seq = make_sequence(kind, n, **kw)
+        assert np.array_equal(np.concatenate(list(seq.pieces())), want[kind])
+        assert seq.Z == float(np.sum(np.abs(want[kind]) ** 2))
+    with pytest.raises(AssertionError, match="deterministic kind"):
+        make_sequence("random_signs", n).Z
+
+
 def test_exp_sum_at_zero_is_plain_sum():
     seq = make_sequence("ones", 17)
     assert eval_exp_sum(seq, 0.0) == 17.0 + 0j
