@@ -460,7 +460,7 @@ def sieve_bracket(s: ModuliSet, n: int, z_grid: int = 64, mode: str = "grid",
     anything is built, and each r reserves its terms for every worker
     before building them.
     """
-    n, z_grid = int(n), util.index(z_grid, "z_grid")
+    n, z_grid = util.index(n, "n"), util.index(z_grid, "z_grid")
     if n < 4:
         raise OutOfRangeError("bracket needs N >= 4")
     if mode not in ("grid", "exact"):

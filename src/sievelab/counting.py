@@ -14,6 +14,12 @@ the window (q_i - u, q_i] holds the elements above q_i - ceil(u), one
 searchsorted on the sorted elements.  Counts at lo and hi are
 searchsorted counts as well, so a profile costs O(n log n) per u and
 never builds an n x n matrix.
+
+The crowding count K(delta) reads the Farey values slab by slab, values
+only (FareySlabs.values), and counts no window: each slab is tested
+once against the running best, whether some window starting in it holds
+more, by one slice comparison, and only a slab that does gallops to its
+own best.
 """
 
 from __future__ import annotations
@@ -221,20 +227,33 @@ def k_delta(s: ModuliSet, delta: float) -> int:
     values of ext, the list followed by the list + 1.0, that are
     <= v + 2*delta.
 
-    The fractions come as FareySlabs, and each left slab b, values v,
-    looks its window up from the slab edges, with no cursor.  The ext
-    slabs below jlo, the first whose upper edge exceeds v[0] + 2*delta,
-    lie wholly under every window edge and are counted by rank, never
-    built; those from jhi, the first whose lower edge exceeds
-    v[-1] + 2*delta, lie wholly above.  Only the slabs jlo..jhi-1, at most
-    three since v spans one slab, straddle the edges; they alone are built
-    and searched.
+    The values come as FareySlabs.values, and each left slab b, values
+    v_i at ext position g_i = rank(b) + i, looks its window up from the
+    slab edges, with no cursor.  The ext slabs below jlo, the first whose
+    upper edge exceeds v[0] + 2*delta, lie wholly under every window edge
+    and are counted by rank, never built; those from jhi, the first whose
+    lower edge exceeds v[-1] + 2*delta, lie wholly above.  Only the slabs
+    jlo..jhi-1, at most three since v spans one slab, straddle the edges;
+    they alone are built, as `near`.
     Built slabs past b are kept by ext index, at most _KDELTA_AHEAD of
     them: the window's own slabs serve the next window and the others
     serve later left slabs, and past the bound the kept slab furthest
     ahead goes.  So for windows narrower than that only the wrap head is
     built twice; in a wider one most slabs are built once as a left slab
     and once in a window.
+
+    Only the running best is kept, so no window is counted.  ext is
+    strictly increasing, so the window at v_i holds more than m values
+    exactly when ext[g_i + m] <= v_i + 2*delta, the comparison a
+    right-side searchsorted makes.  Some window of slab b holds more
+    than m when that holds for some i: positions below rank(jlo) lie
+    under every edge, positions from rank(jhi) on lie over every edge,
+    and the rest are one slice of `near` compared with the edges.  The
+    test is made at m = best once per slab; where it holds, m gallops
+    (its step doubles) and then bisects to the largest m that holds (a
+    test that holds at m holds at every smaller m), and best becomes
+    that m + 1.  The count is the same integer as the searchsorted of
+    every edge, with O(|v|) work a slab where best does not move.
     """
     if not 0 < delta <= 0.5:
         raise InvalidDeltaError(f"delta={delta} outside (0, 1/2]")
@@ -253,7 +272,7 @@ def k_delta(s: ModuliSet, delta: float) -> int:
     ahead = {}  # built ext slabs past the left slab, by index
     best = 0
     for b in range(nslab):
-        v = ahead.pop(b) if b in ahead else farey.slab(b).values
+        v = ahead.pop(b) if b in ahead else farey.values(b)
         if v.size == 0:
             continue
         edge = v + 2.0 * delta
@@ -262,13 +281,30 @@ def k_delta(s: ModuliSet, delta: float) -> int:
         ahead = {j: x for j, x in ahead.items() if b < j < nslab or j >= jlo}
         for j in range(jlo, jhi):
             if j not in ahead:
-                x = v if j % nslab == b else farey.slab(j % nslab).values
+                x = v if j % nslab == b else farey.values(j % nslab)
                 ahead[j] = x if j < nslab else x + 1.0
         while len(ahead) > _KDELTA_AHEAD:  # the window stays, the furthest kept goes
             del ahead[max(j for j in ahead if j < jlo)]
         near = np.concatenate([ahead[j] for j in range(jlo, jhi)]) if jhi > jlo else v[:0]
-        right = rank(jlo) + np.searchsorted(near, edge, side="right")
-        best = max(best, int((right - farey.rank(b) - np.arange(v.size)).max()))
+        skip = farey.rank(b) - rank(jlo)  # ext[g_i + m] is near[skip + m + i]
+
+        def holds(m):
+            """Some window of slab b holds more than m values."""
+            at = skip + m
+            if at < 0:
+                return True
+            k = min(v.size, near.size - at)
+            return k > 0 and bool(np.any(near[at : at + k] <= edge[:k]))
+
+        if holds(best):
+            lo, step = best, 1  # holds at lo; gallop until it fails at lo + step
+            while holds(best + step):
+                lo, step = best + step, 2 * step
+            hi = best + step
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if holds(mid) else (lo, mid)
+            best = lo + 1
     return min(best, n)
 
 

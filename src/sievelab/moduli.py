@@ -269,11 +269,15 @@ class FareyList:
         object.__setattr__(self, "values", v)
         if not (a.size == q.size == v.size):
             raise ValueError("mismatched array lengths")
-        if np.any(v[1:] <= v[:-1]):
-            raise ValueError("values must be strictly increasing")
+        _check_increasing(v)
 
     def __len__(self) -> int:
         return int(self.values.size)
+
+
+def _check_increasing(v: np.ndarray) -> None:
+    if np.any(v[1:] <= v[:-1]):
+        raise ValueError("values must be strictly increasing")
 
 
 class FareySlabs:
@@ -284,6 +288,9 @@ class FareySlabs:
     in (floor(b*q/B), floor((b+1)*q/B)], sorted by value; B is sum phi(q)
     over _FAREY_SLAB, rounded up.  Iterating yields the slabs in order,
     each a FareyList, and their concatenation is the whole sorted list.
+    values(b) is slab b's values alone, sorted in place, for a caller
+    that reads nothing else (k_delta); slab and values share one strike
+    step, which gives the reduced (a, q) of a slab unsorted.
     The float value of slab b's fractions lies in [edges[b], edges[b+1]]
     (division rounds monotonically), and rank(b), the number of fractions
     in the slabs before b, is a Moebius sum over the divisors of q's
@@ -328,29 +335,38 @@ class FareySlabs:
 
     def slab(self, b: int) -> FareyList:
         """The fractions of slab b, sorted by value."""
-        q = self._q
-        lo = (b * q) // self._b  # a > lo
-        hi = ((b + 1) * q) // self._b  # a <= hi
-        run, off = _runs(hi - lo)
-        a = lo[run] + 1 + off
-        keep = np.ones(a.size, dtype=bool)
-        # strike the multiples of each prime p | q inside (lo, hi]
-        at, p = self._strike_at, self._strike_p
-        first = (lo[at] // p + 1) * p
-        srun, soff = _runs((hi[at] - first) // p + 1)
-        start = np.cumsum(hi - lo) - (hi - lo)
-        keep[(start[at] + first - lo[at] - 1)[srun] + p[srun] * soff] = False
-        a, den = a[keep], q[run[keep]]
+        a, den = self._strike(b)
         v = a / den
         order = np.argsort(v)
         return FareyList(a[order], den[order], v[order])
 
+    def values(self, b: int) -> np.ndarray:
+        """The values of slab b, sorted in place: slab(b).values bit for
+        bit, without the numerators and denominators."""
+        a, den = self._strike(b)
+        v = a / den
+        v.sort()
+        _check_increasing(v)
+        return v
 
-def _runs(count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For consecutive runs of the given lengths, each position's run
-    index and its offset inside the run."""
-    run = np.repeat(np.arange(count.size), count)
-    return run, np.arange(run.size) - (np.cumsum(count) - count)[run]
+    def _strike(self, b: int) -> tuple[np.ndarray, np.ndarray]:
+        """The reduced (a, q) of slab b, unsorted: q's run of a in
+        (lo, lo + cnt] starts at position start, and the multiples of
+        each prime p | q in it are struck."""
+        q = self._q
+        lo = (b * q) // self._b  # a > lo
+        cnt = ((b + 1) * q) // self._b - lo  # a <= lo + cnt
+        start = np.cumsum(cnt) - cnt
+        a = np.arange(cnt.sum()) + np.repeat(lo + 1 - start, cnt)
+        keep = np.ones(a.size, dtype=bool)
+        # the i-th multiple first + i*p of a row sits at start + first - lo
+        # - 1 + i*p; one arange counts i over all rows, less each row's offset
+        at, p = self._strike_at, self._strike_p
+        first = (lo[at] // p + 1) * p
+        n = (lo[at] + cnt[at] - first) // p + 1
+        pos = start[at] + first - lo[at] - 1 - p * (np.cumsum(n) - n)
+        keep[np.repeat(pos, n) + np.repeat(p, n) * np.arange(n.sum())] = False
+        return a[keep], np.repeat(q, cnt)[keep]
 
 
 def enumerate_farey(s: ModuliSet) -> FareyList:

@@ -141,6 +141,25 @@ def k_delta_oracle(farey: FareyList, delta: float) -> int:
     return best
 
 
+def k_delta_sorted(farey: FareyList, delta: float) -> int:
+    """Max circular crowding over the whole sorted list, without slabs.
+
+    ext is the list followed by the list + 1.0; the window at each value
+    v holds the ext values from v's own position up to v + 2*delta,
+    counted by one searchsorted of every edge into ext.  It is the
+    crowding count's route before it walked Farey slabs, and reaches
+    the sizes k_delta runs at (a few million fractions).
+    """
+    if not 0.0 < delta <= 0.5:
+        raise InvalidDeltaError(f"delta={delta} outside (0, 1/2]")
+    v = farey.values
+    if v.size == 0:
+        return 0
+    ext = np.concatenate([v, v + 1.0])
+    right = np.searchsorted(ext, v + 2.0 * delta, side="right")
+    return min(int((right - np.arange(v.size)).max()), v.size)
+
+
 def p_alpha_oracle(farey: FareyList, alpha: float, delta: float) -> int:
     """Linear-scan count of fractions inside [alpha-delta, alpha+delta]."""
     lo = alpha - delta

@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .errors import OutOfRangeError, SequenceFileError
-from .util import PairwiseSum, cexp, read_lines, reserve, seeded_rng
+from .util import PairwiseSum, cexp, index, read_lines, reserve, seeded_rng
 
 _KINDS = ("ones", "delta", "random_signs", "random_phases", "focused")
 _MAX_N = int(np.iinfo(np.intp).max) // 16  # the most complex128 values one array holds
@@ -202,7 +202,9 @@ def make_sequence(kind: str, N: int, *, n0: int | None = None, seed=0,
 
     Nothing is drawn here: each piece is drawn when a pass reaches it,
     the random kinds from one generator per pass, so a piece holds the
-    same values as the matching slice of one draw of all N.
+    same values as the matching slice of one draw of all N.  seed=None
+    takes fresh OS entropy once, here, so every pass reads the same
+    values.
     """
     if kind not in _KINDS:
         raise OutOfRangeError(f"unknown sequence kind {kind!r}")
@@ -232,7 +234,10 @@ def make_sequence(kind: str, N: int, *, n0: int | None = None, seed=0,
 
         def piece(rng, lo, hi):
             return cexp(-beta * np.arange(lo + 1, hi + 1))
-    return _DrawnSequence(N, seed, piece, kind in ("random_signs", "random_phases"))
+    random = kind in ("random_signs", "random_phases")
+    if random and seed is None:
+        seed = np.random.SeedSequence().entropy
+    return _DrawnSequence(N, seed, piece, random)
 
 
 def sequence_from_file(path: str) -> CoefficientSequence:
@@ -288,6 +293,7 @@ def eval_at_modulus(seq: CoefficientSequence, q: int) -> np.ndarray:
     with N.  The O(q) arrays, one block of the product and the pass's
     piece are reserved before any of them is built.
     """
+    q = index(q, "q")
     if q < 1:
         raise OutOfRangeError("modulus must be positive")
     block = max(1, (1 << 22) // q)  # a-rows a block, so the index matrix stays small

@@ -281,8 +281,17 @@ def window_oracle_trials(trials: int, seed: int) -> CheckResult:
     return res
 
 
-def kdelta_oracle_trials(trials: int, seed: int) -> CheckResult:
+def kdelta_oracle_trials(trials: int, seed: int, qmax: int = 60) -> CheckResult:
+    """k_delta against the per-pair oracle on random small sets, and
+    against the whole-list oracle on the squares up to qmax."""
     res = CheckResult("counting-kdelta-oracle")
+    s = moduli.squares_up_to(qmax)
+    fl = moduli.enumerate_farey(s)
+    for delta in (1e-4, 1e-2, 0.25, 0.5):
+        fast = counting.k_delta(s, delta)
+        slow = oracles.k_delta_sorted(fl, delta)
+        res.expect(fast == slow, f"K mismatch {fast} vs {slow} on squares to {qmax}, "
+                                 f"delta={delta}")
     rng = seeded_rng(seed)
     for i in range(trials):
         big = i % 25 == 24
@@ -774,7 +783,7 @@ def run_verify(quick: bool = True, seed: int = 0) -> list[CheckResult]:
                                (5, 48, 100, 999, 10**4, 10**6),
                                ft_limit=10**3 if quick else 10**5),
         window_oracle_trials(60 if quick else 200, seed + 6),
-        kdelta_oracle_trials(40 if quick else 200, seed + 7),
+        kdelta_oracle_trials(40 if quick else 200, seed + 7, 60 if quick else 208),
         p_alpha_oracle_trials(60 if quick else 200, seed + 8),
         pi_oracle_trials(60 if quick else 200, seed + 9),
         dirichlet_trials(10**3 if quick else 10**4, seed + 10),

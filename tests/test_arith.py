@@ -150,6 +150,8 @@ def test_mod_inv_equals_the_xgcd_inverse():
     lambda: moduli.primes_up_to_set(30.5),
     lambda: counting.WindowQuery(5.0, 2.5, 1),
     lambda: bounds.farey_crowding_shape(moduli.squares_up_to(5), 1.5, 2, 0.01, 0.01),
+    lambda: bounds.sieve_bracket(moduli.squares_up_to(3), 16.5),
+    lambda: sequences.eval_at_modulus(sequences.make_sequence("ones", 8), 2.5),
 ], ids=["factorize", "mod_inv", "quad_cong_roots", "quad_cong_count",
         "square_divisor_profile", "derive_subset", "dirichlet_approx-tau",
         "dirichlet_approx-alpha", "pi_count", "gauss_sum", "gauss_sum_row",
@@ -168,7 +170,8 @@ def test_mod_inv_equals_the_xgcd_inverse():
         "make_sequence-n0-fraction", "pi_count-r-fraction",
         "crowding_shape_estimates-q0-overflow", "derive_subset-fraction",
         "squares_up_to-float", "primes_up_to_set-fraction", "WindowQuery-fraction",
-        "farey_crowding_shape-fraction"])
+        "farey_crowding_shape-fraction", "sieve_bracket-n-fraction",
+        "eval_at_modulus-fraction"])
 def test_argument_errors_are_out_of_range(call):
     with pytest.raises(OutOfRangeError):
         call()

@@ -132,8 +132,9 @@ def test_crowding_does_not_depend_on_the_slab_size(monkeypatch, delta, want):
 
 def _count_slab_builds(monkeypatch):
     builds = []
-    slab = moduli.FareySlabs.slab
-    monkeypatch.setattr(moduli.FareySlabs, "slab", lambda self, b: builds.append(b) or slab(self, b))
+    values = moduli.FareySlabs.values
+    monkeypatch.setattr(moduli.FareySlabs, "values",
+                        lambda self, b: builds.append(b) or values(self, b))
     return builds
 
 

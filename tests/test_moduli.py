@@ -378,6 +378,22 @@ def test_small_slabs_concatenate_to_the_list_and_rank_them(monkeypatch, size):
             assert np.all((fl.values >= slabs.edges[b]) & (fl.values <= slabs.edges[b + 1]))
 
 
+def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
+    return x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def test_slab_values_are_the_slab_values_bit_for_bit(monkeypatch):
+    slabs = FareySlabs(squares_up_to(208))
+    assert all(_same_bits(slabs.values(b), slabs.slab(b).values)
+               for b in range(len(slabs.edges) - 1))
+    for size in (1, 97):
+        monkeypatch.setattr(moduli, "_FAREY_SLAB", size)
+        for s in _random_moduli_sets(100):
+            slabs = FareySlabs(s)
+            assert all(_same_bits(slabs.values(b), slabs.slab(b).values)
+                       for b in range(len(slabs.edges) - 1))
+
+
 @pytest.mark.parametrize("el", [[4, 2**26], [2**26 + 15]])
 def test_farey_moduli_past_2_26_are_refused(el):
     # distinct fractions keep distinct floats only while q * q' < 2^52

@@ -47,6 +47,15 @@ def test_seed_controls_random_draws():
     assert not np.array_equal(a.values, c.values)
 
 
+@pytest.mark.parametrize("kind", ["random_signs", "random_phases"])
+def test_an_unseeded_sequence_reads_the_same_values_on_every_pass(kind):
+    s = make_sequence(kind, 2 * sequences._PIECE + 5, seed=None)
+    first, second = (np.concatenate(list(s.pieces())) for _ in range(2))
+    assert np.array_equal(first, second)
+    s = make_sequence(kind, 100, seed=None)
+    assert eval_exp_sum(s, 0.1) == eval_exp_sum(s, 0.1)
+
+
 def test_only_the_random_kinds_build_a_generator(monkeypatch):
     def refuse(seed):
         raise AssertionError("a deterministic kind built a generator")
