@@ -5,8 +5,7 @@ g*x^2 = l (mod k).
 Everything here works on Python ints and is exact.  Per prime power p^e
 of k, _split takes the p-adic valuations of g and l once, puts the roots
 at x = p^h*w + j*p^(h+f), w a unit root mod p^f, and decides whether there
-are any and how many w; _unit_sqrt lists the w, quad_cong_roots glues them
-by CRT and quad_cong_count multiplies the counts.
+are any; _unit_sqrt lists the w and quad_cong_roots glues them by CRT.
 """
 
 from __future__ import annotations
@@ -129,7 +128,7 @@ def quad_cong_roots(g: int, l: int, k: int) -> tuple[int, list[int]]:
         return 0, []
     acc_mod = 1
     sols = [0]
-    for p, e, h, f, gu, lu, _ in splits:
+    for p, e, h, f, gu, lu in splits:
         roots = _unit_sqrt(gu, lu, p, f)
         pe = p**e
         if f < e:
@@ -147,21 +146,6 @@ def quad_cong_roots(g: int, l: int, k: int) -> tuple[int, list[int]]:
         acc_mod *= pe
     sols.sort()
     return len(sols), sols
-
-
-def quad_cong_count(g: int, l: int, k: int) -> int:
-    """Number of roots of g*x^2 = l (mod k), k >= 1, without listing them.
-
-    By CRT, the product over the prime powers p^e of k of p^(e-h-f) times
-    the number of _split's unit roots w.
-    """
-    splits = _splits(g, l, k)
-    if splits is None:
-        return 0
-    count = 1
-    for p, e, h, f, _, _, n in splits:
-        count *= n * p ** (e - h - f)
-    return count
 
 
 def _splits(g: int, l: int, k: int) -> list[tuple] | None:
@@ -183,21 +167,19 @@ def _splits(g: int, l: int, k: int) -> list[tuple] | None:
 
 
 def _split(g: int, l: int, p: int, e: int) -> tuple[int, ...] | None:
-    """Where the roots of g*x^2 = l (mod p^e) lie: (p, e, h, f, g', l', n),
+    """Where the roots of g*x^2 = l (mod p^e) lie: (p, e, h, f, g', l'),
     or None when there are none.  This is the one solvability test.
 
     The roots are x = p^h*w + j*p^(h+f) for 0 <= j < p^(e-h-f), where w
-    runs over the n units mod p^f with g'*w^2 = l' (mod p^f).  With
+    runs over the units mod p^f with g'*w^2 = l' (mod p^f).  With
     s = v_p(g) and v = v_p(l), g and l taken mod p^e and s capped at e:
     - p^e | l: x needs only p^ceil((e-s)/2) | x, so h = ceil((e-s)/2),
-      f = 0 and w = 0 (n = 1); g = 0 (mod p^e) makes s = e, so every x
-      is a root.
+      f = 0 and w = 0; g = 0 (mod p^e) makes s = e, so every x is a root.
     - otherwise a root needs v - s even and >= 0; then h = (v-s)/2,
       f = e - v, and g', l' are the unit parts of g and l.  For odd p
-      there are n = 2 unit roots when l'/g' is a square mod p (Euler's
+      there are unit roots when l'/g' is a square mod p (Euler's
       criterion on l'g'), else none.  For p = 2 an odd square is 1 mod 8,
-      so there are n = 1, 2 or 4 for f = 1, 2, >= 3 when
-      l' = g' (mod 2^min(f, 3)), else none.
+      so there are unit roots when l' = g' (mod 2^min(f, 3)), else none.
     """
     pe = p**e
     g %= pe
@@ -208,7 +190,7 @@ def _split(g: int, l: int, p: int, e: int) -> tuple[int, ...] | None:
             g //= p
             s += 1
         if l == 0:
-            return p, e, (e - s + 1) // 2, 0, g, l, 1
+            return p, e, (e - s + 1) // 2, 0, g, l
         while l % p == 0:
             l //= p
             v += 1
@@ -216,15 +198,11 @@ def _split(g: int, l: int, p: int, e: int) -> tuple[int, ...] | None:
             return None
     f = e - v
     if p == 2:
-        c = f if f < 3 else 3
-        if (l - g) % (1 << c):
+        if (l - g) % (1 << (f if f < 3 else 3)):
             return None
-        n = 1 << (c - 1)
     elif pow(l * g, (p - 1) // 2, p) != 1:
         return None
-    else:
-        n = 2
-    return p, e, (v - s) // 2, f, g, l, n
+    return p, e, (v - s) // 2, f, g, l
 
 
 def _unit_sqrt(g: int, l: int, p: int, f: int) -> list[int]:

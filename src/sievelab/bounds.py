@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import _ProfileKeys, profile_bytes, window_count_profile
+from .counting import _ProfileKeys, profile_bytes
 from .errors import CapacityError, InvalidRegimeError, NotCoprimeError, OutOfRangeError
 from .moduli import ModuliSet
 from .sequences import CoefficientSequence, _folds, pass_bytes
@@ -491,6 +491,8 @@ def sieve_bracket(s: ModuliSet, n: int, z_grid: int = 64, mode: str = "grid",
 
 
 def _check_regime(r: int, z: float, delta: float) -> None:
+    if util.index(r, "r") < 1:
+        raise OutOfRangeError(f"r={r} must be at least 1")
     if not 0.0 < delta <= 0.5:
         raise InvalidRegimeError(f"delta={delta} outside (0, 1/2]")
     lo = delta * (1.0 - _REGIME_SLACK)
@@ -503,9 +505,9 @@ def farey_crowding_shape(s: ModuliSet, b: int, r: int, z: float,
                          delta: float) -> float:
     """Window-count bound for fractions a/q, q in s, crowding b/r + z.
 
-    Requires gcd(b, r) = 1, delta in (0, 1/2] and z in [delta,
-    sqrt(delta)/r].  The value is 2 plus the bracket's window sum at the
-    one point z, width 2*delta*span/(t*z), and the one frequency
+    Requires an integer r >= 1, gcd(b, r) = 1, delta in (0, 1/2] and z
+    in [delta, sqrt(delta)/r].  The value is 2 plus the bracket's window
+    sum at the one point z, width 2*delta*span/(t*z), and the one frequency
     h = -b mod r: for each divisor t of r, with k = r/t, the t-dilate's
     window counts in the classes -b^-1 * m mod k over the frequencies m
     coprime to k with 0 < |m| <= 6*r*z*span/t.  Class c meets the
@@ -606,14 +608,13 @@ def build_report(seq: CoefficientSequence | None, s: ModuliSet, *, n=None,
     squares up to a cap, and the interval span otherwise.  Shapes are
     formula evaluations at the reported (N, Q), not certified bounds.
     With seq None nothing is measured: the report holds the shapes at
-    length n, with lhs 0, Z 1 and every ratio 0.
+    length n, an integer >= 1, with lhs 0, Z 1 and every ratio 0.
     """
     if s_count is None:
         s_count = s.size
     q_shape = s.param if s.kind == "squares_up_to" else s.Q
     q0 = s.param if s.kind == "squares_in_octave" else None
-    if seq is not None:
-        n = seq.N
+    n = util.index(n, "n") if seq is None else seq.N
     shapes = bound_shapes(n, q_shape, s_count=s_count, eps=eps, x=x)
     if seq is None:
         lhs, z = 0.0, 1.0

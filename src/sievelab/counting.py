@@ -308,10 +308,16 @@ def k_delta(s: ModuliSet, delta: float) -> int:
     return min(best, n)
 
 
+def _check_point(alpha: float, delta: float) -> None:
+    if not delta > 0:
+        raise InvalidDeltaError(f"delta={delta} must be positive")
+    if not math.isfinite(alpha):
+        raise OutOfRangeError(f"alpha={alpha} must be finite")
+
+
 def p_alpha(farey: FareyList, alpha: float, delta: float) -> int:
     """Number of Farey values in the real interval [alpha-delta, alpha+delta]."""
-    if delta <= 0:
-        raise InvalidDeltaError("delta must be positive")
+    _check_point(alpha, delta)
     v = farey.values
     return int(np.searchsorted(v, alpha + delta, side="right")
                - np.searchsorted(v, alpha - delta, side="left"))
@@ -319,8 +325,7 @@ def p_alpha(farey: FareyList, alpha: float, delta: float) -> int:
 
 def p_alpha_circular(farey: FareyList, alpha: float, delta: float) -> int:
     """Number of Farey values within circular distance delta of alpha."""
-    if delta <= 0:
-        raise InvalidDeltaError("delta must be positive")
+    _check_point(alpha, delta)
     d = np.abs(farey.values - alpha) % 1.0
     return int(np.sum(np.minimum(d, 1.0 - d) <= delta))
 

@@ -121,9 +121,12 @@ def linear_phase_integral(j: int, z: float, q0: float) -> complex:
     e(3a/2) * sin(pi*a) / (pi*w): the product has no cancellation at
     small a.  sin(pi*|a|) is the imaginary part of e(|a|/2), whose
     reduction in cexp is exact for a phase that is not negative.
+    Raises OutOfRangeError for w = 0 or a non-finite a.
     """
     w = j * z
     a = w * q0
+    if w == 0 or not math.isfinite(a):
+        raise OutOfRangeError(f"need j*z != 0 and a finite j*z*Q0, not j={j}, z={z}, Q0={q0}")
     return complex(cexp(1.5 * a) * (cexp(0.5 * abs(a)).imag / (math.pi * abs(w))))
 
 
@@ -146,8 +149,9 @@ def oscillatory_integral(j: int, l: int, r_star: int, z: float, q0: float) -> co
     phase little over a panel at most Q0/16 wide.  The doubling stays as
     the convergence certificate; in practice it stops at 2P.
 
-    Raises OutOfRangeError for a non-finite z or Q0, Q0 <= 0, r_star < 1
-    or a j or l past float range, and QuadratureError, before any
+    Raises OutOfRangeError for a non-finite z or Q0, Q0 <= 0, r_star < 1,
+    a j or l past float range or a non-finite cycle count (a NaN or
+    infinite j or l), and QuadratureError, before any
     evaluation, when the first doubling would pass the panel budget, or
     later when the budget runs out.
     """
@@ -159,6 +163,8 @@ def oscillatory_integral(j: int, l: int, r_star: int, z: float, q0: float) -> co
         cycles = abs(j * z) * q0 + abs(l) * (math.sqrt(2 * q0) - math.sqrt(q0)) / r_star
     except OverflowError as exc:
         raise OutOfRangeError("frequencies j and l must lie in float range") from exc
+    if not math.isfinite(cycles):
+        raise OutOfRangeError(f"frequencies j={j} and l={l} must be finite and lie in float range")
     if cycles > _PANEL_BUDGET // 2:
         # the first doubling of max(16, ceil(cycles)) panels would pass the budget
         raise QuadratureError(f"oscillatory integral needs more than {_PANEL_BUDGET} panels")

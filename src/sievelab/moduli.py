@@ -206,10 +206,12 @@ def square_class_count(t: int, k: int, l: int) -> int:
     """Number of residues x mod k with x^2 * g = l (mod k), g from t.
 
     This counts the classes mod k that the dilated square moduli can
-    occupy; it vanishes when gcd(g, k) > 1 and gcd(k, l) = 1, and is
-    never more than 2^{omega(k)+1}.  The count is read from the vector
-    of the counts of every l mod k (_class_counts), which is kept for the
-    last (g, k): a caller asks for all l of one (t, k) in turn.
+    occupy; it vanishes when gcd(g, k) > 1 and gcd(k, l) = 1.  For l
+    coprime to k it is never more than 2^{omega(k)+1}; a class sharing a
+    factor with k can hold more (8 for t = 1, k = 64, l = 0).  The count
+    is read from the vector of the counts of every l mod k
+    (_class_counts), which is kept for the last (g, k): a caller asks for
+    all l of one (t, k) in turn.
     """
     try:  # inline, not util.index: a caller asks once for each class
         t, k, l = operator.index(t), operator.index(k), operator.index(l)

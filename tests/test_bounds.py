@@ -712,17 +712,17 @@ def test_crowding_shape_refuses_before_it_builds(monkeypatch):
     # h: 48 * 30 + 128 * (30 + 30) + 56 * 30 + (2 * 30 + 16 * 31) + 2^17
     # = 142,428 bytes, one byte past the capacity, and the profile is
     # never built; at 10^6 bytes the call runs
-    def fail(*args, **kwargs):
+    def fail(self, u_vec):
         raise AssertionError("window counts built before the reservation")
 
     s, r = squares_up_to(30), 720720
     delta = 1.0 / (4 * r * r)
-    profile = bounds_mod.window_count_profile
-    monkeypatch.setattr(bounds_mod, "window_count_profile", fail)
+    counts = counting._ProfileKeys.counts
+    monkeypatch.setattr(counting._ProfileKeys, "counts", fail)
     monkeypatch.setattr(util, "CAPACITY", 142_427)
     with pytest.raises(CapacityError, match="at r=720720 needs 142428 "):
         farey_crowding_shape(s, 1, r, delta, delta)
-    monkeypatch.setattr(bounds_mod, "window_count_profile", profile)
+    monkeypatch.setattr(counting._ProfileKeys, "counts", counts)
     monkeypatch.setattr(util, "CAPACITY", 10**6)
     assert farey_crowding_shape(s, 1, r, delta, delta) == 2.0
 
@@ -892,17 +892,6 @@ def test_bracket_refuses_a_z_grid_past_one_gather_chunk(monkeypatch):
     monkeypatch.setattr(bounds_mod, "_partition", fail)
     with pytest.raises(CapacityError, match="4000000000 points"):
         sieve_bracket(primes_up_to_set(300), 4096, z_grid=4 * 10**9)
-
-
-def test_bracket_reserves_its_terms_before_profiling(monkeypatch):
-    def fail(*args, **kwargs):
-        raise AssertionError("window counts built before the reservation")
-
-    monkeypatch.setattr(bounds_mod, "window_count_profile", fail)
-    # r = 1 holds one class row at 2^21 z, 153,224,336 bytes
-    monkeypatch.setattr(util, "CAPACITY", 5 * 10**7)
-    with pytest.raises(CapacityError, match="bracket terms at r=1 needs 153224336 "):
-        sieve_bracket(squares_up_to(8), 4096, z_grid=2**21)
 
 
 @pytest.mark.parametrize("threads", [0, -3])

@@ -102,6 +102,11 @@ def test_crowding_rejects_bad_delta():
         k_delta(s, 0.0)
     with pytest.raises(InvalidDeltaError):
         k_delta(s, 0.51)
+    fl = enumerate_farey(s)
+    for count in (p_alpha, p_alpha_circular):
+        for delta in (0.0, -0.1, math.nan):
+            with pytest.raises(InvalidDeltaError):
+                count(fl, 0.5, delta)
 
 
 def test_crowding_wraps_around_the_circle():

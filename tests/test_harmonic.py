@@ -169,7 +169,9 @@ def test_non_finite_arguments_are_out_of_range(z, q0):
 
 
 @pytest.mark.parametrize("j, l, z", [(10**400, 0, 1.0), (10**400, 0, 0.0), (-10**400, 3, 0.5),
-                                     (1, 10**400, 0.0), (0, -10**400, 0.0)])
+                                     (1, 10**400, 0.0), (0, -10**400, 0.0),
+                                     (math.nan, 0, 0.01), (0, math.nan, 0.01),
+                                     (math.inf, 0, 0.01), (math.inf, 0, 0.0)])
 def test_frequencies_past_float_range_are_out_of_range(monkeypatch, j, l, z):
     calls = _count_osc_evals(monkeypatch, fake=0j)
     with pytest.raises(OutOfRangeError, match="float range"):

@@ -20,7 +20,6 @@ from sievelab import (derive_subset, enumerate_farey, eval_exp_sum, explicit_mod
                       primes_up_to_set, sequence_from_file, sieve_lhs,
                       square_class_count, square_divisor_profile,
                       squares_in_octave, squares_up_to)
-from sievelab.arith import quad_cong_count
 from sievelab.errors import (CapacityError, EmptyModuliWarning, OutOfRangeError,
                              SequenceFileError)
 from sievelab.moduli import FareySlabs, build_moduli_set
@@ -177,6 +176,9 @@ def test_square_class_count_small_cases():
     # with g=2 (t=2) the image is doubled squares
     assert square_class_count(2, 4, 2) == 2
     assert square_class_count(2, 4, 1) == 0
+    # the 2^(omega(k)+1) cap holds for l coprime to k only: x^2 = 0 mod 64
+    # for the 8 multiples of 8
+    assert square_class_count(1, 64, 0) == 8
 
 
 @given(st.integers(1, 200), st.integers(1, 60))
@@ -186,15 +188,14 @@ def test_square_class_count_totals_to_modulus(t, k):
 
 
 def test_square_class_counts_equal_a_full_scan():
-    # every l mod k <= 100 for every t <= 40, against the scan oracle and
-    # the closed-form count; the scan is taken once for each (g, k)
+    # every l mod k <= 100 for every t <= 40, against the scan oracle,
+    # which is taken once for each (g, k)
     scans = {}
     for t in range(1, 41):
         g = square_divisor_profile(t)[1]
         for k in range(1, 101):
             if (g, k) not in scans:
                 scans[g, k] = [oracles.quad_cong_roots_scan(g, l, k)[0] for l in range(k)]
-                assert [quad_cong_count(g, l, k) for l in range(k)] == scans[g, k]
             assert [square_class_count(t, k, l) for l in range(k)] == scans[g, k]
             vector = moduli._class_counts(g, k)
             assert not vector.flags.writeable and vector.tolist() == scans[g, k]

@@ -140,3 +140,25 @@ def test_traced_counters_read_arguments_their_functions_take():
             elif (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
                   and isinstance(node.slice, ast.Constant)):
                 assert node.slice.value in params, f"{counter.name} reads {node.slice.value}"
+
+
+def test_modules_read_every_name_they_import():
+    # no linter ships with the package; an import nothing reads is dead
+    # code, and a test that patches it patches nothing
+    unused = []
+    for path in sorted((SRC / "sievelab").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unused += [f"{path.stem}.{name} (line {line})"
+                   for name, line in imported.items() if name not in read]
+    assert unused == []
